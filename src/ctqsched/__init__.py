@@ -14,7 +14,7 @@ from .analytic import (
     last_slice_start,
     waiting_profile,
 )
-from .ctq import CtqTrace, RoundRecord, residual_times, run_ctq, run_round
+from .ctq import CtqTrace, RoundRecord, run_ctq
 from .experiment import (
     ExperimentRow,
     compare_workload,
@@ -33,13 +33,7 @@ from .model import (
     format_fraction,
     metrics_from_schedule,
 )
-from .simulate import (
-    SimConfig,
-    simulate,
-    simulate_fcfs,
-    simulate_fixed_rr,
-    simulate_wrr,
-)
+from .simulate import simulate_fcfs, simulate_fixed_rr, simulate_wrr
 from .workload import TaskFileError, WorkloadSpec, generate, load_tasks, save_tasks
 
 __version__ = "0.1.0"
@@ -54,9 +48,7 @@ __all__ = [
     "waiting_profile",
     "CtqTrace",
     "RoundRecord",
-    "residual_times",
     "run_ctq",
-    "run_round",
     "ExperimentRow",
     "compare_workload",
     "rows_to_csv",
@@ -71,8 +63,6 @@ __all__ = [
     "TaskSet",
     "format_fraction",
     "metrics_from_schedule",
-    "SimConfig",
-    "simulate",
     "simulate_fcfs",
     "simulate_fixed_rr",
     "simulate_wrr",

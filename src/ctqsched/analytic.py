@@ -10,7 +10,8 @@ smallest average wait (:func:`best_quantum`); that scan is the decision rule
 the per-round CTQ scheduler applies between rounds.
 
 All arithmetic is exact integer arithmetic. The candidate scan is vectorized
-with numpy int64, which is exact at these magnitudes; a property test pins it
+with numpy int64, which is exact while n * n * largest burst stays below
+2**63 (:func:`best_quantum` rejects larger inputs); a property test pins it
 to the sequential pure-Python evaluation.
 """
 
@@ -26,6 +27,10 @@ from .model import TaskSet
 # Chunk the quantum axis so the 3-D candidate scan never materializes more
 # than this many int64 cells at once.
 _SCAN_CELL_LIMIT = 1 << 24
+
+# Every value the scan forms is at most n * n * largest burst, so int64
+# arithmetic is exact while that product stays below this bound.
+_INT64_LIMIT = 1 << 63
 
 
 def full_quanta(burst: int, quantum: int) -> int:
@@ -164,10 +169,19 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     constant divisor). Ties are broken toward the LARGEST minimizing quantum:
     a larger quantum never increases the number of context switches, so among
     equally good waits the cheaper schedule wins.
+
+    Raises ``ValueError`` before scanning when n * n * largest burst reaches
+    2**63, where the int64 totals would stop being exact.
     """
     if tasks.n == 0:
         raise ValueError("cannot choose a quantum for an empty task set")
-    totals = _total_waiting_by_quantum(tasks.bursts())
+    bursts = tasks.bursts()
+    if tasks.n * tasks.n * max(bursts) >= _INT64_LIMIT:
+        raise ValueError(
+            f"cannot scan {tasks.n} tasks with a largest burst of {max(bursts)} tu: "
+            "n * n * largest burst must stay below 2**63"
+        )
+    totals = _total_waiting_by_quantum(bursts)
     # np.argmin takes the first minimum; scanning the reversed array makes
     # that the largest minimizing quantum.
     quantum = totals.size - int(np.argmin(totals[::-1]))

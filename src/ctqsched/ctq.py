@@ -1,10 +1,11 @@
 """Changeable Time Quantum (CTQ): round robin with a per-round quantum.
 
 Each round every surviving task runs once, in FIFO order, for at most the
-round's quantum. Between rounds the quantum is re-chosen by running the
-closed-form candidate scan (:func:`ctqsched.analytic.best_quantum`) over the
-survivors' residual work, so short stragglers get flushed out early while a
-tail of long tasks degenerates into cheap FCFS-sized slices.
+round's quantum (the round loop is :func:`ctqsched.simulate.run_rounds`).
+Between rounds the quantum is re-chosen by running the closed-form candidate
+scan (:func:`ctqsched.analytic.best_quantum`) over the survivors' residual
+work, so short stragglers get flushed out early while a tail of long tasks
+degenerates into cheap FCFS-sized slices.
 
 The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
@@ -14,11 +15,11 @@ scan because it offsets every candidate equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .analytic import best_quantum
-from .model import MetricsReport, Schedule, Slice, Task, TaskSet, metrics_from_schedule
-
-Survivors = tuple[tuple[int, int], ...]  # (task_id, residual tu), FIFO order
+from .model import MetricsReport, Schedule, TaskSet, metrics_from_schedule
+from .simulate import Survivors, run_rounds
 
 
 @dataclass(frozen=True)
@@ -44,43 +45,6 @@ class CtqTrace:
         return tuple(r.quantum for r in self.rounds)
 
 
-def residual_times(tasks: TaskSet, quanta_used: tuple[int, ...] | list[int]) -> Survivors:
-    """Residual work of each task after the given completed rounds.
-
-    A task that survived every round so far necessarily ran each full
-    quantum, so its residual is simply burst minus the sum of past quanta;
-    tasks at or below zero have finished and are dropped. An empty history
-    returns the original bursts.
-    """
-    spent = sum(quanta_used)
-    return tuple(
-        (task.id, task.burst - spent) for task in tasks if task.burst - spent > 0
-    )
-
-
-def run_round(
-    survivors: Survivors, quantum: int, clock: int, number: int
-) -> tuple[tuple[Slice, ...], Survivors, int]:
-    """Dispatch each survivor once for min(quantum, residual) tu.
-
-    Returns the emitted slices, the survivors still holding work, and the
-    advanced clock.
-    """
-    if not survivors:
-        raise ValueError("cannot run a round with no survivors")
-    if quantum < 1:
-        raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
-    slices = []
-    after = []
-    for task_id, residual in survivors:
-        run = min(quantum, residual)
-        slices.append(Slice(task_id, clock, clock + run, number))
-        clock += run
-        if residual > run:
-            after.append((task_id, residual - run))
-    return tuple(slices), tuple(after), clock
-
-
 def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     """Run CTQ to completion and return the full trace.
 
@@ -88,38 +52,37 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     later round, uses the quantum that minimizes the closed-form average
     waiting time of the current residual set.
     """
-    if tasks.n == 0:
-        raise ValueError("cannot schedule an empty task set")
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
 
-    survivors: Survivors = tuple((task.id, task.burst) for task in tasks)
-    rounds = []
-    slices: list[Slice] = []
-    clock = 0
-    number = 1
-    while survivors:
+    choices: list[tuple[int, str]] = []  # (quantum, chosen_by), one per round
+
+    def share_for_round(number: int, survivors: Survivors) -> repeat[int]:
         if number == 1 and first_quantum is not None:
-            quantum, chosen_by = first_quantum, "user_supplied"
+            choices.append((first_quantum, "user_supplied"))
         else:
-            residual_set = TaskSet(
-                tuple(Task(id=tid, burst=residual) for tid, residual in survivors)
-            )
-            quantum, chosen_by = best_quantum(residual_set).quantum, "optimized"
-        before = survivors
-        round_slices, survivors, clock = run_round(before, quantum, clock, number)
-        still_alive = {tid for tid, _ in survivors}
+            residuals = TaskSet.from_bursts(residual for _, residual in survivors)
+            choices.append((best_quantum(residuals).quantum, "optimized"))
+        return repeat(choices[-1][0])
+
+    rounds = []
+    slices = []
+    for number, before, round_slices in run_rounds(tasks, share_for_round):
+        quantum, chosen_by = choices[-1]
         rounds.append(
             RoundRecord(
                 number=number,
                 quantum=quantum,
                 survivors_before=before,
-                completed=tuple(tid for tid, _ in before if tid not in still_alive),
+                completed=tuple(
+                    s.task_id
+                    for s, (_, residual) in zip(round_slices, before)
+                    if s.length == residual
+                ),
                 chosen_by=chosen_by,
             )
         )
         slices.extend(round_slices)
-        number += 1
 
-    schedule = Schedule(tuple(slices), clock)
+    schedule = Schedule.from_slices(slices)
     return CtqTrace(tuple(rounds), schedule, metrics_from_schedule(schedule, tasks))

@@ -98,8 +98,9 @@ class TaskSet:
 
 @dataclass(frozen=True)
 class Slice:
-    """One contiguous run of a task on the CPU. ``round`` counts, per task,
-    how many times that task has been dispatched up to and including this run."""
+    """One contiguous run of a task on the CPU. ``round`` is the number of the
+    round the run belongs to; every survivor runs once per round, so it also
+    counts how many times the task has been dispatched, this run included."""
 
     task_id: int
     start: int

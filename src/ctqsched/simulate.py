@@ -1,41 +1,60 @@
-"""Slice-by-slice executors: fixed round robin, FCFS, and weighted round robin.
+"""The round loop and the executors built on it: fixed round robin, FCFS, and
+weighted round robin.
 
-These run the actual dispatch loop and emit the full timeline. They are the
-baseline arms of every experiment and the ground truth the closed-form math
-in :mod:`ctqsched.analytic` is checked against.
+Every task arrives at time 0, so each of these policies, and CTQ in
+:mod:`ctqsched.ctq`, runs every survivor once per round, in queue order, for
+min(share, residual) tu. They differ only in how the share is picked, which
+:func:`run_rounds` takes as a callable. The executors emit the full timeline;
+they are the baseline arms of every experiment and the ground truth the
+closed-form math in :mod:`ctqsched.analytic` is checked against.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .model import Schedule, Slice, TaskSet
 
-ALGORITHMS = ("fixed_rr", "fcfs", "wrr")
+Survivors = tuple[tuple[int, int], ...]  # (task_id, residual tu), queue order
+ShareForRound = Callable[[int, Survivors], Iterable[int]]
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Selects a baseline executor. ``quantum`` is required for fixed_rr and
-    wrr; ``wrr_reference_weight`` is the weight that maps to a full quantum."""
+def run_rounds(
+    tasks: TaskSet, share_for_round: ShareForRound
+) -> Iterator[tuple[int, Survivors, tuple[Slice, ...]]]:
+    """Dispatch every survivor once per round until all work is done.
 
-    algorithm: str
-    quantum: int | None = None
-    wrr_reference_weight: int = 10
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.algorithm in ("fixed_rr", "wrr") and (self.quantum is None or self.quantum < 1):
-            raise ValueError(f"{self.algorithm} requires a quantum of at least 1 tu")
-        if self.wrr_reference_weight < 1:
-            raise ValueError("reference weight must be at least 1")
-
-
-def _require_tasks(tasks: TaskSet) -> None:
+    ``share_for_round(number, survivors)`` is called before round ``number``
+    (1-based) and returns one share per survivor, in survivor order. Each
+    survivor then runs min(share, residual) tu; a task finishing exactly at
+    its share completes within that slice. Yields each round's number, the
+    survivors entering it, and its slices. An empty task set raises
+    ``ValueError``, and so does a share below 1 tu (through :class:`Slice`).
+    """
     if tasks.n == 0:
-        raise ValueError("cannot simulate an empty task set")
+        raise ValueError("cannot schedule an empty task set")
+    survivors: Survivors = tuple((task.id, task.burst) for task in tasks)
+    clock = 0
+    number = 1
+    while survivors:
+        slices = []
+        after = []
+        for (task_id, residual), share in zip(survivors, share_for_round(number, survivors)):
+            run = min(share, residual)
+            slices.append(Slice(task_id, clock, clock + run, number))
+            clock += run
+            if residual > run:
+                after.append((task_id, residual - run))
+        yield number, survivors, tuple(slices)
+        survivors = tuple(after)
+        number += 1
+
+
+def _schedule(tasks: TaskSet, share_for_round: ShareForRound) -> Schedule:
+    return Schedule.from_slices(
+        s for _, _, slices in run_rounds(tasks, share_for_round) for s in slices
+    )
 
 
 def simulate_fixed_rr(tasks: TaskSet, quantum: int) -> Schedule:
@@ -43,23 +62,16 @@ def simulate_fixed_rr(tasks: TaskSet, quantum: int) -> Schedule:
 
     Each dispatch runs min(quantum, remaining) tu; a task finishing exactly at
     the quantum boundary completes within that slice, and finished tasks leave
-    the queue. ``Slice.round`` counts the dispatched task's runs so far.
+    the queue.
     """
-    _require_tasks(tasks)
     if quantum < 1:
         raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
-    return _run_cyclic(tasks, {task.id: quantum for task in tasks})
+    return _schedule(tasks, lambda number, survivors: repeat(quantum))
 
 
 def simulate_fcfs(tasks: TaskSet) -> Schedule:
     """First-come first-served: one slice per task, in queue order."""
-    _require_tasks(tasks)
-    slices = []
-    clock = 0
-    for task in tasks:
-        slices.append(Slice(task.id, clock, clock + task.burst, 1))
-        clock += task.burst
-    return Schedule(tuple(slices), clock)
+    return _schedule(tasks, lambda number, survivors: [burst for _, burst in survivors])
 
 
 def simulate_wrr(tasks: TaskSet, quantum: int, reference_weight: int = 10) -> Schedule:
@@ -69,7 +81,6 @@ def simulate_wrr(tasks: TaskSet, quantum: int, reference_weight: int = 10) -> Sc
     floor(quantum * weight / reference_weight), clamped to at least 1 tu so
     every dispatch makes progress.
     """
-    _require_tasks(tasks)
     if quantum < 1:
         raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
     if reference_weight < 1:
@@ -77,29 +88,6 @@ def simulate_wrr(tasks: TaskSet, quantum: int, reference_weight: int = 10) -> Sc
     shares = {
         task.id: max(1, quantum * task.weight // reference_weight) for task in tasks
     }
-    return _run_cyclic(tasks, shares)
-
-
-def _run_cyclic(tasks: TaskSet, share: dict[int, int]) -> Schedule:
-    queue = deque((task.id, task.burst) for task in tasks)
-    dispatches = {task.id: 0 for task in tasks}
-    slices = []
-    clock = 0
-    while queue:
-        task_id, left = queue.popleft()
-        run = min(share[task_id], left)
-        dispatches[task_id] += 1
-        slices.append(Slice(task_id, clock, clock + run, dispatches[task_id]))
-        clock += run
-        if left > run:
-            queue.append((task_id, left - run))
-    return Schedule(tuple(slices), clock)
-
-
-def simulate(tasks: TaskSet, config: SimConfig) -> Schedule:
-    """Dispatch to the executor selected by ``config``."""
-    if config.algorithm == "fixed_rr":
-        return simulate_fixed_rr(tasks, config.quantum)
-    if config.algorithm == "fcfs":
-        return simulate_fcfs(tasks)
-    return simulate_wrr(tasks, config.quantum, config.wrr_reference_weight)
+    return _schedule(
+        tasks, lambda number, survivors: [shares[task_id] for task_id, _ in survivors]
+    )

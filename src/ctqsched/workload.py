@@ -29,7 +29,6 @@ class WorkloadSpec:
     burst_min: int
     burst_max: int
     seed: int
-    distribution: str = "uniform_integer"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -40,8 +39,6 @@ class WorkloadSpec:
             raise ValueError(
                 f"empty burst range [{self.burst_min}, {self.burst_max}]"
             )
-        if self.distribution != "uniform_integer":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
 
 
 def generate(spec: WorkloadSpec) -> TaskSet:

@@ -1,9 +1,14 @@
 """Command-line harness: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctqsched
 from ctqsched import Schedule, Slice, TaskSet, load_tasks, metrics_from_schedule
 from ctqsched.cli import main
 from ctqsched.experiment import CSV_HEADER
@@ -230,3 +235,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["best-tq"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
+def test_burst_too_large_for_the_scan_is_validation_error(tmp_path, command):
+    # 5 * 10**19 does not fit in int64; the scan must refuse it, not crash.
+    path = tmp_path / "huge.tasks"
+    path.write_text("1,5\n2,50000000000000000000\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ctqsched.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ctqsched.cli", *command, "--tasks", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr

@@ -7,55 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import task_sets
-from ctqsched import (
-    TaskSet,
-    best_quantum,
-    residual_times,
-    run_ctq,
-    run_round,
-    simulate_fcfs,
-)
+from ctqsched import TaskSet, best_quantum, run_ctq, simulate_fcfs
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
-
-
-class TestResidualTimes:
-    def test_one_unit_round_drops_the_unit_task(self):
-        assert residual_times(MIXED_FIVE, [1]) == ((1, 19), (2, 19), (3, 4), (4, 2))
-
-    def test_two_rounds(self):
-        assert residual_times(MIXED_FIVE, [1, 2]) == ((1, 17), (2, 17), (3, 2))
-
-    def test_empty_history_returns_bursts(self):
-        assert residual_times(MIXED_FIVE, []) == (
-            (1, 20), (2, 20), (3, 5), (4, 3), (5, 1),
-        )
-
-
-class TestRunRound:
-    def test_mid_run_round(self):
-        survivors = ((1, 19), (2, 19), (3, 4), (4, 2))
-        slices, after, clock = run_round(survivors, 2, clock=5, number=2)
-        assert [(s.start, s.end) for s in slices] == [(5, 7), (7, 9), (9, 11), (11, 13)]
-        assert after == ((1, 17), (2, 17), (3, 2))
-        assert clock == 13
-
-    def test_final_round_drains_everyone(self):
-        slices, after, clock = run_round(((1, 15), (2, 15)), 15, clock=19, number=4)
-        assert [(s.start, s.end) for s in slices] == [(19, 34), (34, 49)]
-        assert after == ()
-        assert clock == 49
-
-    def test_single_survivor_with_big_quantum(self):
-        slices, after, clock = run_round(((3, 7),), 100, clock=0, number=1)
-        assert [(s.start, s.end) for s in slices] == [(0, 7)]
-        assert after == ()
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            run_round((), 2, 0, 1)
-        with pytest.raises(ValueError):
-            run_round(((1, 5),), 0, 0, 1)
 
 
 class TestRunCtq:

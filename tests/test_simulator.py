@@ -1,6 +1,7 @@
-"""Dispatch-loop executors: fixed RR, FCFS, weighted RR."""
+"""The round loop and its executors: fixed RR, FCFS, weighted RR."""
 
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import task_sets
 from ctqsched import (
-    SimConfig,
+    Slice,
+    Task,
     TaskSet,
     full_quanta,
     metrics_from_schedule,
-    simulate,
     simulate_fcfs,
     simulate_fixed_rr,
     simulate_wrr,
 )
+from ctqsched.simulate import run_rounds
+
+MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
 
 class TestFixedRR:
@@ -93,28 +97,60 @@ class TestWeightedRR:
             simulate_wrr(TaskSet.from_bursts([5]), 10, reference_weight=0)
 
 
-class TestSimConfig:
-    def test_quantum_required_for_rr_and_wrr(self):
+def rounds_with_quanta(tasks, quanta):
+    """Every round of the loop when round r gives each survivor quanta[r - 1]."""
+    return list(run_rounds(tasks, lambda number, survivors: repeat(quanta[number - 1])))
+
+
+class TestRunRounds:
+    # The CTQ reference run's quanta; the clock enters round r where round
+    # r - 1's last slice ends.
+    def test_mid_run_round(self):
+        rounds = rounds_with_quanta(MIXED_FIVE, [1, 2, 2, 15])
+        number, survivors, slices = rounds[1]
+        assert (number, survivors) == (2, ((1, 19), (2, 19), (3, 4), (4, 2)))
+        assert rounds[0][2][-1].end == 5
+        assert [(s.start, s.end) for s in slices] == [(5, 7), (7, 9), (9, 11), (11, 13)]
+        assert rounds[2][1] == ((1, 17), (2, 17), (3, 2))
+        assert slices[-1].end == 13
+
+    def test_final_round_drains_everyone(self):
+        rounds = rounds_with_quanta(MIXED_FIVE, [1, 2, 2, 15])
+        number, survivors, slices = rounds[-1]
+        assert (number, survivors) == (4, ((1, 15), (2, 15)))
+        assert rounds[2][2][-1].end == 19
+        assert [(s.start, s.end) for s in slices] == [(19, 34), (34, 49)]
+        assert slices[-1].end == 49
+
+    def test_single_survivor_with_big_quantum(self):
+        rounds = rounds_with_quanta(TaskSet((Task(id=3, burst=7),)), [100])
+        assert rounds == [(1, ((3, 7),), (Slice(3, 0, 7, 1),))]
+
+    def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            SimConfig(algorithm="fixed_rr")
+            rounds_with_quanta(TaskSet(()), [2])
         with pytest.raises(ValueError):
-            SimConfig(algorithm="wrr")
-        SimConfig(algorithm="fcfs")  # fine without a quantum
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            SimConfig(algorithm="sjf")
-
-    def test_dispatch_matches_direct_calls(self):
-        tasks = TaskSet.from_bursts([9, 4], weights=[5, 10])
-        assert simulate(tasks, SimConfig("fixed_rr", quantum=3)) == simulate_fixed_rr(tasks, 3)
-        assert simulate(tasks, SimConfig("fcfs")) == simulate_fcfs(tasks)
-        assert simulate(tasks, SimConfig("wrr", quantum=10)) == simulate_wrr(tasks, 10, 10)
+            rounds_with_quanta(TaskSet.from_bursts([5]), [0])
 
 
-@given(tasks=task_sets(), quantum=st.integers(min_value=1, max_value=70))
-def test_schedule_invariants(tasks, quantum):
-    schedule = simulate_fixed_rr(tasks, quantum)
+@settings(max_examples=300)
+@given(
+    tasks=task_sets(),
+    quantum=st.integers(min_value=1, max_value=70),
+    weights=st.lists(st.integers(min_value=1, max_value=20), min_size=10, max_size=10),
+    policy=st.sampled_from(["rr", "wrr", "fcfs"]),
+)
+def test_schedule_invariants(tasks, quantum, weights, policy):
+    tasks = TaskSet.from_bursts(tasks.bursts(), weights[: tasks.n])
+    run, share = {
+        "rr": (lambda: simulate_fixed_rr(tasks, quantum), lambda task: quantum),
+        "wrr": (
+            lambda: simulate_wrr(tasks, quantum, reference_weight=10),
+            lambda task: max(1, quantum * task.weight // 10),
+        ),
+        "fcfs": (lambda: simulate_fcfs(tasks), lambda task: task.burst),
+    }[policy]
+    schedule = run()
 
     assert schedule.slices[0].start == 0
     for prev, cur in zip(schedule.slices, schedule.slices[1:]):
@@ -124,10 +160,13 @@ def test_schedule_invariants(tasks, quantum):
     for task in tasks:
         slices = schedule.task_slices(task.id)
         assert sum(s.length for s in slices) == task.burst
-        assert len(slices) == full_quanta(task.burst, quantum) + 1
+        assert len(slices) == full_quanta(task.burst, share(task)) + 1
+        # Every survivor runs once per round, so the round number is also
+        # the task's dispatch count.
+        assert [s.round for s in slices] == list(range(1, len(slices) + 1))
 
     # Deterministic: rerunning yields the identical schedule.
-    assert simulate_fixed_rr(tasks, quantum) == schedule
+    assert run() == schedule
 
 
 @settings(max_examples=120, deadline=None)

@@ -38,8 +38,6 @@ class TestGenerate:
             WorkloadSpec(n=3, burst_min=5, burst_max=4, seed=1)
         with pytest.raises(ValueError):
             WorkloadSpec(n=3, burst_min=0, burst_max=4, seed=1)
-        with pytest.raises(ValueError):
-            WorkloadSpec(n=3, burst_min=1, burst_max=4, seed=1, distribution="zipf")
 
 
 class TestTaskFiles:
