@@ -4,21 +4,33 @@ For a FIFO queue where every task arrives at time 0, fixed-quantum round
 robin is regular enough that each task's timeline can be computed without
 running it: how many whole quanta it burns before its final slice
 (:func:`full_quanta`), when that final slice starts (:func:`last_slice_start`),
-and therefore how long it spends waiting. Scanning the resulting total
-waiting time over every candidate quantum yields the quantum with the
-smallest average wait (:func:`best_quantum`); that scan is the decision rule
+and therefore how long it spends waiting. Minimizing the resulting total
+waiting time over the quanta in [1, largest burst] yields the quantum with the
+smallest average wait (:func:`best_quantum`); that choice is the decision rule
 the per-round CTQ scheduler applies between rounds.
 
-All arithmetic is exact integer arithmetic. The candidate scan is vectorized
-with numpy int64, which is exact while n * n * largest burst stays below
-2**63 (:func:`best_quantum` rejects larger inputs); a property test pins it
-to the sequential pure-Python evaluation.
+The scan does not need every quantum. On an interval where each task's
+full_quanta = (b - 1) // tq is constant, every term of the total is either a
+constant burst or a non-negative multiple of tq, so the total is A + S * tq
+with S >= 0: its smallest value sits at the interval's left end, and when
+S == 0 the right end ties with it. Evaluating only the two ends of every such
+interval therefore finds the largest minimizing quantum exactly. A burst b has
+O(sqrt(b)) intervals, so the scan costs O(n * n * sum of sqrt(b_i)) instead of
+O(n * n * largest burst).
+
+All arithmetic is exact integer arithmetic. The scan is vectorized with numpy
+int64, which is exact while n * n * largest burst stays below 2**63
+(:func:`best_quantum` rejects larger inputs, and inputs with more than
+``_CANDIDATE_LIMIT`` candidate quanta); property tests pin it to the
+sequential pure-Python evaluation and to the same kernel run over every
+quantum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -31,6 +43,11 @@ _SCAN_CELL_LIMIT = 1 << 24
 # Every value the scan forms is at most n * n * largest burst, so int64
 # arithmetic is exact while that product stays below this bound.
 _INT64_LIMIT = 1 << 63
+
+# Most candidate quanta one scan may evaluate, checked before any allocation.
+# A burst b contributes about 3 * sqrt(b) candidates, so this admits a single
+# burst up to about 2e12 tu; larger inputs are rejected with ValueError.
+_CANDIDATE_LIMIT = 1 << 22
 
 
 def full_quanta(burst: int, quantum: int) -> int:
@@ -111,7 +128,9 @@ class RoundRobinProfile:
 @dataclass(frozen=True)
 class QuantumChoice:
     """Result of the candidate-quantum scan. ``quantum`` lies in
-    [1, largest burst]; ties on average waiting go to the largest quantum."""
+    [1, largest burst]; ties on average waiting go to the largest quantum.
+    ``candidates_evaluated`` is how many quanta the scan evaluated, at most
+    the largest burst."""
 
     quantum: int
     avg_waiting: Fraction
@@ -138,8 +157,37 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
     return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n), quantum)
 
 
-def _total_waiting_by_quantum(bursts: tuple[int, ...]) -> np.ndarray:
-    """Total waiting time for every quantum in 1..max(bursts), vectorized.
+def _candidate_quanta(bursts: tuple[int, ...]) -> np.ndarray:
+    """Both ends of every interval on which each (b - 1) // tq is constant.
+
+    For m = b - 1 and s = isqrt(m), every tq in 1..s+1 is taken. Above s + 1,
+    m // tq is some v in 1..s, constant on (m // (v + 1), m // v], or 0 from
+    m + 1 = b on; every such end lies in 1..s+1 or in {m // v, m // v + 1 :
+    v = 1..s}. The last interval of all ends at the largest burst, which is
+    its own m // 1 + 1. The result is sorted, distinct and within
+    [1, largest burst]. Raises ``ValueError`` before allocating when the
+    count exceeds ``_CANDIDATE_LIMIT``.
+    """
+    m = [b - 1 for b in set(bursts)]
+    s = [isqrt(x) for x in m]
+    count = max(s) + 1 + 2 * sum(s)
+    if count > _CANDIDATE_LIMIT:
+        raise ValueError(
+            f"cannot scan bursts up to {max(bursts)} tu: they give {count} candidate "
+            f"quanta, more than the limit of {_CANDIDATE_LIMIT}"
+        )
+    sizes = np.asarray(s, dtype=np.int64)
+    mm = np.repeat(np.asarray(m, dtype=np.int64), sizes)
+    # v runs 1..s within each burst's block of the flattened arrays.
+    v = np.arange(1, mm.size + 1, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    quotients = mm // v
+    return np.unique(
+        np.concatenate((np.arange(1, max(s) + 2, dtype=np.int64), quotients, quotients + 1))
+    )
+
+
+def _total_waiting_by_quantum(bursts: tuple[int, ...], quanta: np.ndarray) -> np.ndarray:
+    """Total waiting time for each quantum in ``quanta``, vectorized.
 
     Uses the identity that the time task k runs before task i's final slice
     starts is min(burst_k, cycles * quantum), where k gets one extra cycle
@@ -149,12 +197,11 @@ def _total_waiting_by_quantum(bursts: tuple[int, ...]) -> np.ndarray:
     """
     b = np.asarray(bursts, dtype=np.int64)
     n = b.size
-    lbt = int(b.max())
     earlier = np.tril(np.ones((n, n), dtype=np.int64), k=-1)  # earlier[i, k] = 1 iff k < i
-    totals = np.empty(lbt, dtype=np.int64)
+    totals = np.empty(quanta.size, dtype=np.int64)
     step = max(1, _SCAN_CELL_LIMIT // (n * n))
-    for lo in range(0, lbt, step):
-        tq = np.arange(lo + 1, min(lo + step, lbt) + 1, dtype=np.int64)
+    for lo in range(0, quanta.size, step):
+        tq = quanta[lo : lo + step]
         nq = (b[None, :] - 1) // tq[:, None]  # full_quanta, branch-free
         cap = (nq[:, :, None] + earlier[None, :, :]) * tq[:, None, None]
         ran_ahead = np.minimum(b[None, None, :], cap).sum(axis=2)
@@ -170,8 +217,15 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     a larger quantum never increases the number of context switches, so among
     equally good waits the cheaper schedule wins.
 
+    Only the ends of the intervals on which every task's full_quanta is
+    constant are evaluated (see the module docstring): the total waiting time
+    is non-decreasing and linear inside each interval, so those ends include
+    the largest minimizer. That is O(sum of sqrt(b_i)) quanta at n * n cells
+    each; ``candidates_evaluated`` reports how many.
+
     Raises ``ValueError`` before scanning when n * n * largest burst reaches
-    2**63, where the int64 totals would stop being exact.
+    2**63, where the int64 totals would stop being exact, or when there are
+    more than ``_CANDIDATE_LIMIT`` candidate quanta.
     """
     if tasks.n == 0:
         raise ValueError("cannot choose a quantum for an empty task set")
@@ -181,12 +235,13 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
             f"cannot scan {tasks.n} tasks with a largest burst of {max(bursts)} tu: "
             "n * n * largest burst must stay below 2**63"
         )
-    totals = _total_waiting_by_quantum(bursts)
+    quanta = _candidate_quanta(bursts)
+    totals = _total_waiting_by_quantum(bursts, quanta)
     # np.argmin takes the first minimum; scanning the reversed array makes
     # that the largest minimizing quantum.
-    quantum = totals.size - int(np.argmin(totals[::-1]))
+    best = totals.size - 1 - int(np.argmin(totals[::-1]))
     return QuantumChoice(
-        quantum=quantum,
-        avg_waiting=Fraction(int(totals[quantum - 1]), tasks.n),
-        candidates_evaluated=int(totals.size),
+        quantum=int(quanta[best]),
+        avg_waiting=Fraction(int(totals[best]), tasks.n),
+        candidates_evaluated=int(quanta.size),
     )

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from ctqsched import (
     simulate_fixed_rr,
     waiting_profile,
 )
+from ctqsched.analytic import _total_waiting_by_quantum
 
 
 class TestFullQuanta:
@@ -109,6 +111,11 @@ class TestWaitingProfile:
 
 
 class TestBestQuantum:
+    # Quanta the scan evaluates: both ends of every interval on which each
+    # (burst - 1) // tq is constant. For 19, 19, 4, 2 that is 1..7, 9, 10, 18
+    # and 19, the ends for 18 // tq (3 // tq and 1 // tq add none).
+    CANDIDATES = {(19, 19, 4, 2): 11, (17, 17, 2): 10, (15, 15): 9, (7,): 6}
+
     @pytest.mark.parametrize(
         "bursts,expected",
         [
@@ -121,7 +128,7 @@ class TestBestQuantum:
     def test_choices(self, bursts, expected):
         choice = best_quantum(TaskSet.from_bursts(bursts))
         assert choice.quantum == expected
-        assert choice.candidates_evaluated == max(bursts)
+        assert choice.candidates_evaluated == self.CANDIDATES[tuple(bursts)]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -174,8 +181,45 @@ def test_scan_equals_sequential_evaluation(tasks):
     choice = best_quantum(tasks)
     assert choice.quantum == expected
     assert choice.avg_waiting == Fraction(smallest, tasks.n)
-    assert choice.candidates_evaluated == largest
+    assert choice.candidates_evaluated <= largest
     assert 1 <= choice.quantum <= largest
+
+
+def assert_candidates_keep_the_argmin(tasks):
+    """The breakpoint candidates must pick what the same kernel picks when
+    run over every quantum in [1, largest burst]."""
+    largest = max(tasks.bursts())
+    totals = _total_waiting_by_quantum(tasks.bursts(), np.arange(1, largest + 1, dtype=np.int64))
+    expected = largest - int(np.argmin(totals[::-1]))  # largest minimizer
+
+    choice = best_quantum(tasks)
+    assert choice.quantum == expected
+    assert choice.avg_waiting == Fraction(int(totals.min()), tasks.n)
+    assert 1 <= choice.candidates_evaluated <= largest
+
+
+@settings(max_examples=200, deadline=None)
+@given(tasks=task_sets(max_n=12, max_burst=3000))
+def test_candidates_keep_the_argmin(tasks):
+    assert_candidates_keep_the_argmin(tasks)
+
+
+@pytest.mark.parametrize(
+    "bursts",
+    [
+        [1],
+        [1, 1, 1],
+        [1, 2, 1],
+        [1, 2999],
+        [500] * 12,  # all equal: every quantum below the burst ties on full_quanta
+        [7] * 5,
+        [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048],  # each divides the next
+        [3000, 1500, 1000, 750, 600, 500, 300, 100, 30, 10, 3, 1],
+        [36, 12, 6, 4, 3, 2, 1],
+    ],
+)
+def test_candidates_keep_the_argmin_explicit(bursts):
+    assert_candidates_keep_the_argmin(TaskSet.from_bursts(bursts))
 
 
 @given(tasks=task_sets(max_n=8, max_burst=40), quantum=st.integers(1, 40))

@@ -1,12 +1,17 @@
 """Command-line harness: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ctqsched
 from ctqsched import Schedule, Slice, TaskSet, load_tasks, metrics_from_schedule
@@ -130,7 +135,7 @@ class TestBestTq:
         path = tmp_path / "q.tasks"
         path.write_text("1,19\n2,19\n3,4\n4,2\n")
         _, out, _ = run_cli(capsys, "best-tq", "--tasks", str(path))
-        assert "candidates_evaluated: 19" in out
+        assert "candidates_evaluated: 11" in out
         assert "avg_waiting: 16.25" in out
 
 
@@ -237,16 +242,77 @@ class TestUsage:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
-def test_burst_too_large_for_the_scan_is_validation_error(tmp_path, command):
-    # 5 * 10**19 does not fit in int64; the scan must refuse it, not crash.
-    path = tmp_path / "huge.tasks"
-    path.write_text("1,5\n2,50000000000000000000\n")
+def run_cli_process(tmp_path, text, *command):
+    path = tmp_path / "in.tasks"
+    path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(ctqsched.__file__).parents[1]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ctqsched.cli", *command, "--tasks", str(path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
+def test_burst_too_large_for_the_scan_is_validation_error(tmp_path, command):
+    # 5 * 10**19 does not fit in int64; the scan must refuse it, not crash.
+    result = run_cli_process(tmp_path, "1,5\n2,50000000000000000000\n", *command)
     assert result.returncode == 3
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+def test_large_burst_scans_only_its_breakpoints(tmp_path):
+    # A full-axis scan would allocate 3 * 10**9 totals here.
+    result = run_cli_process(tmp_path, "1,3000000000\n2,5\n", "best-tq")
+    assert result.returncode == 0
+    assert "tq: 5\n" in result.stdout
+    assert "avg_waiting: 5\n" in result.stdout
+
+
+def test_too_many_candidate_quanta_is_validation_error(tmp_path):
+    # n * n * largest burst fits in int64, but the bursts give about 2 * 10**9
+    # candidate quanta; the scan must refuse before allocating them.
+    text = "1,100000000000000000\n2,99999999999999999\n3,99999999999999998\n"
+    result = run_cli_process(tmp_path, text, "best-tq")
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+# Hostile task files: huge, zero and negative bursts, duplicate ids, comments,
+# blanks, malformed rows, CRLF and a byte-order mark. Huge bursts are either
+# rejected by a bound or small enough to scan quickly.
+_BURSTS = st.one_of(
+    st.integers(1, 3000),
+    st.sampled_from([10**7, 10**15, 2**62, 2**63, 10**20, 10**400]),
+)
+_JUNK_LINES = st.sampled_from([
+    "# comment", "", "   ", "1,2,3,4", "x,5", "1,", "1,5,0", "1,5,-2", "-1,5",
+    "1,7 # dup", "9,0", "9,-3",
+])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    bursts=st.lists(_BURSTS, max_size=8),
+    junk=st.lists(st.tuples(st.integers(0, 8), _JUNK_LINES), max_size=2),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    # The loader rejects a byte-order mark on line 1, so it gets one draw in
+    # four and the rest of the file still reaches the scan often.
+    bom=st.sampled_from(["", "", "", "\ufeff"]),
+)
+def test_best_tq_survives_hostile_task_files(bursts, junk, newline, bom):
+    lines = [f"{i},{b}" for i, b in enumerate(bursts, start=1)]
+    for at, line in junk:
+        lines.insert(at, line)
+    text = bom + newline.join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hostile.tasks"
+        path.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            # An exception escaping main() would print a traceback and exit 1.
+            code = main(["best-tq", "--tasks", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

@@ -1,5 +1,6 @@
 """Exact CLI output bytes: any change to dispatch order, slice rounds, metric
-accounting or rendering shows up here as a diff against the pinned text."""
+accounting, the quantum scan or rendering shows up here as a diff against the
+pinned text."""
 
 import json
 
@@ -121,6 +122,14 @@ task 4: completion=8 turnaround=8 waiting=6 switches=1 slices=2
 """,
 }
 
+# The scan evaluates 13 of the 20 quanta: the ends of the intervals on which
+# every (burst - 1) // tq is constant.
+BEST_TQ = """\
+tq: 1
+avg_waiting: 15.75
+candidates_evaluated: 13
+"""
+
 COMPARE_ARGS = (
     "compare", "--n", "3", "--burst-min", "1", "--burst-max", "20", "--seed", "5",
     "--runs", "2",
@@ -168,6 +177,12 @@ def test_simulate_gantt_bytes(tmp_path, capsys, algo):
     quantum = ("--tq", "4") if algo in ("rr", "wrr") else ()
     out = stdout_of(capsys, "simulate", "--tasks", str(path), "--algo", algo, *quantum, "--gantt")
     assert out == SIMULATE_GANTT[algo]
+
+
+def test_best_tq_bytes(tmp_path, capsys):
+    path = tmp_path / "weighted.tasks"
+    path.write_text(WEIGHTED_FOUR)
+    assert stdout_of(capsys, "best-tq", "--tasks", str(path)) == BEST_TQ
 
 
 def test_compare_csv_bytes(capsys):
