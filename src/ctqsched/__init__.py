@@ -1,8 +1,9 @@
 """Deterministic round-robin scheduling toolkit.
 
-Closed-form waiting times for fixed-quantum round robin, a slice-by-slice
-simulator that doubles as their ground truth, and the Changeable Time
-Quantum (CTQ) scheduler that re-optimizes the quantum every round.
+Closed-form waiting times for fixed-quantum round robin, a dispatch
+simulator that emits every slice and doubles as their ground truth, and the
+Changeable Time Quantum (CTQ) scheduler that re-optimizes the quantum every
+round.
 """
 
 from .analytic import (

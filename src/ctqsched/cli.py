@@ -8,8 +8,10 @@ Subcommands:
 * ``compare``  -- fixed RR vs CTQ vs FCFS over seeded workloads, CSV or JSON.
 * ``generate`` -- write a seeded random task file.
 
-Exit codes: 0 success, 2 usage error, 3 input validation error, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 usage error, 3 input validation error (including
+inputs past a documented bound: a total burst of 2**63 tu or more, a schedule
+of more than 2**22 slices, a scan too large for exact int64 totals or with
+more than 2**22 candidate quanta), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class UsageError(Exception):
 
 
 def _read_tasks(path: str) -> TaskSet:
-    return load_tasks(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops a leading byte-order mark, which some editors write.
+    return load_tasks(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -15,7 +15,6 @@ scan because it offsets every candidate equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .analytic import best_quantum
 from .model import MetricsReport, Schedule, TaskSet, metrics_from_schedule
@@ -50,39 +49,37 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
 
     Round 1 uses ``first_quantum`` when supplied; otherwise it, like every
     later round, uses the quantum that minimizes the closed-form average
-    waiting time of the current residual set.
+    waiting time of the current residual set. Each quantum holds for one
+    round of :func:`~ctqsched.simulate.run_rounds`, and the round's record is
+    written when its quantum is chosen: the survivors entering it and the
+    quantum already say which of them finish in it.
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
 
-    choices: list[tuple[int, str]] = []  # (quantum, chosen_by), one per round
+    rounds: list[RoundRecord] = []
 
-    def share_for_round(number: int, survivors: Survivors) -> repeat[int]:
+    def share_for_round(number: int, survivors: Survivors) -> tuple[int, int]:
         if number == 1 and first_quantum is not None:
-            choices.append((first_quantum, "user_supplied"))
+            quantum, chosen_by = first_quantum, "user_supplied"
         else:
-            residuals = TaskSet.from_bursts(residual for _, residual in survivors)
-            choices.append((best_quantum(residuals).quantum, "optimized"))
-        return repeat(choices[-1][0])
-
-    rounds = []
-    slices = []
-    for number, before, round_slices in run_rounds(tasks, share_for_round):
-        quantum, chosen_by = choices[-1]
+            # The scan reads only bursts, and round 1's residuals are the bursts.
+            residuals = tasks
+            if number > 1:
+                residuals = TaskSet.from_bursts(residual for _, residual in survivors)
+            quantum, chosen_by = best_quantum(residuals).quantum, "optimized"
         rounds.append(
             RoundRecord(
                 number=number,
                 quantum=quantum,
-                survivors_before=before,
+                survivors_before=survivors,
                 completed=tuple(
-                    s.task_id
-                    for s, (_, residual) in zip(round_slices, before)
-                    if s.length == residual
+                    task_id for task_id, residual in survivors if residual <= quantum
                 ),
                 chosen_by=chosen_by,
             )
         )
-        slices.extend(round_slices)
+        return quantum, 1
 
-    schedule = Schedule.from_slices(slices)
+    schedule = run_rounds(tasks, share_for_round)
     return CtqTrace(tuple(rounds), schedule, metrics_from_schedule(schedule, tasks))

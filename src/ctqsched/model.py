@@ -4,17 +4,41 @@ Time is a discrete count of time units (tu). Every task arrives at time 0,
 context switches cost nothing, and a schedule is a gapless timeline starting
 at 0. Aggregate averages are exact ``Fraction``s so metric comparisons never
 depend on float rounding.
+
+A :class:`Schedule` stores its slices as int64 columns (queue slot, start,
+end, round) and builds :class:`Slice` objects only when they are read, so
+:func:`metrics_from_schedule` runs over whole columns instead of walking one
+slice at a time. int64 times are exact while the total burst stays below
+2**63 tu; both the round loop in :mod:`ctqsched.simulate` and the metrics
+reject larger task sets with ``ValueError`` before they allocate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator
+
+import numpy as np
+
+# Schedules hold their times in int64 columns, exact below this bound. No
+# time in a schedule exceeds the total burst, so the round loop and the
+# metrics check that total before they allocate.
+_INT64_LIMIT = 1 << 63
 
 
 class InvariantViolation(ValueError):
     """A schedule does not describe the task set it claims to."""
+
+
+def check_total_burst(total: int) -> None:
+    """Raise ``ValueError`` when a total burst is past the int64 bound."""
+    if total >= _INT64_LIMIT:
+        raise ValueError(
+            f"total burst {total} tu is too large: schedules hold times below 2**63 tu"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,8 +95,10 @@ class TaskSet:
             weights = [1] * len(bursts)
         return cls(
             tuple(
-                Task(id=i + 1, burst=burst, weight=weight)
-                for i, (burst, weight) in enumerate(zip(bursts, list(weights), strict=True))
+                [
+                    Task(i + 1, burst, None, weight)  # id, burst, label, weight
+                    for i, (burst, weight) in enumerate(zip(bursts, list(weights), strict=True))
+                ]
             )
         )
 
@@ -120,23 +146,121 @@ class Slice:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """The full Gantt chart: back-to-back slices from time 0 to the makespan."""
+    """The full Gantt chart: back-to-back slices from time 0 to the makespan,
+    stored as int64 columns with one row per slice, in dispatch order.
 
-    slices: tuple[Slice, ...]
-    makespan: int
+    Row ``i`` runs task ``ids[slot[i]]`` from ``start[i]`` to ``end[i]`` in
+    round ``round[i]``. Task ids stay Python ints in ``ids``, so they may be
+    any size; the times are exact while they stay below 2**63 tu, which the
+    round loop checks through the total burst before it allocates anything.
+    :attr:`slices` shows the same rows as :class:`Slice` objects, built only
+    when they are indexed or iterated. Two schedules are equal when their
+    slices and makespans are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slices", tuple(self.slices))
+    __slots__ = ("ids", "slot", "start", "end", "round", "makespan")
+
+    def __init__(
+        self,
+        ids: Iterable[int],
+        slot: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+        round: np.ndarray,
+        makespan: int,
+    ) -> None:
+        self.ids = tuple(ids)
+        self.slot = slot
+        self.start = start
+        self.end = end
+        self.round = round
+        self.makespan = makespan
 
     @classmethod
     def from_slices(cls, slices: Iterable[Slice]) -> "Schedule":
         slices = tuple(slices)
-        return cls(slices, slices[-1].end if slices else 0)
+        index: dict[int, int] = {}
+        rows = [(index.setdefault(s.task_id, len(index)), s.start, s.end, s.round) for s in slices]
+        slot, start, end, rounds = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        return cls(index, slot, start, end, rounds, slices[-1].end if slices else 0)
+
+    @property
+    def slices(self) -> "Slices":
+        return Slices(self)
 
     def task_slices(self, task_id: int) -> tuple[Slice, ...]:
-        return tuple(s for s in self.slices if s.task_id == task_id)
+        if task_id not in self.ids:
+            return ()
+        rows = self.slot == self.ids.index(task_id)
+        return tuple(
+            map(
+                Slice,
+                repeat(task_id),
+                self.start[rows].tolist(),
+                self.end[rows].tolist(),
+                self.round[rows].tolist(),
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.makespan == other.makespan and self.slices == other.slices
+
+    def __repr__(self) -> str:
+        return f"Schedule(slices={self.slices!r}, makespan={self.makespan})"
+
+
+class Slices(Sequence[Slice]):
+    """The rows of a :class:`Schedule` as :class:`Slice` objects. Its length
+    is read off the columns; a :class:`Slice` is built only for the rows that
+    are indexed or iterated over. Equal to another view or to a tuple holding
+    the same slices."""
+
+    __slots__ = ("_schedule",)
+
+    def __init__(self, schedule: Schedule) -> None:
+        self._schedule = schedule
+
+    def __len__(self) -> int:
+        return len(self._schedule.slot)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        s = self._schedule
+        i = range(len(self))[index]
+        return Slice(s.ids[s.slot[i]], int(s.start[i]), int(s.end[i]), int(s.round[i]))
+
+    def __iter__(self) -> Iterator[Slice]:
+        s = self._schedule
+        return map(
+            Slice, _task_ids(s), s.start.tolist(), s.end.tolist(), s.round.tolist()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        if not isinstance(other, Slices):
+            return NotImplemented
+        a, b = self._schedule, other._schedule
+        return (
+            len(a.slot) == len(b.slot)
+            and np.array_equal(a.start, b.start)
+            and np.array_equal(a.end, b.end)
+            and np.array_equal(a.round, b.round)
+            and _task_ids(a) == _task_ids(b)
+        )
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _task_ids(schedule: Schedule) -> list[int]:
+    """The task id of every row, in dispatch order."""
+    ids = schedule.ids
+    return [ids[k] for k in schedule.slot.tolist()]
 
 
 @dataclass(frozen=True)
@@ -175,66 +299,106 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
 
     Raises :class:`InvariantViolation` if the schedule does not actually
     execute ``tasks``: unknown ids, gaps in the timeline, or per-task totals
-    that do not add up to the bursts.
+    that do not add up to the bursts. When several slices are at fault, the
+    first in slice order is reported. Raises ``ValueError`` when the total
+    burst is 2**63 tu or more, which no schedule can hold.
+
+    The work runs over the schedule's int64 columns: per-task sums with
+    ``np.add.at``, completions as each task's latest slice end, and switches
+    from a shifted compare of neighbouring slices.
     """
     if tasks.n == 0:
         raise InvariantViolation("empty task set")
-    bursts = {task.id: task.burst for task in tasks}
-
-    clock = 0
-    executed: dict[int, int] = {task.id: 0 for task in tasks}
-    completion: dict[int, int] = {}
-    switches: dict[int, int] = {task.id: 0 for task in tasks}
-    slice_counts: dict[int, int] = {task.id: 0 for task in tasks}
-
-    for i, s in enumerate(schedule.slices):
-        if s.task_id not in bursts:
-            raise InvariantViolation(f"slice references unknown task id {s.task_id}")
-        if s.start != clock:
-            raise InvariantViolation(
-                f"timeline gap: slice {i} starts at {s.start}, expected {clock}"
-            )
-        clock = s.end
-        executed[s.task_id] += s.length
-        slice_counts[s.task_id] += 1
-        if executed[s.task_id] > bursts[s.task_id]:
-            raise InvariantViolation(
-                f"task {s.task_id} executes {executed[s.task_id]} tu, burst is {bursts[s.task_id]}"
-            )
-        if executed[s.task_id] == bursts[s.task_id]:
-            completion[s.task_id] = s.end
-        elif i + 1 < len(schedule.slices) and schedule.slices[i + 1].task_id != s.task_id:
-            switches[s.task_id] += 1
-
-    for task in tasks:
-        if executed[task.id] != task.burst:
-            raise InvariantViolation(
-                f"task {task.id} executes {executed[task.id]} tu, burst is {task.burst}"
-            )
-    if schedule.makespan != clock:
+    ids = tuple([task.id for task in tasks.tasks])
+    bursts = [task.burst for task in tasks.tasks]
+    n = len(ids)
+    check_total_burst(sum(bursts))
+    start, end = schedule.start, schedule.end
+    # The first slice that starts off the clock or names an unknown id. The
+    # slices before it form one timeline from 0, and an over-run among them
+    # would come first, so only they are summed.
+    stop = len(start)
+    if stop and start[0] != 0:
+        stop = 0
+    gaps = (start[1:] != end[:-1]).nonzero()[0]
+    if gaps.size:
+        stop = min(stop, int(gaps[0]) + 1)
+    # Queue position of every slice's task, -1 for an id not in ``tasks``.
+    queue = schedule.slot
+    if schedule.ids != ids:
+        position = {task_id: k for k, task_id in enumerate(ids)}
+        queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
+        unknown = (queue < 0).nonzero()[0]
+        if unknown.size:
+            stop = min(stop, int(unknown[0]))
+    queue, length = queue[:stop], (end - start)[:stop]
+    executed = np.zeros(n, dtype=np.int64)
+    np.add.at(executed, queue, length)
+    if stop < len(start) or executed.tolist() != bursts:
+        _raise_first_violation(schedule, tasks, queue, length, executed, stop)
+    timeline_end = int(end[-1])
+    if schedule.makespan != timeline_end:
         raise InvariantViolation(
-            f"makespan {schedule.makespan} does not match timeline end {clock}"
+            f"makespan {schedule.makespan} does not match timeline end {timeline_end}"
         )
 
+    # Every task ends on its last slice, and ends only grow along the timeline.
+    completion = np.zeros(n, dtype=np.int64)
+    np.maximum.at(completion, queue, end)
+    completion = completion.tolist()
+    # A slice followed by another task's slice costs a switch unless it is
+    # its task's last, and every task but the one finishing at the makespan
+    # has such a last slice.
+    before = queue[:-1]
+    changes = np.bincount(before[queue[1:] != before], minlength=n).tolist()
+    switches = [changed - (done < timeline_end) for changed, done in zip(changes, completion)]
+    waiting = [done - burst for done, burst in zip(completion, bursts)]
+    slice_counts = np.bincount(queue, minlength=n).tolist()
+    # TaskMetrics(task_id, completion, turnaround, waiting, context_switches, slice_count)
     per_task = tuple(
-        TaskMetrics(
-            task_id=task.id,
-            completion=completion[task.id],
-            turnaround=completion[task.id],
-            waiting=completion[task.id] - task.burst,
-            context_switches=switches[task.id],
-            slice_count=slice_counts[task.id],
-        )
-        for task in tasks
+        map(TaskMetrics, ids, completion, completion, waiting, switches, slice_counts)
     )
-    total_waiting = sum(m.waiting for m in per_task)
+    total_turnaround = sum(completion)
+    total_waiting = total_turnaround - sum(bursts)
     return MetricsReport(
         per_task=per_task,
         total_waiting=total_waiting,
-        avg_waiting=Fraction(total_waiting, tasks.n),
-        avg_turnaround=Fraction(sum(m.turnaround for m in per_task), tasks.n),
-        total_context_switches=sum(m.context_switches for m in per_task),
+        avg_waiting=Fraction(total_waiting, n),
+        avg_turnaround=Fraction(total_turnaround, n),
+        total_context_switches=sum(switches),
         makespan=schedule.makespan,
+    )
+
+
+def _raise_first_violation(schedule, tasks, queue, length, executed, stop):
+    """Raise the first fault in slice order: an over-run before ``stop``,
+    then the unknown id or gap at ``stop``, then the first task (in queue
+    order) whose slices do not add up to its burst."""
+    mismatched = [
+        k for k, (ran, task) in enumerate(zip(executed.tolist(), tasks)) if ran != task.burst
+    ]
+    overruns = []
+    for k in mismatched:
+        burst = tasks[k].burst
+        if executed[k] > burst:
+            rows = np.flatnonzero(queue == k)
+            ran = np.cumsum(length[rows])
+            at = int(np.searchsorted(ran, burst, side="right"))
+            overruns.append((int(rows[at]), tasks[k].id, int(ran[at]), burst))
+    if overruns:
+        _, task_id, ran, burst = min(overruns)
+        raise InvariantViolation(f"task {task_id} executes {ran} tu, burst is {burst}")
+    if stop < len(schedule.slot):
+        task_id = schedule.ids[schedule.slot[stop]]
+        if all(task.id != task_id for task in tasks):
+            raise InvariantViolation(f"slice references unknown task id {task_id}")
+        clock = int(schedule.end[stop - 1]) if stop else 0
+        raise InvariantViolation(
+            f"timeline gap: slice {stop} starts at {int(schedule.start[stop])}, expected {clock}"
+        )
+    k = mismatched[0]
+    raise InvariantViolation(
+        f"task {tasks[k].id} executes {int(executed[k])} tu, burst is {tasks[k].burst}"
     )
 
 

@@ -9,7 +9,8 @@ Task files are plain text, one task per line::
     # comment
     id,burst[,weight]
 
-UTF-8, LF or CRLF accepted; saves emit LF and omit the weight when it is 1.
+UTF-8, LF or CRLF accepted (the command line also drops a leading byte-order
+mark); saves emit LF and omit the weight when it is 1.
 """
 
 from __future__ import annotations

@@ -1,0 +1,149 @@
+"""Per-slice reference implementations of dispatch and metric extraction.
+
+These are the loops the package ran before its schedules became int64
+columns: a round loop that builds one ``Slice`` per dispatch and a metric
+loop that walks the slices one at a time. They are slow and obviously
+correct, so the vectorized code in ``ctqsched.simulate``, ``ctqsched.ctq``
+and ``ctqsched.model`` must equal them slice for slice and report for report.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import repeat
+
+from ctqsched import (
+    InvariantViolation,
+    MetricsReport,
+    RoundRecord,
+    Slice,
+    TaskMetrics,
+    TaskSet,
+    best_quantum,
+)
+
+
+def reference_rounds(tasks, share_for_round):
+    """Run every survivor once per round, in queue order, for
+    min(share, residual); ``share_for_round(number, survivors)`` returns one
+    share per survivor. Yields each round's number, the survivors entering
+    it as ``(task_id, residual)`` pairs, and its slices."""
+    if tasks.n == 0:
+        raise ValueError("cannot schedule an empty task set")
+    survivors = tuple((task.id, task.burst) for task in tasks)
+    clock = 0
+    number = 1
+    while survivors:
+        slices = []
+        after = []
+        for (task_id, residual), share in zip(survivors, share_for_round(number, survivors)):
+            run = min(share, residual)
+            slices.append(Slice(task_id, clock, clock + run, number))
+            clock += run
+            if residual > run:
+                after.append((task_id, residual - run))
+        yield number, survivors, tuple(slices)
+        survivors = tuple(after)
+        number += 1
+
+
+def _slices(tasks, share_for_round):
+    return tuple(s for _, _, slices in reference_rounds(tasks, share_for_round) for s in slices)
+
+
+def reference_fixed_rr(tasks, quantum):
+    return _slices(tasks, lambda number, survivors: repeat(quantum))
+
+
+def reference_fcfs(tasks):
+    return _slices(tasks, lambda number, survivors: [burst for _, burst in survivors])
+
+
+def reference_wrr(tasks, quantum, reference_weight=10):
+    shares = {task.id: max(1, quantum * task.weight // reference_weight) for task in tasks}
+    return _slices(tasks, lambda number, survivors: [shares[i] for i, _ in survivors])
+
+
+def reference_ctq(tasks, first_quantum=None):
+    """CTQ's round records and slices, rescanning before every round."""
+    choices = []
+
+    def share_for_round(number, survivors):
+        if number == 1 and first_quantum is not None:
+            choices.append((first_quantum, "user_supplied"))
+        else:
+            residuals = TaskSet.from_bursts(residual for _, residual in survivors)
+            choices.append((best_quantum(residuals).quantum, "optimized"))
+        return repeat(choices[-1][0])
+
+    records, slices = [], []
+    for number, before, round_slices in reference_rounds(tasks, share_for_round):
+        quantum, chosen_by = choices[-1]
+        completed = tuple(
+            s.task_id for s, (_, residual) in zip(round_slices, before) if s.length == residual
+        )
+        records.append(RoundRecord(number, quantum, before, completed, chosen_by))
+        slices.extend(round_slices)
+    return tuple(records), tuple(slices)
+
+
+def reference_metrics(slices, makespan, tasks):
+    """Walk the slices in order; raise on the first slice that breaks the
+    timeline or a task's burst, then on per-task totals, then on the makespan."""
+    if tasks.n == 0:
+        raise InvariantViolation("empty task set")
+    bursts = {task.id: task.burst for task in tasks}
+
+    clock = 0
+    executed = {task.id: 0 for task in tasks}
+    completion = {}
+    switches = {task.id: 0 for task in tasks}
+    slice_counts = {task.id: 0 for task in tasks}
+
+    for i, s in enumerate(slices):
+        if s.task_id not in bursts:
+            raise InvariantViolation(f"slice references unknown task id {s.task_id}")
+        if s.start != clock:
+            raise InvariantViolation(
+                f"timeline gap: slice {i} starts at {s.start}, expected {clock}"
+            )
+        clock = s.end
+        executed[s.task_id] += s.length
+        slice_counts[s.task_id] += 1
+        if executed[s.task_id] > bursts[s.task_id]:
+            raise InvariantViolation(
+                f"task {s.task_id} executes {executed[s.task_id]} tu, burst is {bursts[s.task_id]}"
+            )
+        if executed[s.task_id] == bursts[s.task_id]:
+            completion[s.task_id] = s.end
+        elif i + 1 < len(slices) and slices[i + 1].task_id != s.task_id:
+            switches[s.task_id] += 1
+
+    for task in tasks:
+        if executed[task.id] != task.burst:
+            raise InvariantViolation(
+                f"task {task.id} executes {executed[task.id]} tu, burst is {task.burst}"
+            )
+    if makespan != clock:
+        raise InvariantViolation(f"makespan {makespan} does not match timeline end {clock}")
+
+    per_task = tuple(
+        TaskMetrics(
+            task_id=task.id,
+            completion=completion[task.id],
+            turnaround=completion[task.id],
+            waiting=completion[task.id] - task.burst,
+            context_switches=switches[task.id],
+            slice_count=slice_counts[task.id],
+        )
+        for task in tasks
+    )
+    total_waiting = sum(m.waiting for m in per_task)
+    return MetricsReport(
+        per_task=per_task,
+        total_waiting=total_waiting,
+        avg_waiting=Fraction(total_waiting, tasks.n),
+        avg_turnaround=Fraction(sum(m.turnaround for m in per_task), tasks.n),
+        total_context_switches=sum(m.context_switches for m in per_task),
+        makespan=makespan,
+    )

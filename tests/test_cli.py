@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -242,13 +243,13 @@ class TestUsage:
         assert exc.value.code == 2
 
 
-def run_cli_process(tmp_path, text, *command):
+def run_cli_process(tmp_path, text, *command, timeout=60):
     path = tmp_path / "in.tasks"
     path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(ctqsched.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "ctqsched.cli", *command, "--tasks", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -259,6 +260,42 @@ def test_burst_too_large_for_the_scan_is_validation_error(tmp_path, command):
     assert result.returncode == 3
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+# The total burst does not fit in int64.
+HUGE_TOTAL = "1,5\n2,50000000000000000000\n"
+# It fits, but quantum 1 would need about 10**12 slices.
+MANY_SLICES = "1,5\n2,1000000000000\n"
+
+
+@pytest.mark.parametrize(
+    "text,command",
+    [
+        (HUGE_TOTAL, ("simulate", "--algo", "rr", "--tq", "1")),
+        (HUGE_TOTAL, ("simulate", "--algo", "wrr", "--tq", "1")),
+        (HUGE_TOTAL, ("simulate", "--algo", "fcfs")),
+        (MANY_SLICES, ("simulate", "--algo", "rr", "--tq", "1")),
+        (MANY_SLICES, ("simulate", "--algo", "wrr", "--tq", "1")),
+    ],
+    ids=[
+        "huge-total-rr", "huge-total-wrr", "huge-total-fcfs", "many-slices-rr", "many-slices-wrr",
+    ],
+)
+def test_oversized_simulation_is_validation_error(tmp_path, text, command):
+    start = time.perf_counter()
+    result = run_cli_process(tmp_path, text, *command, timeout=20)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+    assert time.perf_counter() - start < 10
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    path = tmp_path / "bom.tasks"
+    path.write_bytes("\ufeff1,5\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "best-tq", "--tasks", str(path))
+    assert (code, err) == (0, "")
+    assert "tq: 5\n" in out
 
 
 def test_large_burst_scans_only_its_breakpoints(tmp_path):
@@ -292,27 +329,50 @@ _JUNK_LINES = st.sampled_from([
 ])
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    bursts=st.lists(_BURSTS, max_size=8),
-    junk=st.lists(st.tuples(st.integers(0, 8), _JUNK_LINES), max_size=2),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    # The loader rejects a byte-order mark on line 1, so it gets one draw in
-    # four and the rest of the file still reaches the scan often.
-    bom=st.sampled_from(["", "", "", "\ufeff"]),
-)
-def test_best_tq_survives_hostile_task_files(bursts, junk, newline, bom):
+def _hostile_text(bursts, junk, newline, bom):
     lines = [f"{i},{b}" for i, b in enumerate(bursts, start=1)]
     for at, line in junk:
         lines.insert(at, line)
-    text = bom + newline.join(lines)
+    return bom + newline.join(lines)
+
+
+_HOSTILE_TEXT = st.builds(
+    _hostile_text,
+    bursts=st.lists(_BURSTS, max_size=8),
+    junk=st.lists(st.tuples(st.integers(0, 8), _JUNK_LINES), max_size=2),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bom=st.sampled_from(["", "\ufeff"]),
+)
+
+
+def assert_survives(argv, text):
+    """``main(argv + --tasks FILE)`` on ``text`` ends in a documented exit
+    code, prints no traceback, and writes to stderr exactly when it fails."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hostile.tasks"
         path.write_bytes(text.encode("utf-8"))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             # An exception escaping main() would print a traceback and exit 1.
-            code = main(["best-tq", "--tasks", str(path)])
+            code = main([*argv, "--tasks", str(path)])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_HOSTILE_TEXT)
+def test_best_tq_survives_hostile_task_files(text):
+    assert_survives(["best-tq"], text)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=_HOSTILE_TEXT,
+    algo=st.sampled_from(["rr", "wrr", "fcfs", "ctq"]),
+    # Each quantum either keeps the slice count small for every burst above
+    # or pushes it past the slice limit, so no example builds millions.
+    tq=st.sampled_from([1, 1000, 10**6, 10**20]),
+)
+def test_simulate_survives_hostile_task_files(text, algo, tq):
+    assert_survives(["simulate", "--algo", algo, "--tq", str(tq)], text)

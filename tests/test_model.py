@@ -145,7 +145,8 @@ class TestScheduleMismatch:
             metrics_from_schedule(bad, TaskSet.from_bursts([4, 3]))
 
     def test_wrong_makespan(self):
-        bad = Schedule((Slice(1, 0, 9, 1),), makespan=10)
+        good = gantt((1, 0, 9, 1))
+        bad = Schedule(good.ids, good.slot, good.start, good.end, good.round, makespan=10)
         with pytest.raises(InvariantViolation, match="makespan"):
             metrics_from_schedule(bad, TaskSet.from_bursts([9]))
 

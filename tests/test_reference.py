@@ -1,0 +1,183 @@
+"""The vectorized dispatch and metrics against the per-slice reference loops
+in ``reference.py``: equal slice for slice, record for record, report for
+report, and the same message on every broken schedule."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import task_sets
+from ctqsched import (
+    InvariantViolation,
+    Schedule,
+    Slice,
+    TaskSet,
+    metrics_from_schedule,
+    run_ctq,
+    simulate_fcfs,
+    simulate_fixed_rr,
+    simulate_wrr,
+)
+from reference import (
+    reference_ctq,
+    reference_fcfs,
+    reference_fixed_rr,
+    reference_metrics,
+    reference_wrr,
+)
+
+# Short tasks ahead of or behind one long task, so the long one runs a tail
+# of rounds alone once the others have finished.
+lone_tails = st.tuples(
+    st.lists(st.integers(1, 8), min_size=0, max_size=4),
+    st.integers(50, 400),
+    st.lists(st.integers(1, 8), min_size=0, max_size=4),
+).map(lambda parts: TaskSet.from_bursts(parts[0] + [parts[1]] + parts[2]))
+
+queues = st.one_of(task_sets(), lone_tails)
+weights = st.lists(st.integers(1, 30), min_size=10, max_size=10)
+
+
+def with_weights(tasks, drawn):
+    return TaskSet.from_bursts(tasks.bursts(), drawn[: tasks.n])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tasks=queues,
+    # Up to twice the largest burst, so shares larger than every burst occur.
+    quantum=st.integers(1, 800),
+    drawn=weights,
+    reference_weight=st.integers(1, 12),
+)
+def test_fixed_policies_equal_the_reference_loop(tasks, quantum, drawn, reference_weight):
+    quantum = min(quantum, 2 * max(tasks.bursts()))
+    weighted = with_weights(tasks, drawn)
+    for schedule, expected in (
+        (simulate_fixed_rr(tasks, quantum), reference_fixed_rr(tasks, quantum)),
+        (simulate_fcfs(tasks), reference_fcfs(tasks)),
+        (
+            simulate_wrr(weighted, quantum, reference_weight),
+            reference_wrr(weighted, quantum, reference_weight),
+        ),
+    ):
+        assert tuple(schedule.slices) == expected
+        assert len(schedule.slices) == len(expected)
+        assert schedule.makespan == tasks.total_burst()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tasks=st.one_of(task_sets(max_n=8, max_burst=80), lone_tails),
+    first=st.one_of(st.none(), st.integers(1, 500)),
+)
+def test_ctq_trace_equals_the_reference_loop(tasks, first):
+    trace = run_ctq(tasks, first)
+    records, slices = reference_ctq(tasks, first)
+    assert trace.rounds == records
+    assert tuple(trace.schedule.slices) == slices
+    assert trace.metrics == reference_metrics(slices, tasks.total_burst(), tasks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tasks=queues, quantum=st.integers(1, 500), drawn=weights)
+def test_metrics_equal_the_reference_report(tasks, quantum, drawn):
+    weighted = with_weights(tasks, drawn)
+    for schedule in (
+        simulate_fixed_rr(tasks, quantum),
+        simulate_fcfs(tasks),
+        simulate_wrr(weighted, quantum),
+    ):
+        expected = reference_metrics(tuple(schedule.slices), schedule.makespan, tasks)
+        assert metrics_from_schedule(schedule, tasks) == expected
+
+
+def outcome(run):
+    """A report, or the message of the InvariantViolation raised instead."""
+    try:
+        return run()
+    except InvariantViolation as exc:
+        return f"InvariantViolation: {exc}"
+
+
+def broken(slices, mutation, i, j, delta):
+    """``slices`` with one hand-made fault; ``i`` and ``j`` index them."""
+    slices = list(slices)
+    s = slices[i]
+    if mutation == "unknown id":
+        slices[i] = Slice(99, s.start, s.end, s.round)
+    elif mutation == "shift":
+        slices[i] = Slice(s.task_id, s.start + delta, s.end + delta, s.round)
+    elif mutation == "stretch":
+        slices[i] = Slice(s.task_id, s.start, s.end + delta, s.round)
+    elif mutation == "shrink" and s.length > 1:
+        slices[i] = Slice(s.task_id, s.start, s.end - 1, s.round)
+    elif mutation == "drop":
+        del slices[i]
+    elif mutation == "duplicate":
+        slices.insert(i, s)
+    elif mutation == "swap ids":
+        t = slices[j]
+        slices[i] = Slice(t.task_id, s.start, s.end, s.round)
+        slices[j] = Slice(s.task_id, t.start, t.end, t.round)
+    elif mutation == "move":
+        slices.insert(j, slices.pop(i))
+    return slices
+
+
+MUTATIONS = ["unknown id", "shift", "stretch", "shrink", "drop", "duplicate", "swap ids", "move"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tasks=task_sets(max_n=6, max_burst=30),
+    quantum=st.integers(1, 12),
+    faults=st.lists(
+        st.tuples(
+            st.sampled_from(MUTATIONS),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            st.integers(1, 5),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    makespan_delta=st.sampled_from([0, 0, 0, 1, -1]),
+)
+def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults, makespan_delta):
+    slices = list(simulate_fixed_rr(tasks, quantum).slices)
+    for mutation, i, j, delta in faults:
+        if slices:
+            slices = broken(slices, mutation, i % len(slices), j % len(slices), delta)
+    good = Schedule.from_slices(slices)
+    makespan = good.makespan + makespan_delta
+    schedule = Schedule(good.ids, good.slot, good.start, good.end, good.round, makespan)
+    expected = outcome(lambda: reference_metrics(slices, makespan, tasks))
+    assert outcome(lambda: metrics_from_schedule(schedule, tasks)) == expected
+
+
+@pytest.mark.parametrize(
+    "quads,makespan,bursts",
+    [
+        # An over-run comes before a later gap.
+        ([(1, 0, 5, 1), (2, 6, 8, 1)], 8, [4, 2]),
+        # A gap comes before a later over-run.
+        ([(1, 0, 2, 1), (2, 3, 9, 1)], 9, [2, 1]),
+        # An unknown id comes before a later over-run.
+        ([(1, 0, 2, 1), (7, 2, 3, 1), (1, 3, 9, 2)], 9, [2]),
+        # The second task's over-run comes first in slice order.
+        ([(1, 0, 1, 1), (2, 1, 4, 1), (1, 4, 9, 2)], 9, [2, 2]),
+        # Under-runs are reported in queue order, then the makespan.
+        ([(2, 0, 1, 1), (1, 1, 2, 1)], 2, [3, 2]),
+        ([(1, 0, 3, 1)], 4, [3]),
+        ([], 0, [3]),
+    ],
+)
+def test_hand_broken_schedules(quads, makespan, bursts):
+    slices = [Slice(*q) for q in quads]
+    good = Schedule.from_slices(slices)
+    schedule = Schedule(good.ids, good.slot, good.start, good.end, good.round, makespan)
+    tasks = TaskSet.from_bursts(bursts)
+    expected = outcome(lambda: reference_metrics(slices, makespan, tasks))
+    assert expected.startswith("InvariantViolation")
+    assert outcome(lambda: metrics_from_schedule(schedule, tasks)) == expected

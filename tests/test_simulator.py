@@ -1,7 +1,6 @@
 """The round loop and its executors: fixed RR, FCFS, weighted RR."""
 
 from fractions import Fraction
-from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -98,8 +97,19 @@ class TestWeightedRR:
 
 
 def rounds_with_quanta(tasks, quanta):
-    """Every round of the loop when round r gives each survivor quanta[r - 1]."""
-    return list(run_rounds(tasks, lambda number, survivors: repeat(quanta[number - 1])))
+    """Every round of the loop when round r gives each survivor quanta[r - 1]
+    for that round only: its number, the survivors entering it, its slices."""
+    entering = []
+
+    def share_for_round(number, survivors):
+        entering.append((number, survivors))
+        return quanta[number - 1], 1
+
+    slices = run_rounds(tasks, share_for_round).slices
+    return [
+        (number, survivors, tuple(s for s in slices if s.round == number))
+        for number, survivors in entering
+    ]
 
 
 class TestRunRounds:
