@@ -20,10 +20,10 @@ O(n * n * largest burst).
 
 All arithmetic is exact integer arithmetic. The scan is vectorized with numpy
 int64, which is exact while n * n * largest burst stays below 2**63
-(:func:`best_quantum` rejects larger inputs, and inputs with more than
-``_CANDIDATE_LIMIT`` candidate quanta); property tests pin it to the
-sequential pure-Python evaluation and to the same kernel run over every
-quantum.
+(:func:`best_quantum` rejects larger inputs, more than 4096 tasks, and
+inputs with more than ``_CANDIDATE_LIMIT`` candidate quanta); property tests
+pin it to the sequential pure-Python evaluation and to the same kernel run
+over every quantum.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 from .model import TaskSet
 
 # Chunk the quantum axis so the 3-D candidate scan never materializes more
-# than this many int64 cells at once.
+# than this many int64 cells at once. One candidate takes n * n cells, so
+# best_quantum rejects more than isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
 _SCAN_CELL_LIMIT = 1 << 24
 
 # Every value the scan forms is at most n * n * largest burst, so int64
@@ -143,8 +144,6 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
     waiting = last_slice_start - full_quanta * quantum, which equals
     completion - burst; the slice-by-slice simulator must agree exactly.
     """
-    if tasks.n == 0:
-        raise ValueError("cannot profile an empty task set")
     rows = []
     total = 0
     for position in range(1, tasks.n + 1):
@@ -224,16 +223,20 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     each; ``candidates_evaluated`` reports how many.
 
     Raises ``ValueError`` before scanning when n * n * largest burst reaches
-    2**63, where the int64 totals would stop being exact, or when there are
-    more than ``_CANDIDATE_LIMIT`` candidate quanta.
+    2**63, where the int64 totals would stop being exact, when one candidate
+    would take more than ``_SCAN_CELL_LIMIT`` cells (n > 4096), or when there
+    are more than ``_CANDIDATE_LIMIT`` candidate quanta.
     """
-    if tasks.n == 0:
-        raise ValueError("cannot choose a quantum for an empty task set")
     bursts = tasks.bursts()
     if tasks.n * tasks.n * max(bursts) >= _INT64_LIMIT:
         raise ValueError(
             f"cannot scan {tasks.n} tasks with a largest burst of {max(bursts)} tu: "
             "n * n * largest burst must stay below 2**63"
+        )
+    if tasks.n * tasks.n > _SCAN_CELL_LIMIT:
+        raise ValueError(
+            f"cannot scan {tasks.n} tasks: one candidate quantum takes n * n cells, "
+            f"more than the limit of {_SCAN_CELL_LIMIT} (at most {isqrt(_SCAN_CELL_LIMIT)} tasks)"
         )
     quanta = _candidate_quanta(bursts)
     totals = _total_waiting_by_quantum(bursts, quanta)

@@ -52,7 +52,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _gantt_lines(schedule: Schedule) -> list[str]:
-    return [f"{s.task_id},{s.start},{s.end},{s.round}" for s in schedule.slices]
+    s, ids = schedule, schedule.ids
+    rows = zip(s.slot.tolist(), s.start.tolist(), s.end.tolist(), s.round.tolist())
+    return [f"{ids[k]},{start},{end},{number}" for k, start, end, number in rows]
 
 
 def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:

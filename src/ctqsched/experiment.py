@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import best_quantum
 from .ctq import run_ctq
 from .model import TaskSet, format_fraction, metrics_from_schedule
 from .simulate import simulate_fcfs, simulate_fixed_rr
@@ -63,13 +62,14 @@ def _row(workload_id, tasks, algorithm, tq_policy, metrics, rounds=None, tq_sequ
 def compare_workload(
     tasks: TaskSet, workload_id: str = "0"
 ) -> tuple[ExperimentRow, ExperimentRow, ExperimentRow]:
-    """Run the three arms on one task set; rows in rr, ctq, fcfs order."""
-    choice = best_quantum(tasks)
-    rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, choice.quantum), tasks)
+    """Run the three arms on one task set; rows in rr, ctq, fcfs order. The
+    RR arm's quantum is CTQ's round-1 choice: the scan over the whole set."""
     trace = run_ctq(tasks)
+    quantum = trace.quantum_sequence[0]
+    rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, quantum), tasks)
     fcfs_metrics = metrics_from_schedule(simulate_fcfs(tasks), tasks)
     return (
-        _row(workload_id, tasks, "rr", str(choice.quantum), rr_metrics),
+        _row(workload_id, tasks, "rr", str(quantum), rr_metrics),
         _row(
             workload_id,
             tasks,

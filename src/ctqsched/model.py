@@ -16,10 +16,10 @@ reject larger task sets with ``ValueError`` before they allocate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -44,14 +44,10 @@ def check_total_burst(total: int) -> None:
 @dataclass(frozen=True)
 class Task:
     """A unit of work: ``burst`` tu of CPU time, known before scheduling starts.
-
-    ``weight`` only matters to weighted round robin; everything else ignores
-    it. ``label`` is a display name and does not participate in equality.
-    """
+    ``weight`` only matters to weighted round robin."""
 
     id: int
     burst: int
-    label: str | None = field(default=None, compare=False)
     weight: int = 1
 
     def __post_init__(self) -> None:
@@ -62,10 +58,6 @@ class Task:
         if self.weight < 1:
             raise ValueError(f"task {self.id}: weight must be at least 1, got {self.weight}")
 
-    @property
-    def name(self) -> str:
-        return self.label if self.label is not None else f"T{self.id}"
-
 
 @dataclass(frozen=True)
 class TaskSet:
@@ -73,12 +65,15 @@ class TaskSet:
 
     Queue order is significant: a task's waiting time depends on who sits
     ahead of it, so every operation in this package preserves the order.
+    It holds at least one task and no id twice, checked here and nowhere else.
     """
 
     tasks: tuple[Task, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
+        if not self.tasks:
+            raise ValueError("a task set needs at least one task")
         seen: set[int] = set()
         for task in self.tasks:
             if task.id in seen:
@@ -91,16 +86,9 @@ class TaskSet:
     ) -> "TaskSet":
         """Build a queue T1..Tn from burst times; ids follow queue order."""
         bursts = list(bursts)
-        if weights is None:
-            weights = [1] * len(bursts)
-        return cls(
-            tuple(
-                [
-                    Task(i + 1, burst, None, weight)  # id, burst, label, weight
-                    for i, (burst, weight) in enumerate(zip(bursts, list(weights), strict=True))
-                ]
-            )
-        )
+        weights = [1] * len(bursts) if weights is None else list(weights)
+        pairs = enumerate(zip(bursts, weights, strict=True))
+        return cls(tuple([Task(i + 1, burst, weight) for i, (burst, weight) in pairs]))
 
     @property
     def n(self) -> int:
@@ -298,49 +286,39 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     costs nothing, and back-to-back slices of the same task cost nothing.
 
     Raises :class:`InvariantViolation` if the schedule does not actually
-    execute ``tasks``: unknown ids, gaps in the timeline, or per-task totals
-    that do not add up to the bursts. When several slices are at fault, the
-    first in slice order is reported. Raises ``ValueError`` when the total
-    burst is 2**63 tu or more, which no schedule can hold.
+    execute ``tasks``: unknown ids, gaps in the timeline, per-task totals
+    that do not add up to the bursts, or a makespan other than the timeline's
+    end. Raises ``ValueError`` when the total burst is 2**63 tu or more,
+    which no schedule can hold.
 
-    The work runs over the schedule's int64 columns: per-task sums with
-    ``np.add.at``, completions as each task's latest slice end, and switches
-    from a shifted compare of neighbouring slices.
+    The work runs over the schedule's int64 columns: one vectorized validity
+    test (per-task sums with ``np.add.at``), completions as each task's latest
+    slice end, and switches from a shifted compare of neighbouring slices.
+    Only a schedule that fails the test is walked, to find its first fault.
     """
-    if tasks.n == 0:
-        raise InvariantViolation("empty task set")
     ids = tuple([task.id for task in tasks.tasks])
     bursts = [task.burst for task in tasks.tasks]
     n = len(ids)
     check_total_burst(sum(bursts))
     start, end = schedule.start, schedule.end
-    # The first slice that starts off the clock or names an unknown id. The
-    # slices before it form one timeline from 0, and an over-run among them
-    # would come first, so only they are summed.
-    stop = len(start)
-    if stop and start[0] != 0:
-        stop = 0
-    gaps = (start[1:] != end[:-1]).nonzero()[0]
-    if gaps.size:
-        stop = min(stop, int(gaps[0]) + 1)
     # Queue position of every slice's task, -1 for an id not in ``tasks``.
     queue = schedule.slot
     if schedule.ids != ids:
         position = {task_id: k for k, task_id in enumerate(ids)}
         queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
-        unknown = (queue < 0).nonzero()[0]
-        if unknown.size:
-            stop = min(stop, int(unknown[0]))
-    queue, length = queue[:stop], (end - start)[:stop]
-    executed = np.zeros(n, dtype=np.int64)
-    np.add.at(executed, queue, length)
-    if stop < len(start) or executed.tolist() != bursts:
-        _raise_first_violation(schedule, tasks, queue, length, executed, stop)
-    timeline_end = int(end[-1])
-    if schedule.makespan != timeline_end:
-        raise InvariantViolation(
-            f"makespan {schedule.makespan} does not match timeline end {timeline_end}"
+    valid = (queue >= 0).all()
+    if valid:
+        executed = np.zeros(n, dtype=np.int64)
+        np.add.at(executed, queue, end - start)
+        # Every burst is at least 1 tu, so matching totals mean a slice exists.
+        valid = (
+            executed.tolist() == bursts
+            and start[0] == 0
+            and (start[1:] == end[:-1]).all()
+            and schedule.makespan == int(end[-1])
         )
+    if not valid:
+        _raise_first_violation(schedule, tasks)
 
     # Every task ends on its last slice, and ends only grow along the timeline.
     completion = np.zeros(n, dtype=np.int64)
@@ -351,7 +329,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     # has such a last slice.
     before = queue[:-1]
     changes = np.bincount(before[queue[1:] != before], minlength=n).tolist()
-    switches = [changed - (done < timeline_end) for changed, done in zip(changes, completion)]
+    switches = [changed - (done < schedule.makespan) for changed, done in zip(changes, completion)]
     waiting = [done - burst for done, burst in zip(completion, bursts)]
     slice_counts = np.bincount(queue, minlength=n).tolist()
     # TaskMetrics(task_id, completion, turnaround, waiting, context_switches, slice_count)
@@ -370,36 +348,34 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     )
 
 
-def _raise_first_violation(schedule, tasks, queue, length, executed, stop):
-    """Raise the first fault in slice order: an over-run before ``stop``,
-    then the unknown id or gap at ``stop``, then the first task (in queue
-    order) whose slices do not add up to its burst."""
-    mismatched = [
-        k for k, (ran, task) in enumerate(zip(executed.tolist(), tasks)) if ran != task.burst
-    ]
-    overruns = []
-    for k in mismatched:
-        burst = tasks[k].burst
-        if executed[k] > burst:
-            rows = np.flatnonzero(queue == k)
-            ran = np.cumsum(length[rows])
-            at = int(np.searchsorted(ran, burst, side="right"))
-            overruns.append((int(rows[at]), tasks[k].id, int(ran[at]), burst))
-    if overruns:
-        _, task_id, ran, burst = min(overruns)
-        raise InvariantViolation(f"task {task_id} executes {ran} tu, burst is {burst}")
-    if stop < len(schedule.slot):
-        task_id = schedule.ids[schedule.slot[stop]]
-        if all(task.id != task_id for task in tasks):
+def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
+    """Walk a schedule that failed the validity test and raise its first
+    fault. Each slice, in order, is checked for an unknown id, then a gap
+    after the previous slice, then an over-run of its task's burst; then
+    every task's total, in queue order; then the makespan."""
+    bursts = {task.id: task.burst for task in tasks}
+    executed = dict.fromkeys(bursts, 0)
+    ids = schedule.ids
+    clock = 0
+    rows = zip(schedule.slot.tolist(), schedule.start.tolist(), schedule.end.tolist())
+    for i, (k, start, end) in enumerate(rows):
+        task_id = ids[k]
+        if task_id not in bursts:
             raise InvariantViolation(f"slice references unknown task id {task_id}")
-        clock = int(schedule.end[stop - 1]) if stop else 0
-        raise InvariantViolation(
-            f"timeline gap: slice {stop} starts at {int(schedule.start[stop])}, expected {clock}"
-        )
-    k = mismatched[0]
-    raise InvariantViolation(
-        f"task {tasks[k].id} executes {int(executed[k])} tu, burst is {tasks[k].burst}"
-    )
+        if start != clock:
+            raise InvariantViolation(f"timeline gap: slice {i} starts at {start}, expected {clock}")
+        clock = end
+        executed[task_id] += end - start
+        if executed[task_id] > bursts[task_id]:
+            raise InvariantViolation(
+                f"task {task_id} executes {executed[task_id]} tu, burst is {bursts[task_id]}"
+            )
+    for task_id, burst in bursts.items():
+        if executed[task_id] != burst:
+            raise InvariantViolation(
+                f"task {task_id} executes {executed[task_id]} tu, burst is {burst}"
+            )
+    raise InvariantViolation(f"makespan {schedule.makespan} does not match timeline end {clock}")
 
 
 def format_fraction(value: Fraction | int) -> str:

@@ -55,12 +55,10 @@ def run_rounds(tasks: TaskSet, share_for_round: ShareForRound) -> Schedule:
     task by task and stably sorted by dispatch index into round order. The
     times come from one cumulative sum over the whole schedule.
 
-    An empty task set, a share below 1 tu, any other ``held``, a total burst
-    of 2**63 tu or more, or a schedule of more than ``_SLICE_LIMIT`` slices
-    raises ``ValueError``.
+    A share below 1 tu, any other ``held``, a total burst of 2**63 tu or
+    more, or more than ``_SLICE_LIMIT`` slices raises ``ValueError``; an
+    empty task set never gets here, since ``TaskSet`` refuses one.
     """
-    if tasks.n == 0:
-        raise ValueError("cannot schedule an empty task set")
     ids = [task.id for task in tasks.tasks]
     bursts = [task.burst for task in tasks.tasks]
     total = sum(bursts)

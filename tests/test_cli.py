@@ -316,6 +316,18 @@ def test_too_many_candidate_quanta_is_validation_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
+def test_too_many_tasks_for_the_scan_is_validation_error(tmp_path, command):
+    # One candidate quantum takes n * n = 25 * 10**6 cells, past the scan's
+    # chunk limit; the scan must refuse before it allocates them.
+    text = "".join(f"{i},5\n" for i in range(1, 5001))
+    result = run_cli_process(tmp_path, text, *command)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert "4096" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # Hostile task files: huge, zero and negative bursts, duplicate ids, comments,
 # blanks, malformed rows, CRLF and a byte-order mark. Huge bursts are either
 # rejected by a bound or small enough to scan quickly.
@@ -345,16 +357,19 @@ _HOSTILE_TEXT = st.builds(
 )
 
 
-def assert_survives(argv, text):
-    """``main(argv + --tasks FILE)`` on ``text`` ends in a documented exit
-    code, prints no traceback, and writes to stderr exactly when it fails."""
+def assert_survives(argv, text=None):
+    """``main(argv)`` ends in a documented exit code, prints no traceback, and
+    writes to stderr exactly when it fails. Given ``text``, it also gets
+    ``--tasks FILE`` with that text in the file."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "hostile.tasks"
-        path.write_bytes(text.encode("utf-8"))
+        if text is not None:
+            path = Path(tmp) / "hostile.tasks"
+            path.write_bytes(text.encode("utf-8"))
+            argv = [*argv, "--tasks", str(path)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             # An exception escaping main() would print a traceback and exit 1.
-            code = main([*argv, "--tasks", str(path)])
+            code = main(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
@@ -376,3 +391,25 @@ def test_best_tq_survives_hostile_task_files(text):
 )
 def test_simulate_survives_hostile_task_files(text, algo, tq):
     assert_survives(["simulate", "--algo", algo, "--tq", str(tq)], text)
+
+
+# Hostile workload flags: negative, zero, past the scan's task limit, past
+# int64 and past numpy's seed range. Every draw is rejected or small: 5000
+# tasks are refused by the scan before it allocates, and huge bursts by the
+# int64 or candidate bounds.
+_FLAG_BURSTS = st.sampled_from([-1, 0, 1, 5000, 2**63 - 1, 10**20])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.sampled_from([-1, 0, 1, 12, 5000]),
+    burst_min=_FLAG_BURSTS,
+    burst_max=_FLAG_BURSTS,
+    runs=st.sampled_from([-1, 0, 1, 2]),
+    seed=st.sampled_from([-1, 0, 2**64]),
+)
+def test_compare_survives_hostile_flags(n, burst_min, burst_max, runs, seed):
+    assert_survives([
+        "compare", "--n", str(n), "--burst-min", str(burst_min),
+        "--burst-max", str(burst_max), "--runs", str(runs), "--seed", str(seed),
+    ])

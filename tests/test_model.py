@@ -54,11 +54,6 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match="id"):
             Task(id=-1, burst=5)
 
-    def test_label_is_display_only(self):
-        assert Task(id=1, burst=5, label="web") == Task(id=1, burst=5)
-        assert Task(id=1, burst=5, label="web").name == "web"
-        assert Task(id=1, burst=5).name == "T1"
-
 
 class TestTaskSet:
     def test_duplicate_ids_rejected(self):
