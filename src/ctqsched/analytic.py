@@ -9,6 +9,13 @@ waiting time over the quanta in [1, largest burst] yields the quantum with the
 smallest average wait (:func:`best_quantum`); that choice is the decision rule
 the per-round CTQ scheduler applies between rounds.
 
+The total needs no per-task timeline. With nq = (b - 1) // tq and
+a = b + nq * tq for every task, the total waiting time is the sum over queue
+pairs k < i of min(a_k, a_i + tq). Of each pair, the task with fewer full
+quanta finishes first (k, ahead in the queue, on a tie), and the pair adds
+its burst plus what the other task has run by then; the two cases are set out
+in :func:`_total_waiting_by_quantum`.
+
 The scan does not need every quantum. On an interval where each task's
 full_quanta = (b - 1) // tq is constant, every term of the total is either a
 constant burst or a non-negative multiple of tq, so the total is A + S * tq
@@ -22,8 +29,8 @@ All arithmetic is exact integer arithmetic. The scan is vectorized with numpy
 int64, which is exact while n * n * largest burst stays below 2**63
 (:func:`best_quantum` rejects larger inputs, more than 4096 tasks, and
 inputs with more than ``_CANDIDATE_LIMIT`` candidate quanta); property tests
-pin it to the sequential pure-Python evaluation and to the same kernel run
-over every quantum.
+pin it to the sequential pure-Python evaluation, and its totals to those of
+the n x n cell kernel it replaced over every quantum.
 """
 
 from __future__ import annotations
@@ -36,13 +43,19 @@ import numpy as np
 
 from .model import TaskSet
 
-# Chunk the quantum axis so the 3-D candidate scan never materializes more
-# than this many int64 cells at once. One candidate takes n * n cells, so
-# best_quantum rejects more than isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
+# The scan takes candidates in chunks of about this many pair cells, so its
+# two int64 temporaries stay at 128 KiB each and are served from the heap,
+# not from fresh pages on every call.
+_PAIR_CHUNK_CELLS = 1 << 14
+
+# A chunk holds at least one candidate, whose two pair temporaries take
+# n * (n - 1) cells, so best_quantum rejects more than
+# isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
 _SCAN_CELL_LIMIT = 1 << 24
 
-# Every value the scan forms is at most n * n * largest burst, so int64
-# arithmetic is exact while that product stays below this bound.
+# Each pair adds less than 2 * largest burst, so the totals stay below
+# n * n * largest burst, and int64 arithmetic is exact while that product
+# stays below this bound.
 _INT64_LIMIT = 1 << 63
 
 # Most candidate quanta one scan may evaluate, checked before any allocation.
@@ -188,23 +201,38 @@ def _candidate_quanta(bursts: tuple[int, ...]) -> np.ndarray:
 def _total_waiting_by_quantum(bursts: tuple[int, ...], quanta: np.ndarray) -> np.ndarray:
     """Total waiting time for each quantum in ``quanta``, vectorized.
 
-    Uses the identity that the time task k runs before task i's final slice
-    starts is min(burst_k, cycles * quantum), where k gets one extra cycle
-    when it sits ahead of i in the queue. Summing that over k (and dropping
-    the k == i term, which is exactly full_quanta(i) * quantum) gives i's
-    waiting time.
+    Total waiting is a sum over queue pairs k < i of what each task of the
+    pair runs while the other is still waiting to finish. With nq the full
+    quanta of a task and a = b + nq * tq:
+
+    * when nq_k <= nq_i, k finishes first, in the same cycle as i or an
+      earlier one, and by then i has run nq_k full quanta: the pair adds
+      b_k + nq_k * tq = a_k;
+    * when nq_k > nq_i, i finishes first, and by then k, ahead of it, has run
+      nq_i + 1 full quanta: the pair adds b_i + (nq_i + 1) * tq = a_i + tq.
+
+    Since nq * tq < b <= (nq + 1) * tq, a lies in (2 nq tq, (2 nq + 1) tq],
+    so a_k < a_i + tq exactly when nq_k <= nq_i, and the total is the sum of
+    min(a_k, a_i + tq) over the n * (n - 1) / 2 pairs. Every a is below
+    2 * b, so the total stays below n * n * largest burst.
+
+    Candidates are taken in chunks of about ``_PAIR_CHUNK_CELLS`` pair cells
+    (at least one candidate), and each chunk works in place in its two pair
+    temporaries.
     """
     b = np.asarray(bursts, dtype=np.int64)
-    n = b.size
-    earlier = np.tril(np.ones((n, n), dtype=np.int64), k=-1)  # earlier[i, k] = 1 iff k < i
+    later, earlier = np.tril_indices(b.size, -1)  # every pair k < i as (i, k)
     totals = np.empty(quanta.size, dtype=np.int64)
-    step = max(1, _SCAN_CELL_LIMIT // (n * n))
+    step = max(1, _PAIR_CHUNK_CELLS // max(1, later.size))
     for lo in range(0, quanta.size, step):
-        tq = quanta[lo : lo + step]
-        nq = (b[None, :] - 1) // tq[:, None]  # full_quanta, branch-free
-        cap = (nq[:, :, None] + earlier[None, :, :]) * tq[:, None, None]
-        ran_ahead = np.minimum(b[None, None, :], cap).sum(axis=2)
-        totals[lo : lo + tq.size] = (ran_ahead - nq * tq[:, None]).sum(axis=1)
+        tq = quanta[lo : lo + step, None]
+        a = (b - 1) // tq * tq
+        a += b
+        first = a[:, earlier]
+        second = a[:, later]
+        second += tq
+        np.minimum(first, second, out=first)
+        np.add.reduce(first, axis=1, out=totals[lo : lo + tq.size])
     return totals
 
 
@@ -219,13 +247,14 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     Only the ends of the intervals on which every task's full_quanta is
     constant are evaluated (see the module docstring): the total waiting time
     is non-decreasing and linear inside each interval, so those ends include
-    the largest minimizer. That is O(sum of sqrt(b_i)) quanta at n * n cells
-    each; ``candidates_evaluated`` reports how many.
+    the largest minimizer. That is O(sum of sqrt(b_i)) quanta at
+    n * (n - 1) / 2 pairs each; ``candidates_evaluated`` reports how many.
 
     Raises ``ValueError`` before scanning when n * n * largest burst reaches
-    2**63, where the int64 totals would stop being exact, when one candidate
-    would take more than ``_SCAN_CELL_LIMIT`` cells (n > 4096), or when there
-    are more than ``_CANDIDATE_LIMIT`` candidate quanta.
+    2**63, where the int64 totals would stop being exact, when one candidate's
+    pair temporaries would take more than ``_SCAN_CELL_LIMIT`` cells
+    (n > 4096), or when there are more than ``_CANDIDATE_LIMIT`` candidate
+    quanta.
     """
     bursts = tasks.bursts()
     if tasks.n * tasks.n * max(bursts) >= _INT64_LIMIT:

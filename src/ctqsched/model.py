@@ -286,10 +286,10 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     costs nothing, and back-to-back slices of the same task cost nothing.
 
     Raises :class:`InvariantViolation` if the schedule does not actually
-    execute ``tasks``: unknown ids, gaps in the timeline, per-task totals
-    that do not add up to the bursts, or a makespan other than the timeline's
-    end. Raises ``ValueError`` when the total burst is 2**63 tu or more,
-    which no schedule can hold.
+    execute ``tasks``: unknown ids, gaps in the timeline, slices of zero or
+    negative length, per-task totals that do not add up to the bursts, or a
+    makespan other than the timeline's end. Raises ``ValueError`` when the
+    total burst is 2**63 tu or more, which no schedule can hold.
 
     The work runs over the schedule's int64 columns: one vectorized validity
     test (per-task sums with ``np.add.at``), completions as each task's latest
@@ -303,10 +303,11 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     start, end = schedule.start, schedule.end
     # Queue position of every slice's task, -1 for an id not in ``tasks``.
     queue = schedule.slot
-    if schedule.ids != ids:
+    valid = schedule.ids == ids
+    if not valid:
         position = {task_id: k for k, task_id in enumerate(ids)}
         queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
-    valid = (queue >= 0).all()
+        valid = (queue >= 0).all()
     if valid:
         executed = np.zeros(n, dtype=np.int64)
         np.add.at(executed, queue, end - start)
@@ -315,6 +316,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
             executed.tolist() == bursts
             and start[0] == 0
             and (start[1:] == end[:-1]).all()
+            and (end > start).all()
             and schedule.makespan == int(end[-1])
         )
     if not valid:
@@ -351,8 +353,9 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
 def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
     """Walk a schedule that failed the validity test and raise its first
     fault. Each slice, in order, is checked for an unknown id, then a gap
-    after the previous slice, then an over-run of its task's burst; then
-    every task's total, in queue order; then the makespan."""
+    after the previous slice, then a length that is not positive, then an
+    over-run of its task's burst; then every task's total, in queue order;
+    then the makespan."""
     bursts = {task.id: task.burst for task in tasks}
     executed = dict.fromkeys(bursts, 0)
     ids = schedule.ids
@@ -364,6 +367,8 @@ def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
             raise InvariantViolation(f"slice references unknown task id {task_id}")
         if start != clock:
             raise InvariantViolation(f"timeline gap: slice {i} starts at {start}, expected {clock}")
+        if end <= start:
+            raise InvariantViolation(f"slice {i} has non-positive length: [{start}, {end})")
         clock = end
         executed[task_id] += end - start
         if executed[task_id] > bursts[task_id]:

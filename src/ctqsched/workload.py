@@ -20,11 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Task, TaskSet
+from .simulate import _SLICE_LIMIT
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Parameters for one random task set; ``seed`` fully determines it."""
+    """Parameters for one random task set; ``seed`` fully determines it.
+
+    ``n`` may not exceed ``_SLICE_LIMIT`` (2**22): every task takes at least
+    one slice, so no larger set can be scheduled, and refusing it here keeps
+    :func:`generate` from drawing it first.
+    """
 
     n: int
     burst_min: int
@@ -34,6 +40,11 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"task count must be at least 1, got {self.n}")
+        if self.n > _SLICE_LIMIT:
+            raise ValueError(
+                f"task count must be at most {_SLICE_LIMIT}, got {self.n}: "
+                "a schedule holds at most that many slices"
+            )
         if self.burst_min < 1:
             raise ValueError(f"burst_min must be at least 1 tu, got {self.burst_min}")
         if self.burst_min > self.burst_max:

@@ -1,16 +1,19 @@
-"""Per-slice reference implementations of dispatch and metric extraction.
+"""Reference implementations of the scan kernel, dispatch and metric extraction.
 
-These are the loops the package ran before its schedules became int64
-columns: a round loop that builds one ``Slice`` per dispatch and a metric
-loop that walks the slices one at a time. They are slow and obviously
-correct, so the vectorized code in ``ctqsched.simulate``, ``ctqsched.ctq``
-and ``ctqsched.model`` must equal them slice for slice and report for report.
+These are what the package ran before its current kernels: the n x n cell
+kernel of the candidate scan, a round loop that builds one ``Slice`` per
+dispatch and a metric loop that walks the slices one at a time. They are slow
+and obviously correct, so the code in ``ctqsched.analytic``,
+``ctqsched.simulate``, ``ctqsched.ctq`` and ``ctqsched.model`` must equal
+them total for total, slice for slice and report for report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+
+import numpy as np
 
 from ctqsched import (
     InvariantViolation,
@@ -21,6 +24,21 @@ from ctqsched import (
     TaskSet,
     best_quantum,
 )
+
+
+def reference_total_waiting(bursts, quanta):
+    """Total waiting time for each quantum in ``quanta``, one n x n cell
+    block per quantum: the time task k runs before task i's final slice
+    starts is min(burst_k, cycles * quantum), with one more cycle for k ahead
+    of i in the queue. Summing that over k, less i's own full_quanta *
+    quantum (the k == i term), gives i's waiting time."""
+    b = np.asarray(bursts, dtype=np.int64)
+    tq = np.asarray(quanta, dtype=np.int64)
+    earlier = np.tril(np.ones((b.size, b.size), dtype=np.int64), k=-1)  # [i, k]: k < i
+    nq = (b[None, :] - 1) // tq[:, None]
+    cap = (nq[:, :, None] + earlier[None, :, :]) * tq[:, None, None]
+    ran_ahead = np.minimum(b[None, None, :], cap).sum(axis=2)
+    return (ran_ahead - nq * tq[:, None]).sum(axis=1)
 
 
 def reference_rounds(tasks, share_for_round):
@@ -89,7 +107,10 @@ def reference_ctq(tasks, first_quantum=None):
 
 def reference_metrics(slices, makespan, tasks):
     """Walk the slices in order; raise on the first slice that breaks the
-    timeline or a task's burst, then on per-task totals, then on the makespan."""
+    timeline, has no positive length or over-runs a task's burst, then on
+    per-task totals, then on the makespan. A slice is anything with
+    ``task_id``, ``start`` and ``end``, so rows that no ``Slice`` admits can
+    be checked too."""
     if tasks.n == 0:
         raise InvariantViolation("empty task set")
     bursts = {task.id: task.burst for task in tasks}
@@ -107,8 +128,10 @@ def reference_metrics(slices, makespan, tasks):
             raise InvariantViolation(
                 f"timeline gap: slice {i} starts at {s.start}, expected {clock}"
             )
+        if s.end <= s.start:
+            raise InvariantViolation(f"slice {i} has non-positive length: [{s.start}, {s.end})")
         clock = s.end
-        executed[s.task_id] += s.length
+        executed[s.task_id] += s.end - s.start
         slice_counts[s.task_id] += 1
         if executed[s.task_id] > bursts[s.task_id]:
             raise InvariantViolation(

@@ -1,6 +1,8 @@
 """Closed-form waiting times against the slice-by-slice oracle."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from conftest import task_sets
 from ctqsched import (
     Task,
     TaskSet,
+    analytic,
     best_quantum,
     full_quanta,
     last_slice_start,
@@ -19,6 +22,7 @@ from ctqsched import (
     waiting_profile,
 )
 from ctqsched.analytic import _total_waiting_by_quantum
+from reference import reference_total_waiting
 
 
 class TestFullQuanta:
@@ -185,11 +189,67 @@ def test_scan_equals_sequential_evaluation(tasks):
     assert 1 <= choice.quantum <= largest
 
 
+def every_quantum(tasks):
+    return np.arange(1, max(tasks.bursts()) + 1, dtype=np.int64)
+
+
+def assert_pair_kernel_equals_the_oracle(tasks):
+    quanta = every_quantum(tasks)
+    totals = _total_waiting_by_quantum(tasks.bursts(), quanta)
+    assert totals.tolist() == reference_total_waiting(tasks.bursts(), quanta).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tasks=task_sets(max_n=30, max_burst=300),
+    # Chunk sizes that rarely divide the candidate count, down to one cell,
+    # where every chunk holds a single candidate.
+    cells=st.one_of(st.just(analytic._PAIR_CHUNK_CELLS), st.integers(1, 700)),
+)
+def test_pair_kernel_equals_the_oracle(tasks, cells):
+    """Over every quantum in [1, largest burst], the pair sum of
+    min(a_k, a_i + tq) gives exactly the totals of the n x n cell kernel."""
+    with patch.object(analytic, "_PAIR_CHUNK_CELLS", cells):
+        assert_pair_kernel_equals_the_oracle(tasks)
+
+
+@pytest.mark.parametrize(
+    "bursts",
+    [
+        [1000],  # one task: no pairs, so every total is 0
+        # 1128 pairs take 14 candidates a chunk, and 14 does not divide the
+        # 950 quanta up to the largest burst.
+        [(k * 389) % 1000 + 1 for k in range(48)],
+        # 200 tasks have more pairs than a chunk has cells: one candidate a chunk.
+        [(k * 7) % 23 + 1 for k in range(200)],
+    ],
+)
+def test_pair_kernel_equals_the_oracle_explicit(bursts):
+    assert_pair_kernel_equals_the_oracle(TaskSet.from_bursts(bursts))
+
+
+def test_scan_temporaries_stay_small():
+    """A scan of 48 tasks with bursts up to 1000 (the shape of a CTQ round)
+    peaks below 1 MiB of allocations: its pair temporaries are chunked."""
+    rng = np.random.default_rng(48)
+    bursts = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
+    tasks = TaskSet.from_bursts(bursts)
+    best_quantum(tasks)  # a first call also imports what numpy loads lazily
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        best_quantum(tasks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def assert_candidates_keep_the_argmin(tasks):
-    """The breakpoint candidates must pick what the same kernel picks when
-    run over every quantum in [1, largest burst]."""
+    """The breakpoint candidates must pick what the n x n cell kernel picks
+    when run over every quantum in [1, largest burst]."""
     largest = max(tasks.bursts())
-    totals = _total_waiting_by_quantum(tasks.bursts(), np.arange(1, largest + 1, dtype=np.int64))
+    totals = reference_total_waiting(tasks.bursts(), every_quantum(tasks))
     expected = largest - int(np.argmin(totals[::-1]))  # largest minimizer
 
     choice = best_quantum(tasks)

@@ -223,6 +223,14 @@ class TestGenerate:
         assert tasks.n == 6
         assert all(1 <= t.burst <= 500 for t in tasks)
 
+    def test_too_many_tasks_exits_3_before_drawing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "generate", "--n", "100000000", "--burst-min", "1", "--burst-max", "10",
+            "--seed", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "task count must be at most 4194304" in err
+
     def test_deterministic_output(self, capsys):
         args = ("generate", "--n", "5", "--burst-min", "1", "--burst-max", "500", "--seed", "42")
         _, first, _ = run_cli(capsys, *args)
@@ -394,15 +402,16 @@ def test_simulate_survives_hostile_task_files(text, algo, tq):
 
 
 # Hostile workload flags: negative, zero, past the scan's task limit, past
-# int64 and past numpy's seed range. Every draw is rejected or small: 5000
-# tasks are refused by the scan before it allocates, and huge bursts by the
-# int64 or candidate bounds.
+# the task-count bound, past int64 and past numpy's seed range. Every draw is
+# rejected or small: 5000 tasks are refused by the scan before it allocates,
+# more than 2**22 tasks by the workload spec before it draws them, and huge
+# bursts by the int64 or candidate bounds.
 _FLAG_BURSTS = st.sampled_from([-1, 0, 1, 5000, 2**63 - 1, 10**20])
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    n=st.sampled_from([-1, 0, 1, 12, 5000]),
+    n=st.sampled_from([-1, 0, 1, 12, 5000, 2**22 + 1, 10**8, 2**63, 10**20]),
     burst_min=_FLAG_BURSTS,
     burst_max=_FLAG_BURSTS,
     runs=st.sampled_from([-1, 0, 1, 2]),

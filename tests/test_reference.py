@@ -2,6 +2,8 @@
 in ``reference.py``: equal slice for slice, record for record, report for
 report, and the same message on every broken schedule."""
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from conftest import task_sets
 from ctqsched import (
     InvariantViolation,
     Schedule,
-    Slice,
     TaskSet,
     metrics_from_schedule,
     run_ctq,
@@ -100,32 +101,49 @@ def outcome(run):
         return f"InvariantViolation: {exc}"
 
 
+class Row(NamedTuple):
+    """A slice as plain fields, so a fault may give it a length that
+    ``Slice`` refuses."""
+
+    task_id: int
+    start: int
+    end: int
+    round: int
+
+
 def broken(slices, mutation, i, j, delta):
     """``slices`` with one hand-made fault; ``i`` and ``j`` index them."""
     slices = list(slices)
     s = slices[i]
     if mutation == "unknown id":
-        slices[i] = Slice(99, s.start, s.end, s.round)
+        slices[i] = s._replace(task_id=99)
     elif mutation == "shift":
-        slices[i] = Slice(s.task_id, s.start + delta, s.end + delta, s.round)
+        slices[i] = s._replace(start=s.start + delta, end=s.end + delta)
     elif mutation == "stretch":
-        slices[i] = Slice(s.task_id, s.start, s.end + delta, s.round)
-    elif mutation == "shrink" and s.length > 1:
-        slices[i] = Slice(s.task_id, s.start, s.end - 1, s.round)
+        slices[i] = s._replace(end=s.end + delta)
+    elif mutation == "shrink" and s.end - s.start > 1:
+        slices[i] = s._replace(end=s.end - 1)
+    elif mutation == "empty":
+        slices[i] = s._replace(end=s.start)
+    elif mutation == "reverse":
+        slices[i] = s._replace(end=s.start - delta)
     elif mutation == "drop":
         del slices[i]
     elif mutation == "duplicate":
         slices.insert(i, s)
     elif mutation == "swap ids":
         t = slices[j]
-        slices[i] = Slice(t.task_id, s.start, s.end, s.round)
-        slices[j] = Slice(s.task_id, t.start, t.end, t.round)
+        slices[i] = s._replace(task_id=t.task_id)
+        slices[j] = t._replace(task_id=s.task_id)
     elif mutation == "move":
         slices.insert(j, slices.pop(i))
     return slices
 
 
-MUTATIONS = ["unknown id", "shift", "stretch", "shrink", "drop", "duplicate", "swap ids", "move"]
+MUTATIONS = [
+    "unknown id", "shift", "stretch", "shrink", "empty", "reverse", "drop", "duplicate",
+    "swap ids", "move",
+]
 
 
 @settings(max_examples=400, deadline=None)
@@ -145,7 +163,8 @@ MUTATIONS = ["unknown id", "shift", "stretch", "shrink", "drop", "duplicate", "s
     makespan_delta=st.sampled_from([0, 0, 0, 1, -1]),
 )
 def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults, makespan_delta):
-    slices = list(simulate_fixed_rr(tasks, quantum).slices)
+    rows = simulate_fixed_rr(tasks, quantum).slices
+    slices = [Row(s.task_id, s.start, s.end, s.round) for s in rows]
     for mutation, i, j, delta in faults:
         if slices:
             slices = broken(slices, mutation, i % len(slices), j % len(slices), delta)
@@ -171,10 +190,14 @@ def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults, ma
         ([(2, 0, 1, 1), (1, 1, 2, 1)], 2, [3, 2]),
         ([(1, 0, 3, 1)], 4, [3]),
         ([], 0, [3]),
+        # Totals, timeline and makespan all add up around a negative slice
+        # and around an empty one; the length check catches both.
+        ([(1, 0, 5, 1), (1, 5, 3, 2), (2, 3, 5, 1)], 5, [3, 2]),
+        ([(1, 0, 3, 1), (2, 3, 3, 1), (2, 3, 5, 2)], 5, [3, 2]),
     ],
 )
 def test_hand_broken_schedules(quads, makespan, bursts):
-    slices = [Slice(*q) for q in quads]
+    slices = [Row(*q) for q in quads]
     good = Schedule.from_slices(slices)
     schedule = Schedule(good.ids, good.slot, good.start, good.end, good.round, makespan)
     tasks = TaskSet.from_bursts(bursts)

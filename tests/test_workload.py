@@ -38,6 +38,8 @@ class TestGenerate:
             WorkloadSpec(n=3, burst_min=5, burst_max=4, seed=1)
         with pytest.raises(ValueError):
             WorkloadSpec(n=3, burst_min=0, burst_max=4, seed=1)
+        with pytest.raises(ValueError, match="at most 4194304"):
+            WorkloadSpec(n=2**22 + 1, burst_min=1, burst_max=10, seed=1)
 
 
 class TestTaskFiles:
