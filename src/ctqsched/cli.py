@@ -17,6 +17,7 @@ more than 2**22 candidate quanta), 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -141,7 +142,16 @@ def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, required=True, help="workload seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ctqsched`` parser, built on the first call and shared after it.
+
+    ``main`` can be called repeatedly in one process and parses every call
+    with this one parser. Parsing does not change it: argparse gives each
+    call a fresh ``Namespace`` and builds a ``HelpFormatter`` only when it
+    prints help or usage, so output, ``COLUMNS`` handling and exit codes
+    are those of a fresh parser. Callers must not modify the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="ctqsched",
         description="Round-robin scheduling toolkit with per-round quantum optimization.",

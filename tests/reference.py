@@ -5,12 +5,15 @@ kernel of the candidate scan, a round loop that builds one ``Slice`` per
 dispatch and a metric loop that walks the slices one at a time. They are slow
 and obviously correct, so the code in ``ctqsched.analytic``,
 ``ctqsched.simulate``, ``ctqsched.ctq`` and ``ctqsched.model`` must equal
-them total for total, slice for slice and report for report.
+them total for total, slice for slice and report for report. The optimal
+search over quantum sequences is a bound, not an equal: no schedule that
+CTQ or fixed RR makes can wait less.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -103,6 +106,35 @@ def reference_ctq(tasks, first_quantum=None):
         records.append(RoundRecord(number, quantum, before, completed, chosen_by))
         slices.extend(round_slices)
     return tuple(records), tuple(slices)
+
+
+def optimal_total_waiting(bursts):
+    """The least total waiting time of any sequence of per-round quanta, by
+    exhaustive search. A round runs every survivor once, in queue order, for
+    min(quantum, residual); any quantum of at least the largest residual is
+    FCFS, so quanta range over [1, largest residual]. Total waiting is the
+    sum of completion times less the total burst, and a round adds to that
+    sum the time each task finishing in it has run within it, plus the
+    round's length once per survivor after it."""
+
+    @cache
+    def completions(residuals):
+        if not residuals:
+            return 0
+        best = None
+        for quantum in range(1, max(residuals) + 1):
+            clock, finishing, after = 0, 0, []
+            for residual in residuals:
+                clock += min(quantum, residual)
+                if residual > quantum:
+                    after.append(residual - quantum)
+                else:
+                    finishing += clock
+            total = finishing + clock * len(after) + completions(tuple(after))
+            best = total if best is None else min(best, total)
+        return best
+
+    return completions(tuple(bursts)) - sum(bursts)
 
 
 def reference_metrics(slices, makespan, tasks):

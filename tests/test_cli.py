@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -249,6 +250,60 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["best-tq"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """``main`` parses every call in a process with one parser."""
+
+    def test_repeat_calls_build_no_parser(self, monkeypatch, capsys, mixed_five):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run_cli(capsys, "best-tq", "--tasks", mixed_five)
+        built.clear()
+        for argv in (
+            ("simulate", "--tasks", mixed_five, "--algo", "ctq"),
+            ("best-tq", "--tasks", mixed_five),
+            ("generate", "--n", "3", "--burst-max", "9", "--seed", "1"),
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert built == []
+        argparse.ArgumentParser()  # the counter does see a construction
+        assert len(built) == 1
+
+    def test_each_call_matches_a_fresh_process(self, monkeypatch, capsys, mixed_five):
+        # No value, default or terminal width carries over from one call to
+        # the next: the usage errors wrap at each call's own COLUMNS.
+        steps = [
+            (("simulate", "--tasks", mixed_five, "--algo", "ctq", "--first-tq", "1",
+              "--gantt"), "80"),
+            (("simulate", "--tasks", mixed_five, "--algo", "ctq"), "80"),
+            (("simulate", "--tasks", mixed_five, "--algo", "rr"), "80"),
+            (("simulate", "--tasks", mixed_five, "--algo", "rr"), "80"),
+            (("simulate", "--tasks", mixed_five, "--algo", "bogus"), "40"),
+            (("simulate", "--tasks", mixed_five, "--algo", "bogus"), "120"),
+            (("best-tq", "--tasks", mixed_five), "80"),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(ctqsched.__file__).parents[1]))
+        for argv, columns in steps:
+            monkeypatch.setenv("COLUMNS", columns)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ctqsched.cli", *argv], capture_output=True,
+                text=True, env=dict(env, COLUMNS=columns), timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
 
 
 def run_cli_process(tmp_path, text, *command, timeout=60):
