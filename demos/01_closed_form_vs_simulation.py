@@ -18,7 +18,7 @@ quantum = 4
 
 schedule = simulate_fixed_rr(tasks, quantum)
 print("Gantt chart (task runs back to back, no idle time):")
-print("  " + " | ".join(f"T{s.task_id} {s.start}-{s.end}" for s in schedule.slices))
+print("  " + " | ".join(f"T{task_id} {start}-{end}" for task_id, start, end, _ in schedule))
 print(f"  makespan = {schedule.makespan} tu\n")
 
 profile = waiting_profile(tasks, quantum)

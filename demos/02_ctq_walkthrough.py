@@ -15,8 +15,12 @@ for record in trace.rounds:
     survivors = ", ".join(f"T{tid}:{res}tu" for tid, res in record.survivors_before)
     print(f"round {record.number}: quantum = {record.quantum} tu ({record.chosen_by})")
     print(f"  entering: {survivors}")
-    slices = [s for s in trace.schedule.slices if s.round == record.number]
-    print("  ran:      " + " | ".join(f"T{s.task_id} {s.start}-{s.end}" for s in slices))
+    ran = [
+        f"T{task_id} {start}-{end}"
+        for task_id, start, end, number in trace.schedule
+        if number == record.number
+    ]
+    print("  ran:      " + " | ".join(ran))
     if record.completed:
         print(f"  finished: {', '.join(f'T{tid}' for tid in record.completed)}")
     print()

@@ -27,7 +27,6 @@ from .model import (
     InvariantViolation,
     MetricsReport,
     Schedule,
-    Slice,
     Task,
     TaskMetrics,
     TaskSet,
@@ -58,7 +57,6 @@ __all__ = [
     "InvariantViolation",
     "MetricsReport",
     "Schedule",
-    "Slice",
     "Task",
     "TaskMetrics",
     "TaskSet",

@@ -41,7 +41,7 @@ from math import isqrt
 
 import numpy as np
 
-from .model import TaskSet
+from .model import _INT64_LIMIT, TaskSet
 
 # The scan takes candidates in chunks of about this many pair cells, so its
 # two int64 temporaries stay at 128 KiB each and are served from the heap,
@@ -52,11 +52,6 @@ _PAIR_CHUNK_CELLS = 1 << 14
 # n * (n - 1) cells, so best_quantum rejects more than
 # isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
 _SCAN_CELL_LIMIT = 1 << 24
-
-# Each pair adds less than 2 * largest burst, so the totals stay below
-# n * n * largest burst, and int64 arithmetic is exact while that product
-# stays below this bound.
-_INT64_LIMIT = 1 << 63
 
 # Most candidate quanta one scan may evaluate, checked before any allocation.
 # A burst b contributes about 3 * sqrt(b) candidates, so this admits a single
@@ -257,6 +252,8 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     quanta.
     """
     bursts = tasks.bursts()
+    # Each pair adds less than 2 * largest burst, so the totals stay below
+    # n * n * largest burst.
     if tasks.n * tasks.n * max(bursts) >= _INT64_LIMIT:
         raise ValueError(
             f"cannot scan {tasks.n} tasks with a largest burst of {max(bursts)} tu: "

@@ -9,9 +9,11 @@ Subcommands:
 * ``generate`` -- write a seeded random task file.
 
 Exit codes: 0 success, 2 usage error, 3 input validation error (including
-inputs past a documented bound: a total burst of 2**63 tu or more, a schedule
-of more than 2**22 slices, a scan too large for exact int64 totals or with
-more than 2**22 candidate quanta), 4 internal invariant violation.
+inputs past a documented bound: more than 2**22 tasks to generate or compare
+(``--n``), a total burst of 2**63 tu or more, a schedule of more than 2**22
+slices, a scan over more than 4096 tasks, a scan too large for exact int64
+totals or with more than 2**22 candidate quanta), 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -53,9 +55,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _gantt_lines(schedule: Schedule) -> list[str]:
-    s, ids = schedule, schedule.ids
-    rows = zip(s.slot.tolist(), s.start.tolist(), s.end.tolist(), s.round.tolist())
-    return [f"{ids[k]},{start},{end},{number}" for k, start, end, number in rows]
+    return [f"{task_id},{start},{end},{number}" for task_id, start, end, number in schedule]
 
 
 def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:

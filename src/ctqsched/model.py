@@ -6,19 +6,17 @@ at 0. Aggregate averages are exact ``Fraction``s so metric comparisons never
 depend on float rounding.
 
 A :class:`Schedule` stores its slices as int64 columns (queue slot, start,
-end, round) and builds :class:`Slice` objects only when they are read, so
-:func:`metrics_from_schedule` runs over whole columns instead of walking one
-slice at a time. int64 times are exact while the total burst stays below
-2**63 tu; both the round loop in :mod:`ctqsched.simulate` and the metrics
-reject larger task sets with ``ValueError`` before they allocate.
+end, round) and nothing else, so :func:`metrics_from_schedule` runs over
+whole columns instead of walking one slice at a time. int64 times are exact
+while the total burst stays below 2**63 tu; both the round loop in
+:mod:`ctqsched.simulate` and the metrics reject larger task sets with
+``ValueError`` before they allocate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
@@ -97,9 +95,6 @@ class TaskSet:
     def bursts(self) -> tuple[int, ...]:
         return tuple(task.burst for task in self.tasks)
 
-    def total_burst(self) -> int:
-        return sum(task.burst for task in self.tasks)
-
     def __len__(self) -> int:
         return len(self.tasks)
 
@@ -110,30 +105,6 @@ class TaskSet:
         return self.tasks[index]
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One contiguous run of a task on the CPU. ``round`` is the number of the
-    round the run belongs to; every survivor runs once per round, so it also
-    counts how many times the task has been dispatched, this run included."""
-
-    task_id: int
-    start: int
-    end: int
-    round: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"slice start must be non-negative, got {self.start}")
-        if self.end <= self.start:
-            raise ValueError(f"slice must have positive length, got [{self.start}, {self.end})")
-        if self.round < 1:
-            raise ValueError(f"round number must be at least 1, got {self.round}")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
 class Schedule:
     """The full Gantt chart: back-to-back slices from time 0 to the makespan,
     stored as int64 columns with one row per slice, in dispatch order.
@@ -142,9 +113,12 @@ class Schedule:
     round ``round[i]``. Task ids stay Python ints in ``ids``, so they may be
     any size; the times are exact while they stay below 2**63 tu, which the
     round loop checks through the total burst before it allocates anything.
-    :attr:`slices` shows the same rows as :class:`Slice` objects, built only
-    when they are indexed or iterated. Two schedules are equal when their
-    slices and makespans are.
+    Every survivor runs once per round, so a row's round number also counts
+    how many times its task has been dispatched, this row included.
+
+    Iterating yields the rows as plain ``(task_id, start, end, round)``
+    tuples. Two schedules are equal when their ids, columns and makespans
+    are.
     """
 
     __slots__ = ("ids", "slot", "start", "end", "round", "makespan")
@@ -165,90 +139,35 @@ class Schedule:
         self.round = round
         self.makespan = makespan
 
-    @classmethod
-    def from_slices(cls, slices: Iterable[Slice]) -> "Schedule":
-        slices = tuple(slices)
-        index: dict[int, int] = {}
-        rows = [(index.setdefault(s.task_id, len(index)), s.start, s.end, s.round) for s in slices]
-        slot, start, end, rounds = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-        return cls(index, slot, start, end, rounds, slices[-1].end if slices else 0)
-
     @property
-    def slices(self) -> "Slices":
-        return Slices(self)
+    def slices(self) -> "Schedule":
+        """The schedule itself. It is kept only because the benchmark's
+        tracer (``bench/tracer.py``) counts rows as ``len(schedule.slices)``;
+        ``len`` reads the columns and builds no row."""
+        return self
 
-    def task_slices(self, task_id: int) -> tuple[Slice, ...]:
-        if task_id not in self.ids:
-            return ()
-        rows = self.slot == self.ids.index(task_id)
-        return tuple(
-            map(
-                Slice,
-                repeat(task_id),
-                self.start[rows].tolist(),
-                self.end[rows].tolist(),
-                self.round[rows].tolist(),
-            )
-        )
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        ids = self.ids
+        task_ids = [ids[k] for k in self.slot.tolist()]
+        return zip(task_ids, self.start.tolist(), self.end.tolist(), self.round.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
             return NotImplemented
-        return self.makespan == other.makespan and self.slices == other.slices
-
-    def __repr__(self) -> str:
-        return f"Schedule(slices={self.slices!r}, makespan={self.makespan})"
-
-
-class Slices(Sequence[Slice]):
-    """The rows of a :class:`Schedule` as :class:`Slice` objects. Its length
-    is read off the columns; a :class:`Slice` is built only for the rows that
-    are indexed or iterated over. Equal to another view or to a tuple holding
-    the same slices."""
-
-    __slots__ = ("_schedule",)
-
-    def __init__(self, schedule: Schedule) -> None:
-        self._schedule = schedule
-
-    def __len__(self) -> int:
-        return len(self._schedule.slot)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
-        s = self._schedule
-        i = range(len(self))[index]
-        return Slice(s.ids[s.slot[i]], int(s.start[i]), int(s.end[i]), int(s.round[i]))
-
-    def __iter__(self) -> Iterator[Slice]:
-        s = self._schedule
-        return map(
-            Slice, _task_ids(s), s.start.tolist(), s.end.tolist(), s.round.tolist()
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        if not isinstance(other, Slices):
-            return NotImplemented
-        a, b = self._schedule, other._schedule
         return (
-            len(a.slot) == len(b.slot)
-            and np.array_equal(a.start, b.start)
-            and np.array_equal(a.end, b.end)
-            and np.array_equal(a.round, b.round)
-            and _task_ids(a) == _task_ids(b)
+            self.ids == other.ids
+            and self.makespan == other.makespan
+            and np.array_equal(self.slot, other.slot)
+            and np.array_equal(self.start, other.start)
+            and np.array_equal(self.end, other.end)
+            and np.array_equal(self.round, other.round)
         )
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-def _task_ids(schedule: Schedule) -> list[int]:
-    """The task id of every row, in dispatch order."""
-    ids = schedule.ids
-    return [ids[k] for k in schedule.slot.tolist()]
+        return f"Schedule({len(self)} slices, makespan={self.makespan})"
 
 
 @dataclass(frozen=True)

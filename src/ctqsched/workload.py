@@ -57,9 +57,7 @@ def generate(spec: WorkloadSpec) -> TaskSet:
     """Draw ``spec.n`` bursts uniformly from [burst_min, burst_max]."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     bursts = rng.integers(spec.burst_min, spec.burst_max + 1, size=spec.n)
-    return TaskSet(
-        tuple(Task(id=i + 1, burst=int(burst)) for i, burst in enumerate(bursts))
-    )
+    return TaskSet.from_bursts(bursts.tolist())
 
 
 class TaskFileError(ValueError):

@@ -8,6 +8,9 @@ and obviously correct, so the code in ``ctqsched.analytic``,
 them total for total, slice for slice and report for report. The optimal
 search over quantum sequences is a bound, not an equal: no schedule that
 CTQ or fixed RR makes can wait less.
+
+The package keeps a schedule as int64 columns only; ``Slice`` and the
+helpers after it give the tests its rows as named records.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +26,59 @@ from ctqsched import (
     InvariantViolation,
     MetricsReport,
     RoundRecord,
-    Slice,
+    Schedule,
     TaskMetrics,
     TaskSet,
     best_quantum,
 )
+
+
+class Slice(NamedTuple):
+    """One contiguous run of a task on the CPU, in round ``round``. Nothing
+    is validated, so a test can build a fault (a zero or negative length)
+    that only the metrics may catch."""
+
+    task_id: int
+    start: int
+    end: int
+    round: int
+
+    @property
+    def length(self) -> int:
+        return self.end - self.start
+
+
+def schedule_from_slices(rows) -> Schedule:
+    """The columnar schedule of ``rows`` (anything with ``task_id``,
+    ``start``, ``end`` and ``round``), its makespan the last row's end.
+    Slots number the task ids in order of first appearance."""
+    rows = tuple(rows)
+    index: dict[int, int] = {}
+    quads = [(index.setdefault(s.task_id, len(index)), s.start, s.end, s.round) for s in rows]
+    slot, start, end, rounds = np.array(quads, dtype=np.int64).reshape(-1, 4).T
+    return Schedule(index, slot, start, end, rounds, rows[-1].end if rows else 0)
+
+
+def slices(schedule: Schedule) -> tuple[Slice, ...]:
+    """Every row of ``schedule`` as a ``Slice``, in dispatch order."""
+    return tuple(map(Slice._make, schedule))
+
+
+def task_slices(schedule: Schedule, task_id: int) -> tuple[Slice, ...]:
+    """The rows of one task, in dispatch order, read off the columns where
+    ``schedule.slot`` is the task's slot; no other row is touched."""
+    if task_id not in schedule.ids:
+        return ()
+    rows = schedule.slot == schedule.ids.index(task_id)
+    return tuple(
+        map(
+            Slice,
+            repeat(task_id),
+            schedule.start[rows].tolist(),
+            schedule.end[rows].tolist(),
+            schedule.round[rows].tolist(),
+        )
+    )
 
 
 def reference_total_waiting(bursts, quanta):
@@ -141,8 +193,7 @@ def reference_metrics(slices, makespan, tasks):
     """Walk the slices in order; raise on the first slice that breaks the
     timeline, has no positive length or over-runs a task's burst, then on
     per-task totals, then on the makespan. A slice is anything with
-    ``task_id``, ``start`` and ``end``, so rows that no ``Slice`` admits can
-    be checked too."""
+    ``task_id``, ``start`` and ``end``."""
     if tasks.n == 0:
         raise InvariantViolation("empty task set")
     bursts = {task.id: task.burst for task in tasks}

@@ -25,6 +25,7 @@ from ctqsched import (
     waiting_profile,
 )
 from ctqsched.cli import main
+from reference import slices, task_slices
 
 
 def announce(number, description):
@@ -74,7 +75,7 @@ def test_criterion_1_reference_timeline():
         return time.perf_counter() - t0, schedule, profile, report
 
     elapsed, schedule, profile, report = min(run_once() for _ in range(3))
-    assert [s.start for s in schedule.slices] == [0, 4, 7, 10, 14, 18, 22, 26]
+    assert [s.start for s in slices(schedule)] == [0, 4, 7, 10, 14, 18, 22, 26]
     assert schedule.makespan == 30
     assert [t.full_quanta for t in profile.per_task] == [5, 0, 0]
     assert [t.last_slice_start for t in profile.per_task] == [26, 4, 7]
@@ -96,9 +97,9 @@ def test_criterion_3_ctq_reference_run():
     trace = run_ctq(TaskSet.from_bursts([20, 20, 5, 3, 1]), first_quantum=1)
     assert trace.quantum_sequence == (1, 2, 2, 15)
 
-    round2 = [s for s in trace.schedule.slices if s.round == 2]
+    round2 = [s for s in slices(trace.schedule) if s.round == 2]
     assert [round2[0].start] + [s.end for s in round2] == [5, 7, 9, 11, 13]
-    round4 = [s for s in trace.schedule.slices if s.round == 4]
+    round4 = [s for s in slices(trace.schedule) if s.round == 4]
     assert [round4[0].start] + [s.end for s in round4] == [19, 34, 49]
 
     assert [m.completion for m in trace.metrics.per_task] == [34, 49, 19, 13, 5]
@@ -120,7 +121,7 @@ def test_criterion_4_oracle_equivalence():
             report = metrics_from_schedule(schedule, tasks)
             profile = waiting_profile(tasks, quantum)
             for task, metrics, row in zip(tasks, report.per_task, profile.per_task):
-                slices = schedule.task_slices(task.id)
+                slices = task_slices(schedule, task.id)
                 assert row.waiting == metrics.waiting
                 assert row.full_quanta == len(slices) - 1
                 assert row.last_slice_start == slices[-1].start
@@ -135,7 +136,7 @@ def test_criterion_5_degenerate_quantum():
             [rng.randint(1, 60) for _ in range(rng.randint(1, 10))]
         )
         rr = simulate_fixed_rr(tasks, max(tasks.bursts()))
-        assert rr.slices == simulate_fcfs(tasks).slices
+        assert slices(rr) == slices(simulate_fcfs(tasks))
 
 
 @announce(6, "CTQ beats best-quantum fixed RR on mean wait and turnaround over 30 workloads")

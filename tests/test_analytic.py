@@ -22,7 +22,7 @@ from ctqsched import (
     waiting_profile,
 )
 from ctqsched.analytic import _total_waiting_by_quantum
-from reference import reference_total_waiting
+from reference import reference_total_waiting, task_slices
 
 
 class TestFullQuanta:
@@ -166,7 +166,7 @@ def test_closed_form_matches_simulation_for_every_quantum(tasks):
         report = metrics_from_schedule(schedule, tasks)
         profile = waiting_profile(tasks, quantum)
         for task, metrics, row in zip(tasks, report.per_task, profile.per_task):
-            slices = schedule.task_slices(task.id)
+            slices = task_slices(schedule, task.id)
             assert row.waiting == metrics.waiting
             assert row.full_quanta == len(slices) - 1
             assert row.last_slice_start == slices[-1].start

@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctqsched
-from ctqsched import Schedule, Slice, TaskSet, load_tasks, metrics_from_schedule
+from ctqsched import TaskSet, load_tasks, metrics_from_schedule
 from ctqsched.cli import main
 from ctqsched.experiment import CSV_HEADER
+from reference import Slice, schedule_from_slices
 
 
 @pytest.fixture
@@ -89,7 +90,7 @@ class TestSimulate:
             task_id, start, end, rnd = map(int, line.split(","))
             slices.append(Slice(task_id, start, end, rnd))
         tasks = TaskSet.from_bursts([20, 20, 5, 3, 1])
-        report = metrics_from_schedule(Schedule.from_slices(slices), tasks)
+        report = metrics_from_schedule(schedule_from_slices(slices), tasks)
         assert f"total_waiting: {report.total_waiting}" in out
         assert f"context_switches: {report.total_context_switches}" in out
 

@@ -10,17 +10,17 @@ from conftest import task_sets
 from ctqsched import (
     InvariantViolation,
     Schedule,
-    Slice,
     Task,
     TaskSet,
     format_fraction,
     metrics_from_schedule,
     simulate_fixed_rr,
 )
+from reference import Slice, schedule_from_slices, slices
 
 
 def gantt(*quads) -> Schedule:
-    return Schedule.from_slices(Slice(*q) for q in quads)
+    return schedule_from_slices(Slice(*q) for q in quads)
 
 
 LONG_THEN_TWO_SHORT = TaskSet.from_bursts([24, 3, 3])
@@ -65,21 +65,52 @@ class TestTaskSet:
         assert [t.id for t in ts] == [1, 2, 3]
         assert ts.bursts() == (24, 3, 3)
         assert ts.n == 3
-        assert ts.total_burst() == 30
+        assert sum(ts.bursts()) == 30
 
     def test_from_bursts_with_weights(self):
         ts = TaskSet.from_bursts([10, 20], weights=[7, 4])
         assert [t.weight for t in ts] == [7, 4]
 
 
-class TestSlice:
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            Slice(task_id=1, start=5, end=5, round=1)
+def edited(schedule, change):
+    """A copy of ``schedule`` with one field changed."""
+    ids = list(schedule.ids)
+    slot, start, end, rounds = (
+        c.copy() for c in (schedule.slot, schedule.start, schedule.end, schedule.round)
+    )
+    makespan = schedule.makespan
+    if change == "id":
+        ids[1] = 99
+    elif change == "slot":
+        slot[1] = slot[0]
+    elif change == "start":
+        start[1] += 1
+    elif change == "end":
+        end[1] += 1
+    elif change == "round":
+        rounds[1] += 1
+    elif change == "makespan":
+        makespan += 1
+    return Schedule(ids, slot, start, end, rounds, makespan)
 
-    def test_round_starts_at_one(self):
-        with pytest.raises(ValueError, match="round"):
-            Slice(task_id=1, start=0, end=5, round=0)
+
+class TestSchedule:
+    def test_rows_iterate_as_plain_tuples(self):
+        schedule = simulate_fixed_rr(LONG_THEN_TWO_SHORT, 4)
+        assert len(schedule) == 8
+        assert list(schedule)[:4] == [(1, 0, 4, 1), (2, 4, 7, 1), (3, 7, 10, 1), (1, 10, 14, 2)]
+        assert all(type(row) is tuple for row in schedule)
+        assert schedule == RR4_GANTT
+
+    def test_rerun_compares_equal(self):
+        assert simulate_fixed_rr(MIXED_FIVE, 2) == simulate_fixed_rr(MIXED_FIVE, 2)
+        assert edited(CTQ_GANTT, None) == CTQ_GANTT
+
+    @pytest.mark.parametrize("change", ["id", "slot", "start", "end", "round", "makespan"])
+    def test_one_changed_field_compares_unequal(self, change):
+        schedule = simulate_fixed_rr(MIXED_FIVE, 2)
+        assert edited(schedule, change) != schedule
+        assert schedule != edited(schedule, change)
 
 
 class TestMetricsFromSchedule:
@@ -151,15 +182,15 @@ def test_metrics_invariants_on_simulated_schedules(tasks, quantum):
     schedule = simulate_fixed_rr(tasks, quantum)
     report = metrics_from_schedule(schedule, tasks)
 
-    assert report.makespan == tasks.total_burst()
-    assert report.total_waiting == sum(m.completion for m in report.per_task) - tasks.total_burst()
-    assert report.total_context_switches <= len(schedule.slices) - 1
+    assert report.makespan == sum(tasks.bursts())
+    assert report.total_waiting == sum(m.completion for m in report.per_task) - sum(tasks.bursts())
+    assert report.total_context_switches <= len(schedule) - 1
 
     # Waiting equals the time other tasks occupy the CPU before completion.
     for task, m in zip(tasks, report.per_task):
         others = sum(
             s.length
-            for s in schedule.slices
+            for s in slices(schedule)
             if s.end <= m.completion and s.task_id != task.id
         )
         assert m.waiting == others == m.completion - task.burst

@@ -2,8 +2,6 @@
 in ``reference.py``: equal slice for slice, record for record, report for
 report, and the same message on every broken schedule."""
 
-from typing import NamedTuple
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +18,14 @@ from ctqsched import (
     simulate_wrr,
 )
 from reference import (
+    Slice,
     reference_ctq,
     reference_fcfs,
     reference_fixed_rr,
     reference_metrics,
     reference_wrr,
+    schedule_from_slices,
+    slices,
 )
 
 # Short tasks ahead of or behind one long task, so the long one runs a tail
@@ -62,9 +63,9 @@ def test_fixed_policies_equal_the_reference_loop(tasks, quantum, drawn, referenc
             reference_wrr(weighted, quantum, reference_weight),
         ),
     ):
-        assert tuple(schedule.slices) == expected
-        assert len(schedule.slices) == len(expected)
-        assert schedule.makespan == tasks.total_burst()
+        assert slices(schedule) == expected
+        assert len(schedule) == len(expected)
+        assert schedule.makespan == sum(tasks.bursts())
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,10 +75,10 @@ def test_fixed_policies_equal_the_reference_loop(tasks, quantum, drawn, referenc
 )
 def test_ctq_trace_equals_the_reference_loop(tasks, first):
     trace = run_ctq(tasks, first)
-    records, slices = reference_ctq(tasks, first)
+    records, expected = reference_ctq(tasks, first)
     assert trace.rounds == records
-    assert tuple(trace.schedule.slices) == slices
-    assert trace.metrics == reference_metrics(slices, tasks.total_burst(), tasks)
+    assert slices(trace.schedule) == expected
+    assert trace.metrics == reference_metrics(expected, sum(tasks.bursts()), tasks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,7 +90,7 @@ def test_metrics_equal_the_reference_report(tasks, quantum, drawn):
         simulate_fcfs(tasks),
         simulate_wrr(weighted, quantum),
     ):
-        expected = reference_metrics(tuple(schedule.slices), schedule.makespan, tasks)
+        expected = reference_metrics(slices(schedule), schedule.makespan, tasks)
         assert metrics_from_schedule(schedule, tasks) == expected
 
 
@@ -101,43 +102,33 @@ def outcome(run):
         return f"InvariantViolation: {exc}"
 
 
-class Row(NamedTuple):
-    """A slice as plain fields, so a fault may give it a length that
-    ``Slice`` refuses."""
-
-    task_id: int
-    start: int
-    end: int
-    round: int
-
-
-def broken(slices, mutation, i, j, delta):
-    """``slices`` with one hand-made fault; ``i`` and ``j`` index them."""
-    slices = list(slices)
-    s = slices[i]
+def broken(rows, mutation, i, j, delta):
+    """``rows`` with one hand-made fault; ``i`` and ``j`` index them."""
+    rows = list(rows)
+    s = rows[i]
     if mutation == "unknown id":
-        slices[i] = s._replace(task_id=99)
+        rows[i] = s._replace(task_id=99)
     elif mutation == "shift":
-        slices[i] = s._replace(start=s.start + delta, end=s.end + delta)
+        rows[i] = s._replace(start=s.start + delta, end=s.end + delta)
     elif mutation == "stretch":
-        slices[i] = s._replace(end=s.end + delta)
+        rows[i] = s._replace(end=s.end + delta)
     elif mutation == "shrink" and s.end - s.start > 1:
-        slices[i] = s._replace(end=s.end - 1)
+        rows[i] = s._replace(end=s.end - 1)
     elif mutation == "empty":
-        slices[i] = s._replace(end=s.start)
+        rows[i] = s._replace(end=s.start)
     elif mutation == "reverse":
-        slices[i] = s._replace(end=s.start - delta)
+        rows[i] = s._replace(end=s.start - delta)
     elif mutation == "drop":
-        del slices[i]
+        del rows[i]
     elif mutation == "duplicate":
-        slices.insert(i, s)
+        rows.insert(i, s)
     elif mutation == "swap ids":
-        t = slices[j]
-        slices[i] = s._replace(task_id=t.task_id)
-        slices[j] = t._replace(task_id=s.task_id)
+        t = rows[j]
+        rows[i] = s._replace(task_id=t.task_id)
+        rows[j] = t._replace(task_id=s.task_id)
     elif mutation == "move":
-        slices.insert(j, slices.pop(i))
-    return slices
+        rows.insert(j, rows.pop(i))
+    return rows
 
 
 MUTATIONS = [
@@ -163,15 +154,14 @@ MUTATIONS = [
     makespan_delta=st.sampled_from([0, 0, 0, 1, -1]),
 )
 def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults, makespan_delta):
-    rows = simulate_fixed_rr(tasks, quantum).slices
-    slices = [Row(s.task_id, s.start, s.end, s.round) for s in rows]
+    rows = list(slices(simulate_fixed_rr(tasks, quantum)))
     for mutation, i, j, delta in faults:
-        if slices:
-            slices = broken(slices, mutation, i % len(slices), j % len(slices), delta)
-    good = Schedule.from_slices(slices)
+        if rows:
+            rows = broken(rows, mutation, i % len(rows), j % len(rows), delta)
+    good = schedule_from_slices(rows)
     makespan = good.makespan + makespan_delta
     schedule = Schedule(good.ids, good.slot, good.start, good.end, good.round, makespan)
-    expected = outcome(lambda: reference_metrics(slices, makespan, tasks))
+    expected = outcome(lambda: reference_metrics(rows, makespan, tasks))
     assert outcome(lambda: metrics_from_schedule(schedule, tasks)) == expected
 
 
@@ -197,10 +187,10 @@ def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults, ma
     ],
 )
 def test_hand_broken_schedules(quads, makespan, bursts):
-    slices = [Row(*q) for q in quads]
-    good = Schedule.from_slices(slices)
+    rows = [Slice(*q) for q in quads]
+    good = schedule_from_slices(rows)
     schedule = Schedule(good.ids, good.slot, good.start, good.end, good.round, makespan)
     tasks = TaskSet.from_bursts(bursts)
-    expected = outcome(lambda: reference_metrics(slices, makespan, tasks))
+    expected = outcome(lambda: reference_metrics(rows, makespan, tasks))
     assert expected.startswith("InvariantViolation")
     assert outcome(lambda: metrics_from_schedule(schedule, tasks)) == expected

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import task_sets
 from ctqsched import (
-    Slice,
     Task,
     TaskSet,
     full_quanta,
@@ -18,6 +17,7 @@ from ctqsched import (
     simulate_wrr,
 )
 from ctqsched.simulate import run_rounds
+from reference import Slice, slices, task_slices
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
@@ -25,9 +25,9 @@ MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 class TestFixedRR:
     def test_reference_timeline(self):
         schedule = simulate_fixed_rr(TaskSet.from_bursts([24, 3, 3]), 4)
-        assert [s.start for s in schedule.slices] == [0, 4, 7, 10, 14, 18, 22, 26]
-        assert [s.task_id for s in schedule.slices] == [1, 2, 3, 1, 1, 1, 1, 1]
-        assert [s.round for s in schedule.slices] == [1, 1, 1, 2, 3, 4, 5, 6]
+        assert [s.start for s in slices(schedule)] == [0, 4, 7, 10, 14, 18, 22, 26]
+        assert [s.task_id for s in slices(schedule)] == [1, 2, 3, 1, 1, 1, 1, 1]
+        assert [s.round for s in slices(schedule)] == [1, 1, 1, 2, 3, 4, 5, 6]
         assert schedule.makespan == 30
 
     def test_unit_quantum_metrics(self):
@@ -39,12 +39,12 @@ class TestFixedRR:
 
     def test_single_task_one_slice(self):
         schedule = simulate_fixed_rr(TaskSet.from_bursts([9]), 12)
-        assert [(s.start, s.end, s.round) for s in schedule.slices] == [(0, 9, 1)]
+        assert [(s.start, s.end, s.round) for s in slices(schedule)] == [(0, 9, 1)]
 
     def test_boundary_finish_stays_in_slice(self):
         # burst == quantum: one slice, no zero-length follow-up
         schedule = simulate_fixed_rr(TaskSet.from_bursts([4, 4]), 4)
-        assert [(s.start, s.end) for s in schedule.slices] == [(0, 4), (4, 8)]
+        assert [(s.start, s.end) for s in slices(schedule)] == [(0, 4), (4, 8)]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -62,8 +62,8 @@ class TestFCFS:
 
     def test_one_slice_per_task(self):
         schedule = simulate_fcfs(TaskSet.from_bursts([24, 3, 3]))
-        assert [(s.task_id, s.end) for s in schedule.slices] == [(1, 24), (2, 27), (3, 30)]
-        assert all(s.round == 1 for s in schedule.slices)
+        assert [(s.task_id, s.end) for s in slices(schedule)] == [(1, 24), (2, 27), (3, 30)]
+        assert all(s.round == 1 for s in slices(schedule))
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ class TestWeightedRR:
     def test_weights_scale_the_quantum(self):
         tasks = TaskSet.from_bursts([21, 12, 27], weights=[7, 4, 9])
         schedule = simulate_wrr(tasks, 10, reference_weight=10)
-        assert [s.length for s in schedule.slices[:3]] == [7, 4, 9]
+        assert [s.length for s in slices(schedule)[:3]] == [7, 4, 9]
 
     def test_reference_weight_reduces_to_fixed_rr(self):
         tasks = TaskSet.from_bursts([13, 5, 9], weights=[10, 10, 10])
@@ -83,13 +83,13 @@ class TestWeightedRR:
     def test_light_task_gets_unit_slices(self):
         tasks = TaskSet.from_bursts([3], weights=[1])
         schedule = simulate_wrr(tasks, 10, reference_weight=10)
-        assert [s.length for s in schedule.slices] == [1, 1, 1]
+        assert [s.length for s in slices(schedule)] == [1, 1, 1]
 
     def test_share_is_clamped_to_one(self):
         # weight so small the scaled share would floor to zero
         tasks = TaskSet.from_bursts([2], weights=[1])
         schedule = simulate_wrr(tasks, 10, reference_weight=100)
-        assert [s.length for s in schedule.slices] == [1, 1]
+        assert [s.length for s in slices(schedule)] == [1, 1]
 
     def test_rejects_bad_reference_weight(self):
         with pytest.raises(ValueError):
@@ -105,9 +105,9 @@ def rounds_with_quanta(tasks, quanta):
         entering.append((number, survivors))
         return quanta[number - 1], 1
 
-    slices = run_rounds(tasks, share_for_round).slices
+    rows = slices(run_rounds(tasks, share_for_round))
     return [
-        (number, survivors, tuple(s for s in slices if s.round == number))
+        (number, survivors, tuple(s for s in rows if s.round == number))
         for number, survivors in entering
     ]
 
@@ -162,18 +162,19 @@ def test_schedule_invariants(tasks, quantum, weights, policy):
     }[policy]
     schedule = run()
 
-    assert schedule.slices[0].start == 0
-    for prev, cur in zip(schedule.slices, schedule.slices[1:]):
+    rows = slices(schedule)
+    assert rows[0].start == 0
+    for prev, cur in zip(rows, rows[1:]):
         assert cur.start == prev.end
-    assert schedule.makespan == tasks.total_burst()
+    assert schedule.makespan == sum(tasks.bursts())
 
     for task in tasks:
-        slices = schedule.task_slices(task.id)
-        assert sum(s.length for s in slices) == task.burst
-        assert len(slices) == full_quanta(task.burst, share(task)) + 1
+        own = task_slices(schedule, task.id)
+        assert sum(s.length for s in own) == task.burst
+        assert len(own) == full_quanta(task.burst, share(task)) + 1
         # Every survivor runs once per round, so the round number is also
         # the task's dispatch count.
-        assert [s.round for s in slices] == list(range(1, len(slices) + 1))
+        assert [s.round for s in own] == list(range(1, len(own) + 1))
 
     # Deterministic: rerunning yields the identical schedule.
     assert run() == schedule
@@ -182,11 +183,11 @@ def test_schedule_invariants(tasks, quantum, weights, policy):
 @settings(max_examples=120, deadline=None)
 @given(tasks=task_sets())
 def test_quantum_at_largest_burst_degenerates_to_fcfs(tasks):
-    assert simulate_fixed_rr(tasks, max(tasks.bursts())).slices == simulate_fcfs(tasks).slices
+    assert slices(simulate_fixed_rr(tasks, max(tasks.bursts()))) == slices(simulate_fcfs(tasks))
 
 
 @given(tasks=task_sets(max_n=6, max_burst=30), quantum=st.integers(1, 40))
 def test_wrr_conserves_work(tasks, quantum):
     schedule = simulate_wrr(tasks, quantum, reference_weight=10)
     report = metrics_from_schedule(schedule, tasks)  # validates conservation
-    assert report.makespan == tasks.total_burst()
+    assert report.makespan == sum(tasks.bursts())
