@@ -9,12 +9,18 @@ waiting time over the quanta in [1, largest burst] yields the quantum with the
 smallest average wait (:func:`best_quantum`); that choice is the decision rule
 the per-round CTQ scheduler applies between rounds.
 
-The total needs no per-task timeline. With nq = (b - 1) // tq and
-a = b + nq * tq for every task, the total waiting time is the sum over queue
-pairs k < i of min(a_k, a_i + tq). Of each pair, the task with fewer full
-quanta finishes first (k, ahead in the queue, on a tie), and the pair adds
-its burst plus what the other task has run by then; the two cases are set out
-in :func:`_total_waiting_by_quantum`.
+One rule gives every task's wait. With nq_i = (b_i - 1) // tq, task i's
+final slice starts once it has run nq_i full quanta and every other task k
+has run min(b_k, cycles * tq): nq_i + 1 cycles for k ahead of i in the queue,
+nq_i for k behind it. Its wait is that start less its own nq_i * tq, so
+
+    wait_i = sum over k < i of min(b_k, (nq_i + 1) * tq)
+           + sum over k > i of min(b_k, nq_i * tq).
+
+:func:`last_slice_start` evaluates this rule task by task in plain integers.
+The total needs no per-task timeline: :func:`_total_waiting_by_quantum`
+folds the two terms of each queue pair into one, min(a_k, a_i + tq) with
+a = b + nq * tq.
 
 The scan does not need every quantum. On an interval where each task's
 full_quanta = (b - 1) // tq is constant, every term of the total is either a
@@ -60,60 +66,37 @@ _CANDIDATE_LIMIT = 1 << 22
 
 
 def full_quanta(burst: int, quantum: int) -> int:
-    """Number of whole quanta a task runs before its final slice.
-
-    A burst that is an exact multiple of the quantum folds the boundary run
-    into the final slice, so ``full_quanta(8, 4)`` is 1, not 2. Under
-    fixed-quantum round robin this always equals (number of slices) - 1.
+    """Number of whole quanta a task runs before its final slice:
+    (burst - 1) // quantum, so a burst that is an exact multiple of the
+    quantum folds the boundary run into the final slice and
+    ``full_quanta(8, 4)`` is 1, not 2. Under fixed-quantum round robin this
+    always equals (number of slices) - 1.
     """
     if burst < 1:
         raise ValueError(f"burst must be at least 1 tu, got {burst}")
     if quantum < 1:
         raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
-    if burst % quantum == 0:
-        return burst // quantum - 1
-    return burst // quantum
+    return (burst - 1) // quantum
 
 
 def last_slice_start(tasks: TaskSet, quantum: int, position: int) -> int:
     """Start time of the final slice the task at queue ``position`` receives.
 
-    ``position`` is 1-based queue order. The value is assembled from how much
-    CPU time every other task gets before this task's final dispatch:
-
-    * a task that finishes earlier contributes its whole burst;
-    * an equal-quanta task ahead in the queue also finishes first (its final
-      slice lands earlier in the same cycle), so it too contributes its burst;
-    * a task still unfinished at that point contributes one quantum per cycle
-      it ran, which is one cycle more for queue positions ahead of this task.
+    ``position`` is 1-based queue order. This is the per-task rule of the
+    module docstring in plain integers, independent of the vectorized scan.
     """
-    if quantum < 1:
-        raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
     if not 1 <= position <= tasks.n:
         raise IndexError(f"queue position {position} out of range 1..{tasks.n}")
     bursts = tasks.bursts()
     i = position - 1
-    mine = full_quanta(bursts[i], quantum)
-
-    if mine == 0:
-        # First slice is also the last: everything ahead runs once first.
-        start = 0
-        for b in bursts[:i]:
-            start += quantum if full_quanta(b, quantum) > 0 else b
-        return start
-
-    start = mine * quantum
-    for k, b in enumerate(bursts):
-        if k == i:
-            continue
-        other = full_quanta(b, quantum)
-        if other < mine:
-            start += b
-        elif other == mine:
-            start += b if k < i else mine * quantum
-        else:
-            start += (mine + 1) * quantum if k < i else mine * quantum
-    return start
+    nq = full_quanta(bursts[i], quantum)
+    ahead = (nq + 1) * quantum
+    behind = nq * quantum
+    return (
+        behind
+        + sum(min(b, ahead) for b in bursts[:i])
+        + sum(min(b, behind) for b in bursts[i + 1 :])
+    )
 
 
 @dataclass(frozen=True)
@@ -196,20 +179,19 @@ def _candidate_quanta(bursts: tuple[int, ...]) -> np.ndarray:
 def _total_waiting_by_quantum(bursts: tuple[int, ...], quanta: np.ndarray) -> np.ndarray:
     """Total waiting time for each quantum in ``quanta``, vectorized.
 
-    Total waiting is a sum over queue pairs k < i of what each task of the
-    pair runs while the other is still waiting to finish. With nq the full
-    quanta of a task and a = b + nq * tq:
+    By the rule in the module docstring, a queue pair k < i adds
+    min(b_k, (nq_i + 1) * tq) to i's wait and min(b_i, nq_k * tq) to k's.
+    Since nq * tq < b <= (nq + 1) * tq:
 
-    * when nq_k <= nq_i, k finishes first, in the same cycle as i or an
-      earlier one, and by then i has run nq_k full quanta: the pair adds
-      b_k + nq_k * tq = a_k;
-    * when nq_k > nq_i, i finishes first, and by then k, ahead of it, has run
-      nq_i + 1 full quanta: the pair adds b_i + (nq_i + 1) * tq = a_i + tq.
+    * when nq_k <= nq_i, the terms are b_k and nq_k * tq, which sum to
+      a_k = b_k + nq_k * tq;
+    * when nq_k > nq_i, they are (nq_i + 1) * tq and b_i, which sum to
+      a_i + tq.
 
-    Since nq * tq < b <= (nq + 1) * tq, a lies in (2 nq tq, (2 nq + 1) tq],
-    so a_k < a_i + tq exactly when nq_k <= nq_i, and the total is the sum of
-    min(a_k, a_i + tq) over the n * (n - 1) / 2 pairs. Every a is below
-    2 * b, so the total stays below n * n * largest burst.
+    Every a lies in (2 nq tq, (2 nq + 1) tq], so a_k < a_i + tq exactly when
+    nq_k <= nq_i, and the total is the sum of min(a_k, a_i + tq) over the
+    n * (n - 1) / 2 pairs. Every a is below 2 * b, so the total stays below
+    n * n * largest burst.
 
     Candidates are taken in chunks of about ``_PAIR_CHUNK_CELLS`` pair cells
     (at least one candidate), and each chunk works in place in its two pair

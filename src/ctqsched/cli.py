@@ -78,13 +78,11 @@ def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     tasks = _read_tasks(args.tasks)
     trace: CtqTrace | None = None
+    if args.algo in ("rr", "wrr") and args.tq is None:
+        raise UsageError(f"--tq is required for --algo {args.algo}")
     if args.algo == "rr":
-        if args.tq is None:
-            raise UsageError("--tq is required for --algo rr")
         schedule = simulate_fixed_rr(tasks, args.tq)
     elif args.algo == "wrr":
-        if args.tq is None:
-            raise UsageError("--tq is required for --algo wrr")
         schedule = simulate_wrr(tasks, args.tq, args.reference_weight)
     elif args.algo == "fcfs":
         schedule = simulate_fcfs(tasks)

@@ -11,8 +11,9 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 
 from .ctq import run_ctq
 from .model import TaskSet, format_fraction, metrics_from_schedule
@@ -20,11 +21,6 @@ from .simulate import simulate_fcfs, simulate_fixed_rr
 from .workload import WorkloadSpec, generate
 
 ALGORITHM_ORDER = ("rr", "ctq", "fcfs")
-
-CSV_HEADER = (
-    "workload_id,n,algorithm,tq_policy,avg_wt,avg_tat,"
-    "context_switches,makespan,rounds,tq_sequence"
-)
 
 
 @dataclass(frozen=True)
@@ -42,6 +38,9 @@ class ExperimentRow:
     makespan: Fraction
     rounds: int | None = None
     tq_sequence: tuple[int, ...] | None = None
+
+
+CSV_HEADER = ",".join(field.name for field in fields(ExperimentRow))
 
 
 def _row(workload_id, tasks, algorithm, tq_policy, metrics, rounds=None, tq_sequence=None):
@@ -118,42 +117,30 @@ def run_comparison(
     return rows
 
 
+def _rendered(rows: list[ExperimentRow]) -> list[list[object]]:
+    """Each row's values in field order, with every rational rendered by
+    :func:`format_fraction`; the other values are left as they are."""
+    values_of = attrgetter(*[field.name for field in fields(ExperimentRow)])
+    return [
+        [format_fraction(v) if type(v) is Fraction else v for v in values_of(row)] for row in rows
+    ]
+
+
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
+    """One line per row under ``CSV_HEADER``. A missing value is an empty
+    cell and a quantum sequence is joined with ``|``."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.workload_id,
-                    str(r.n),
-                    r.algorithm,
-                    r.tq_policy,
-                    format_fraction(r.avg_wt),
-                    format_fraction(r.avg_tat),
-                    format_fraction(r.context_switches),
-                    format_fraction(r.makespan),
-                    "" if r.rounds is None else str(r.rounds),
-                    "" if r.tq_sequence is None else "|".join(map(str, r.tq_sequence)),
-                )
-            )
-        )
+    for values in _rendered(rows):
+        cells = [
+            "" if v is None else "|".join(map(str, v)) if type(v) is tuple else str(v)
+            for v in values
+        ]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[ExperimentRow]) -> str:
-    payload = [
-        {
-            "workload_id": r.workload_id,
-            "n": r.n,
-            "algorithm": r.algorithm,
-            "tq_policy": r.tq_policy,
-            "avg_wt": format_fraction(r.avg_wt),
-            "avg_tat": format_fraction(r.avg_tat),
-            "context_switches": format_fraction(r.context_switches),
-            "makespan": format_fraction(r.makespan),
-            "rounds": r.rounds,
-            "tq_sequence": None if r.tq_sequence is None else list(r.tq_sequence),
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    """A JSON list of rows keyed by the ``CSV_HEADER`` names; a quantum
+    sequence becomes a list and a missing value null."""
+    names = CSV_HEADER.split(",")
+    return json.dumps([dict(zip(names, values)) for values in _rendered(rows)], indent=2) + "\n"

@@ -205,10 +205,11 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     costs nothing, and back-to-back slices of the same task cost nothing.
 
     Raises :class:`InvariantViolation` if the schedule does not actually
-    execute ``tasks``: unknown ids, gaps in the timeline, slices of zero or
-    negative length, per-task totals that do not add up to the bursts, or a
-    makespan other than the timeline's end. Raises ``ValueError`` when the
-    total burst is 2**63 tu or more, which no schedule can hold.
+    execute ``tasks``: slots outside ``schedule.ids``, unknown ids, gaps in
+    the timeline, slices of zero or negative length, per-task totals that do
+    not add up to the bursts, or a makespan other than the timeline's end.
+    Raises ``ValueError`` when the total burst is 2**63 tu or more, which no
+    schedule can hold.
 
     The work runs over the schedule's int64 columns: one vectorized validity
     test (per-task sums with ``np.add.at``), completions as each task's latest
@@ -221,9 +222,10 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     check_total_burst(sum(bursts))
     start, end = schedule.start, schedule.end
     # Queue position of every slice's task, -1 for an id not in ``tasks``.
+    # Every slot must index ``schedule.ids``; no rows fail the totals below.
     queue = schedule.slot
-    valid = schedule.ids == ids
-    if not valid:
+    valid = not queue.size or (queue.min() >= 0 and queue.max() < len(schedule.ids))
+    if valid and schedule.ids != ids:
         position = {task_id: k for k, task_id in enumerate(ids)}
         queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
         valid = (queue >= 0).all()
@@ -271,16 +273,19 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
 
 def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
     """Walk a schedule that failed the validity test and raise its first
-    fault. Each slice, in order, is checked for an unknown id, then a gap
-    after the previous slice, then a length that is not positive, then an
-    over-run of its task's burst; then every task's total, in queue order;
-    then the makespan."""
+    fault. Each slice, in order, is checked for a slot outside
+    ``schedule.ids``, then an unknown id, then a gap after the previous
+    slice, then a length that is not positive, then an over-run of its
+    task's burst; then every task's total, in queue order; then the
+    makespan."""
     bursts = {task.id: task.burst for task in tasks}
     executed = dict.fromkeys(bursts, 0)
     ids = schedule.ids
     clock = 0
     rows = zip(schedule.slot.tolist(), schedule.start.tolist(), schedule.end.tolist())
     for i, (k, start, end) in enumerate(rows):
+        if not 0 <= k < len(ids):
+            raise InvariantViolation(f"slice {i} has slot {k}, outside 0..{len(ids) - 1}")
         task_id = ids[k]
         if task_id not in bursts:
             raise InvariantViolation(f"slice references unknown task id {task_id}")

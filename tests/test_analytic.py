@@ -65,6 +65,14 @@ class TestLastSliceStart:
         with pytest.raises(IndexError):
             last_slice_start(ts, 2, 3)
 
+    def test_rejects_non_positive_quantum(self):
+        ts = TaskSet.from_bursts([5, 5])
+        with pytest.raises(ValueError, match="quantum must be at least 1 tu, got 0"):
+            last_slice_start(ts, 0, 1)
+        # The position is checked first.
+        with pytest.raises(IndexError):
+            last_slice_start(ts, 0, 3)
+
 
 class TestWaitingProfile:
     def test_reference_queue(self):

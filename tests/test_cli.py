@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctqsched
-from ctqsched import TaskSet, load_tasks, metrics_from_schedule
+from ctqsched import Schedule, TaskSet, load_tasks, metrics_from_schedule, simulate_fcfs
 from ctqsched.cli import main
 from ctqsched.experiment import CSV_HEADER
 from reference import Slice, schedule_from_slices
@@ -105,9 +105,24 @@ class TestSimulate:
         assert "makespan: 30" in out_path.read_text()
 
     def test_missing_quantum_is_usage_error(self, capsys, long_then_short):
-        code, _, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", "rr")
-        assert code == 2
-        assert "--tq" in err
+        for algo in ("rr", "wrr"):
+            code, _, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", algo)
+            assert code == 2
+            assert err == f"error: --tq is required for --algo {algo}\n"
+
+    def test_broken_schedule_is_invariant_violation(self, monkeypatch, capsys, long_then_short):
+        def fcfs_without_last_slice(tasks):
+            whole = simulate_fcfs(tasks)
+            return Schedule(
+                whole.ids, whole.slot[:-1], whole.start[:-1], whole.end[:-1],
+                whole.round[:-1], int(whole.end[-2]),
+            )
+
+        monkeypatch.setattr("ctqsched.cli.simulate_fcfs", fcfs_without_last_slice)
+        code, out, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", "fcfs")
+        assert code == 4
+        assert out == ""
+        assert err == "invariant violation: task 3 executes 0 tu, burst is 3\n"
 
     def test_bad_task_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tasks"

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -154,6 +155,20 @@ class TestScheduleMismatch:
     def test_unknown_task_id(self):
         with pytest.raises(InvariantViolation, match="unknown"):
             metrics_from_schedule(gantt((7, 0, 9, 1)), TaskSet.from_bursts([9]))
+
+    @pytest.mark.parametrize("slot", [[0, 5], [0, -1]])
+    def test_slot_out_of_range(self, slot):
+        # -1 would wrap onto task 2 and match its total; 5 is past the ids.
+        bad = Schedule(
+            (1, 2),
+            slot=np.array(slot, dtype=np.int64),
+            start=np.array([0, 2], dtype=np.int64),
+            end=np.array([2, 5], dtype=np.int64),
+            round=np.array([1, 1], dtype=np.int64),
+            makespan=5,
+        )
+        with pytest.raises(InvariantViolation, match=f"slice 1 has slot {slot[1]}"):
+            metrics_from_schedule(bad, TaskSet.from_bursts([2, 3]))
 
     def test_timeline_gap(self):
         bad = gantt((1, 0, 4, 1), (2, 5, 8, 1))
