@@ -18,9 +18,30 @@ nq_i for k behind it. Its wait is that start less its own nq_i * tq, so
            + sum over k > i of min(b_k, nq_i * tq).
 
 :func:`last_slice_start` evaluates this rule task by task in plain integers.
-The total needs no per-task timeline: :func:`_total_waiting_by_quantum`
-folds the two terms of each queue pair into one, min(a_k, a_i + tq) with
-a = b + nq * tq.
+The total needs no per-task timeline. A queue pair k < i adds
+min(b_k, (nq_i + 1) * tq) to i's wait and min(b_i, nq_k * tq) to k's. Since
+nq * tq < b <= (nq + 1) * tq, the two sum to a_k when nq_k <= nq_i and to
+a_i + tq when nq_k > nq_i, with a = b + nq * tq.
+
+The pair split divides the pairs by their bursts. A pair k < i is in order when
+b_k <= b_i and inverted when b_k > b_i, with gap g = b_k - b_i:
+
+* an in-order pair has nq_k <= nq_i, so it adds a_k;
+* an inverted pair with g >= tq has nq_k > nq_i, so it adds a_i + tq;
+* an inverted pair with g < tq has nq_k equal to nq_i or one more. It adds
+  a_i + g in the first case and (a_i + g) + (tq - g) in the second, which
+  for g < tq is when (b_i - 1) % tq + g >= tq.
+
+So the total waiting time is T = L + the sum of tq - g over the inverted
+pairs with g < tq whose full quanta differ, where
+
+    L(tq) = a . w + tq * #{inverted pairs with g >= tq}
+          + sum of g over the inverted pairs with g < tq,
+
+and w_j = #{i > j : b_i >= b_j} + #{k < j : b_k > b_j} counts the pairs in
+which task j adds its own a. The two pair terms come from one binary search
+of tq in the sorted gaps and their prefix sums, so L costs O(n) per quantum
+and T >= L. Only T walks pairs, and only the inverted ones with g < tq.
 
 The scan does not need every quantum. On an interval where each task's
 full_quanta = (b - 1) // tq is constant, every term of the total is either a
@@ -28,15 +49,20 @@ constant burst or a non-negative multiple of tq, so the total is A + S * tq
 with S >= 0: its smallest value sits at the interval's left end, and when
 S == 0 the right end ties with it. Evaluating only the two ends of every such
 interval therefore finds the largest minimizing quantum exactly. A burst b has
-O(sqrt(b)) intervals, so the scan costs O(n * n * sum of sqrt(b_i)) instead of
-O(n * n * largest burst).
+O(sqrt(b)) intervals, so the scan takes O(sum of sqrt(b_i)) candidates instead
+of the largest burst. :func:`best_quantum` computes L at all of them and T
+only where L says the minimum can still be.
 
-All arithmetic is exact integer arithmetic. The scan is vectorized with numpy
-int64, which is exact while n * n * largest burst stays below 2**63
-(:func:`best_quantum` rejects larger inputs, more than 4096 tasks, and
-inputs with more than ``_CANDIDATE_LIMIT`` candidate quanta); property tests
-pin it to the sequential pure-Python evaluation, and its totals to those of
-the n x n cell kernel it replaced over every quantum.
+All arithmetic is exact integer arithmetic, vectorized with numpy int64. Each
+pair adds less than 2 * largest burst, so T stays below n * n * largest
+burst, which :func:`best_quantum` keeps below 2**63. Every total and partial
+sum the scan stores adds up non-negative pieces of T, so none passes it, and
+the per-pair values stay below 2 * largest burst; the scan builds no upper
+bound such as a . w + tq * #{inverted pairs}, which could pass 2**63.
+:func:`best_quantum` also rejects more than 4096 tasks and more than
+``_CANDIDATE_LIMIT`` candidate quanta. Property tests pin the scan to the
+sequential pure-Python evaluation, and L and T to the n x n cell kernel it
+replaced over every quantum.
 """
 
 from __future__ import annotations
@@ -44,19 +70,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import _INT64_LIMIT, TaskSet
 
-# The scan takes candidates in chunks of about this many pair cells, so its
-# two int64 temporaries stay at 128 KiB each and are served from the heap,
-# not from fresh pages on every call.
+# The scan takes candidates in chunks of about this many cells (candidates x
+# tasks for L, candidates x inverted pairs for T), so its int64 temporaries
+# stay at 128 KiB each and are served from the heap, not from fresh pages on
+# every call.
 _PAIR_CHUNK_CELLS = 1 << 14
 
-# A chunk holds at least one candidate, whose two pair temporaries take
-# n * (n - 1) cells, so best_quantum rejects more than
-# isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
+# The pair split compares every two tasks (n * n cells), and T at one
+# candidate walks up to n * (n - 1) / 2 inverted pairs, so best_quantum
+# rejects more than isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
 _SCAN_CELL_LIMIT = 1 << 24
 
 # Most candidate quanta one scan may evaluate, checked before any allocation.
@@ -171,45 +199,99 @@ def _candidate_quanta(bursts: tuple[int, ...]) -> np.ndarray:
     # v runs 1..s within each burst's block of the flattened arrays.
     v = np.arange(1, mm.size + 1, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     quotients = mm // v
-    return np.unique(
-        np.concatenate((np.arange(1, max(s) + 2, dtype=np.int64), quotients, quotients + 1))
-    )
+    quanta = np.concatenate((np.arange(1, max(s) + 2, dtype=np.int64), quotients, quotients + 1))
+    quanta.sort()
+    # Sorting and dropping repeats here is faster than np.unique.
+    fresh = np.empty(quanta.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(quanta[1:], quanta[:-1], out=fresh[1:])
+    return quanta[fresh]
+
+
+class _PairSplit(NamedTuple):
+    """What the total waiting time needs of the queue pairs, from
+    :func:`_split_pairs`; only the quantum is left to plug in."""
+
+    top: np.ndarray  # b - 1 of every task, in queue order
+    weight: np.ndarray  # w of every task, in queue order
+    base: int  # b . w
+    gap: np.ndarray  # g of every inverted pair, ascending
+    below: np.ndarray  # below[j] is the sum of gap[:j]
+    low: np.ndarray  # b_i - 1 of every inverted pair, in the order of gap
+
+
+def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
+    """Split the queue pairs k < i into in-order and inverted ones (see the
+    module docstring). Task j's w counts the tasks after it in (burst, queue
+    position) order: those with a larger burst, and those behind it with the
+    same one."""
+    b = np.asarray(bursts, dtype=np.int64)
+    n = b.size
+    weight = np.empty(n, dtype=np.int64)
+    weight[np.argsort(b, kind="stable")] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    earlier, later = np.nonzero(b[:, None] > b)  # b_k > b_i as (k, i)
+    inverted = earlier < later
+    earlier, later = earlier[inverted], later[inverted]
+    gap = b[earlier] - b[later]
+    order = np.argsort(gap)
+    gap = gap[order]
+    below = np.zeros(gap.size + 1, dtype=np.int64)
+    np.cumsum(gap, out=below[1:])
+    top = b - 1
+    return _PairSplit(top, weight, int(b @ weight), gap, below, top[later[order]])
+
+
+def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
+    """L(tq) = b . w + tq * (nq . w) + tq * #{inverted, g >= tq}
+    + sum{g : inverted, g < tq} for each quantum in ``quanta``. Candidates
+    are taken in chunks of about ``_PAIR_CHUNK_CELLS`` cells of nq (at least
+    one candidate)."""
+    bounds = np.empty(quanta.size, dtype=np.int64)
+    pair_count = pairs.gap.size
+    step = max(1, _PAIR_CHUNK_CELLS // pairs.top.size)
+    for lo in range(0, quanta.size, step):
+        tq = quanta[lo : lo + step]
+        part = bounds[lo : lo + tq.size]
+        np.matmul(pairs.top // tq[:, None], pairs.weight, out=part)
+        short = np.searchsorted(pairs.gap, tq)  # inverted pairs with g < tq
+        part += pair_count
+        part -= short
+        part *= tq
+        part += pairs.below[short]
+    bounds += pairs.base
+    return bounds
+
+
+def _corrections(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
+    """T(tq) - L(tq) for each quantum in ``quanta``, which must ascend: the
+    sum of tq - g over the inverted pairs with g < tq whose full_quanta
+    differ, which for g < tq is when (b_i - 1) % tq + g >= tq.
+
+    The pairs ascend in g, so those with g < tq are a prefix of them.
+    Candidates are taken in chunks of about ``_PAIR_CHUNK_CELLS`` cells of
+    the longest such prefix (at least one candidate).
+    """
+    short = np.searchsorted(pairs.gap, quanta)
+    corrections = np.empty(quanta.size, dtype=np.int64)
+    step = max(1, _PAIR_CHUNK_CELLS // max(1, int(short[-1])))
+    for lo in range(0, quanta.size, step):
+        tq = quanta[lo : lo + step, None]
+        gap = pairs.gap[: short[lo + tq.size - 1]]
+        reach = pairs.low[: gap.size] % tq
+        reach += gap
+        # Smaller quanta of the chunk also see pairs with g >= tq: they add 0.
+        rest = tq - gap
+        np.maximum(rest, 0, out=rest)
+        np.add.reduce(rest, axis=1, where=reach >= tq, out=corrections[lo : lo + tq.size])
+    return corrections
 
 
 def _total_waiting_by_quantum(bursts: tuple[int, ...], quanta: np.ndarray) -> np.ndarray:
-    """Total waiting time for each quantum in ``quanta``, vectorized.
-
-    By the rule in the module docstring, a queue pair k < i adds
-    min(b_k, (nq_i + 1) * tq) to i's wait and min(b_i, nq_k * tq) to k's.
-    Since nq * tq < b <= (nq + 1) * tq:
-
-    * when nq_k <= nq_i, the terms are b_k and nq_k * tq, which sum to
-      a_k = b_k + nq_k * tq;
-    * when nq_k > nq_i, they are (nq_i + 1) * tq and b_i, which sum to
-      a_i + tq.
-
-    Every a lies in (2 nq tq, (2 nq + 1) tq], so a_k < a_i + tq exactly when
-    nq_k <= nq_i, and the total is the sum of min(a_k, a_i + tq) over the
-    n * (n - 1) / 2 pairs. Every a is below 2 * b, so the total stays below
-    n * n * largest burst.
-
-    Candidates are taken in chunks of about ``_PAIR_CHUNK_CELLS`` pair cells
-    (at least one candidate), and each chunk works in place in its two pair
-    temporaries.
-    """
-    b = np.asarray(bursts, dtype=np.int64)
-    later, earlier = np.tril_indices(b.size, -1)  # every pair k < i as (i, k)
-    totals = np.empty(quanta.size, dtype=np.int64)
-    step = max(1, _PAIR_CHUNK_CELLS // max(1, later.size))
-    for lo in range(0, quanta.size, step):
-        tq = quanta[lo : lo + step, None]
-        a = (b - 1) // tq * tq
-        a += b
-        first = a[:, earlier]
-        second = a[:, later]
-        second += tq
-        np.minimum(first, second, out=first)
-        np.add.reduce(first, axis=1, out=totals[lo : lo + tq.size])
+    """Total waiting time T = L + correction for each quantum in ``quanta``
+    (ascending), exactly; see the module docstring."""
+    pairs = _split_pairs(bursts)
+    totals = _lower_bounds(pairs, quanta)
+    totals += _corrections(pairs, quanta)
     return totals
 
 
@@ -222,10 +304,16 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     equally good waits the cheaper schedule wins.
 
     Only the ends of the intervals on which every task's full_quanta is
-    constant are evaluated (see the module docstring): the total waiting time
-    is non-decreasing and linear inside each interval, so those ends include
-    the largest minimizer. That is O(sum of sqrt(b_i)) quanta at
-    n * (n - 1) / 2 pairs each; ``candidates_evaluated`` reports how many.
+    constant are candidates (see the module docstring), and
+    ``candidates_evaluated`` reports how many. The scan bounds and prunes
+    them in three steps:
+
+    1. the lower bound L at every candidate, O(n) each;
+    2. the total T at the largest candidate minimizing L;
+    3. T at every candidate whose L is at most that T.
+
+    Every minimizer q has L(q) <= T(q) <= the T of step 2, so it reaches
+    step 3, and the largest quantum minimizing T there is the answer.
 
     Raises ``ValueError`` before scanning when n * n * largest burst reaches
     2**63, where the int64 totals would stop being exact, when one candidate's
@@ -247,12 +335,18 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
             f"more than the limit of {_SCAN_CELL_LIMIT} (at most {isqrt(_SCAN_CELL_LIMIT)} tasks)"
         )
     quanta = _candidate_quanta(bursts)
-    totals = _total_waiting_by_quantum(bursts, quanta)
-    # np.argmin takes the first minimum; scanning the reversed array makes
+    pairs = _split_pairs(bursts)
+    bounds = _lower_bounds(pairs, quanta)
+    # np.argmin takes the first minimum; scanning a reversed array makes
     # that the largest minimizing quantum.
+    guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
+    ceiling = bounds[guess] + _corrections(pairs, quanta[guess : guess + 1])[0]
+    alive = np.flatnonzero(bounds <= ceiling)
+    totals = bounds[alive]
+    totals += _corrections(pairs, quanta[alive])
     best = totals.size - 1 - int(np.argmin(totals[::-1]))
     return QuantumChoice(
-        quantum=int(quanta[best]),
+        quantum=int(quanta[alive[best]]),
         avg_waiting=Fraction(int(totals[best]), tasks.n),
         candidates_evaluated=int(quanta.size),
     )

@@ -205,9 +205,10 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     costs nothing, and back-to-back slices of the same task cost nothing.
 
     Raises :class:`InvariantViolation` if the schedule does not actually
-    execute ``tasks``: slots outside ``schedule.ids``, unknown ids, gaps in
-    the timeline, slices of zero or negative length, per-task totals that do
-    not add up to the bursts, or a makespan other than the timeline's end.
+    execute ``tasks``: columns of different lengths, slots outside
+    ``schedule.ids``, unknown ids, gaps in the timeline, slices of zero or
+    negative length, per-task totals that do not add up to the bursts, or a
+    makespan other than the timeline's end.
     Raises ``ValueError`` when the total burst is 2**63 tu or more, which no
     schedule can hold.
 
@@ -222,9 +223,12 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     check_total_burst(sum(bursts))
     start, end = schedule.start, schedule.end
     # Queue position of every slice's task, -1 for an id not in ``tasks``.
-    # Every slot must index ``schedule.ids``; no rows fail the totals below.
+    # Every column holds one value per slice, and every slot must index
+    # ``schedule.ids``; no rows fail the totals below.
     queue = schedule.slot
-    valid = not queue.size or (queue.min() >= 0 and queue.max() < len(schedule.ids))
+    valid = len(queue) == len(start) == len(end) == len(schedule.round) and (
+        not queue.size or (queue.min() >= 0 and queue.max() < len(schedule.ids))
+    )
     if valid and schedule.ids != ids:
         position = {task_id: k for k, task_id in enumerate(ids)}
         queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
@@ -273,11 +277,15 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
 
 def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
     """Walk a schedule that failed the validity test and raise its first
-    fault. Each slice, in order, is checked for a slot outside
-    ``schedule.ids``, then an unknown id, then a gap after the previous
-    slice, then a length that is not positive, then an over-run of its
-    task's burst; then every task's total, in queue order; then the
-    makespan."""
+    fault. The column lengths are checked first. Then each slice, in order,
+    is checked for a slot outside ``schedule.ids``, then an unknown id, then
+    a gap after the previous slice, then a length that is not positive, then
+    an over-run of its task's burst; then every task's total, in queue
+    order; then the makespan."""
+    columns = {name: len(getattr(schedule, name)) for name in ("slot", "start", "end", "round")}
+    if len(set(columns.values())) > 1:
+        lengths = ", ".join(f"{name} {length}" for name, length in columns.items())
+        raise InvariantViolation(f"schedule columns differ in length: {lengths}")
     bursts = {task.id: task.burst for task in tasks}
     executed = dict.fromkeys(bursts, 0)
     ids = schedule.ids

@@ -1,5 +1,6 @@
 """Closed-form waiting times against the slice-by-slice oracle."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -21,7 +22,12 @@ from ctqsched import (
     simulate_fixed_rr,
     waiting_profile,
 )
-from ctqsched.analytic import _total_waiting_by_quantum
+from ctqsched.analytic import (
+    _candidate_quanta,
+    _lower_bounds,
+    _split_pairs,
+    _total_waiting_by_quantum,
+)
 from reference import reference_total_waiting, task_slices
 
 
@@ -201,22 +207,28 @@ def every_quantum(tasks):
     return np.arange(1, max(tasks.bursts()) + 1, dtype=np.int64)
 
 
+# Chunk sizes that rarely divide the candidate count, down to one cell, where
+# every chunk holds a single candidate.
+chunk_cells = st.one_of(st.just(analytic._PAIR_CHUNK_CELLS), st.integers(1, 700))
+
+
 def assert_pair_kernel_equals_the_oracle(tasks):
+    """At every quantum in [1, largest burst] the lower bound L stays at or
+    below the n x n cell kernel's total, and L plus the correction equals it."""
     quanta = every_quantum(tasks)
+    expected = reference_total_waiting(tasks.bursts(), quanta)
+    bounds = _lower_bounds(_split_pairs(tasks.bursts()), quanta)
+    assert (bounds <= expected).all()
     totals = _total_waiting_by_quantum(tasks.bursts(), quanta)
-    assert totals.tolist() == reference_total_waiting(tasks.bursts(), quanta).tolist()
+    assert totals.tolist() == expected.tolist()
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    tasks=task_sets(max_n=30, max_burst=300),
-    # Chunk sizes that rarely divide the candidate count, down to one cell,
-    # where every chunk holds a single candidate.
-    cells=st.one_of(st.just(analytic._PAIR_CHUNK_CELLS), st.integers(1, 700)),
-)
+@given(tasks=task_sets(max_n=30, max_burst=300), cells=chunk_cells)
 def test_pair_kernel_equals_the_oracle(tasks, cells):
-    """Over every quantum in [1, largest burst], the pair sum of
-    min(a_k, a_i + tq) gives exactly the totals of the n x n cell kernel."""
+    """Over every quantum in [1, largest burst], the split of the queue pairs
+    into in-order and inverted ones gives exactly the totals of the n x n
+    cell kernel, and L never passes them."""
     with patch.object(analytic, "_PAIR_CHUNK_CELLS", cells):
         assert_pair_kernel_equals_the_oracle(tasks)
 
@@ -225,10 +237,12 @@ def test_pair_kernel_equals_the_oracle(tasks, cells):
     "bursts",
     [
         [1000],  # one task: no pairs, so every total is 0
-        # 1128 pairs take 14 candidates a chunk, and 14 does not divide the
-        # 950 quanta up to the largest burst.
+        # 48 tasks take 341 candidates a chunk in the bound pass, and their
+        # 530 inverted pairs 30 in the exact pass; neither divides the 950
+        # quanta up to the largest burst.
         [(k * 389) % 1000 + 1 for k in range(48)],
-        # 200 tasks have more pairs than a chunk has cells: one candidate a chunk.
+        # 200 tasks have more inverted pairs than a chunk has cells: one
+        # candidate a chunk in the exact pass.
         [(k * 7) % 23 + 1 for k in range(200)],
     ],
 )
@@ -236,40 +250,85 @@ def test_pair_kernel_equals_the_oracle_explicit(bursts):
     assert_pair_kernel_equals_the_oracle(TaskSet.from_bursts(bursts))
 
 
-def test_scan_temporaries_stay_small():
-    """A scan of 48 tasks with bursts up to 1000 (the shape of a CTQ round)
-    peaks below 1 MiB of allocations: its pair temporaries are chunked."""
-    rng = np.random.default_rng(48)
-    bursts = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
-    tasks = TaskSet.from_bursts(bursts)
+def largest_minimizer(bursts, quanta):
+    """The largest quantum of ``quanta`` with the smallest total of the n x n
+    cell kernel, and that total."""
+    totals = reference_total_waiting(bursts, quanta)
+    best = totals.size - 1 - int(np.argmin(totals[::-1]))
+    return int(quanta[best]), int(totals[best])
+
+
+# A CTQ round of the drain workload: up to 60 tasks, bursts log-uniform in
+# [1, 1000], so most pairs sit far apart and a few close together.
+log_uniform_bursts = st.lists(
+    st.floats(0, math.log(1000)).map(lambda x: max(1, round(math.exp(x)))), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bursts=log_uniform_bursts)
+def test_pruned_scan_at_the_drain_shape(bursts):
+    """Over the candidate quanta, the scan picks the cell kernel's largest
+    minimizer at its total, and evaluates every candidate exactly."""
+    quanta = _candidate_quanta(tuple(bursts))
+    quantum, total = largest_minimizer(bursts, quanta)
+    choice = best_quantum(TaskSet.from_bursts(bursts))
+    assert (choice.quantum, choice.avg_waiting) == (quantum, Fraction(total, len(bursts)))
+    assert choice.candidates_evaluated == quanta.size
+    exact = _total_waiting_by_quantum(tuple(bursts), quanta)
+    assert exact.tolist() == reference_total_waiting(bursts, quanta).tolist()
+
+
+def scan_peak(tasks):
+    """Bytes ``best_quantum(tasks)`` allocates at its peak."""
     best_quantum(tasks)  # a first call also imports what numpy loads lazily
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         best_quantum(tasks)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+
+
+def test_scan_temporaries_stay_small():
+    """A scan of 48 tasks with bursts up to 1000 (the shape of a CTQ round)
+    peaks below 1 MiB of allocations: its temporaries are chunked."""
+    rng = np.random.default_rng(48)
+    bursts = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
+    assert scan_peak(TaskSet.from_bursts(bursts)) < 1 << 20
+
+
+def test_scan_of_300_tasks_stays_small():
+    """300 tasks with bursts up to 1000 hold about 22,000 inverted pairs, a
+    few arrays of them at a time, and peak below 1.5 MiB of allocations."""
+    bursts = np.random.default_rng(300).integers(1, 1001, 300).tolist()
+    assert scan_peak(TaskSet.from_bursts(bursts)) < 1.5 * (1 << 20)
 
 
 def assert_candidates_keep_the_argmin(tasks):
     """The breakpoint candidates must pick what the n x n cell kernel picks
     when run over every quantum in [1, largest burst]."""
-    largest = max(tasks.bursts())
-    totals = reference_total_waiting(tasks.bursts(), every_quantum(tasks))
-    expected = largest - int(np.argmin(totals[::-1]))  # largest minimizer
-
+    quantum, total = largest_minimizer(tasks.bursts(), every_quantum(tasks))
     choice = best_quantum(tasks)
-    assert choice.quantum == expected
-    assert choice.avg_waiting == Fraction(int(totals.min()), tasks.n)
-    assert 1 <= choice.candidates_evaluated <= largest
+    assert choice.quantum == quantum
+    assert choice.avg_waiting == Fraction(total, tasks.n)
+    assert 1 <= choice.candidates_evaluated <= max(tasks.bursts())
 
 
 @settings(max_examples=200, deadline=None)
 @given(tasks=task_sets(max_n=12, max_burst=3000))
 def test_candidates_keep_the_argmin(tasks):
     assert_candidates_keep_the_argmin(tasks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tasks=task_sets(max_n=30, max_burst=300), cells=chunk_cells)
+def test_pruned_scan_in_any_chunk_size(tasks, cells):
+    """With the bound pass and the exact passes cut into chunks of any size,
+    the scan still picks the cell kernel's largest minimizer."""
+    with patch.object(analytic, "_PAIR_CHUNK_CELLS", cells):
+        assert_candidates_keep_the_argmin(tasks)
 
 
 @pytest.mark.parametrize(

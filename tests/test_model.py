@@ -170,6 +170,25 @@ class TestScheduleMismatch:
         with pytest.raises(InvariantViolation, match=f"slice 1 has slot {slot[1]}"):
             metrics_from_schedule(bad, TaskSet.from_bursts([2, 3]))
 
+    @pytest.mark.parametrize(
+        "slot,rounds,lengths",
+        [
+            ([0, 1, 1], [1, 1], "slot 3, start 2, end 2, round 2"),  # a slot too many
+            ([0, 1], [1], "slot 2, start 2, end 2, round 1"),  # a round too few
+        ],
+    )
+    def test_columns_of_different_lengths(self, slot, rounds, lengths):
+        bad = Schedule(
+            (1, 2),
+            slot=np.array(slot, dtype=np.int64),
+            start=np.array([0, 2], dtype=np.int64),
+            end=np.array([2, 5], dtype=np.int64),
+            round=np.array(rounds, dtype=np.int64),
+            makespan=5,
+        )
+        with pytest.raises(InvariantViolation, match=f"columns differ in length: {lengths}$"):
+            metrics_from_schedule(bad, TaskSet.from_bursts([2, 3]))
+
     def test_timeline_gap(self):
         bad = gantt((1, 0, 4, 1), (2, 5, 8, 1))
         with pytest.raises(InvariantViolation, match="gap"):
