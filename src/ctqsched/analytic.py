@@ -51,15 +51,16 @@ S == 0 the right end ties with it. Evaluating only the two ends of every such
 interval therefore finds the largest minimizing quantum exactly. A burst b has
 O(sqrt(b)) intervals, so the scan takes O(sum of sqrt(b_i)) candidates instead
 of the largest burst. :func:`best_quantum` computes L at all of them and T
-only where L says the minimum can still be.
+only where L says the minimum can still be. CTQ splits the pairs once per
+run and filters the split after each round (:meth:`_PairSplit.after_round`).
 
 All arithmetic is exact integer arithmetic, vectorized with numpy int64. Each
 pair adds less than 2 * largest burst, so T stays below n * n * largest
-burst, which :func:`best_quantum` keeps below 2**63. Every total and partial
+burst, which :func:`_split_pairs` keeps below 2**63. Every total and partial
 sum the scan stores adds up non-negative pieces of T, so none passes it, and
 the per-pair values stay below 2 * largest burst; the scan builds no upper
 bound such as a . w + tq * #{inverted pairs}, which could pass 2**63.
-:func:`best_quantum` also rejects more than 4096 tasks and more than
+The split also rejects more than 4096 tasks, and the scan more than
 ``_CANDIDATE_LIMIT`` candidate quanta. Property tests pin the scan to the
 sequential pure-Python evaluation, and L and T to the n x n cell kernel it
 replaced over every quantum.
@@ -83,7 +84,7 @@ from .model import _INT64_LIMIT, TaskSet
 _PAIR_CHUNK_CELLS = 1 << 14
 
 # The pair split compares every two tasks (n * n cells), and T at one
-# candidate walks up to n * (n - 1) / 2 inverted pairs, so best_quantum
+# candidate walks up to n * (n - 1) / 2 inverted pairs, so _split_pairs
 # rejects more than isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
 _SCAN_CELL_LIMIT = 1 << 24
 
@@ -175,8 +176,9 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
     return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n), quantum)
 
 
-def _candidate_quanta(bursts: tuple[int, ...]) -> np.ndarray:
-    """Both ends of every interval on which each (b - 1) // tq is constant.
+def _candidate_quanta(top: np.ndarray) -> np.ndarray:
+    """Both ends of every interval on which each (b - 1) // tq is constant,
+    given the b - 1 of every task as ``top``.
 
     For m = b - 1 and s = isqrt(m), every tq in 1..s+1 is taken. Above s + 1,
     m // tq is some v in 1..s, constant on (m // (v + 1), m // v], or 0 from
@@ -186,12 +188,12 @@ def _candidate_quanta(bursts: tuple[int, ...]) -> np.ndarray:
     [1, largest burst]. Raises ``ValueError`` before allocating when the
     count exceeds ``_CANDIDATE_LIMIT``.
     """
-    m = [b - 1 for b in set(bursts)]
+    m = list(set(top.tolist()))
     s = [isqrt(x) for x in m]
     count = max(s) + 1 + 2 * sum(s)
     if count > _CANDIDATE_LIMIT:
         raise ValueError(
-            f"cannot scan bursts up to {max(bursts)} tu: they give {count} candidate "
+            f"cannot scan bursts up to {max(m) + 1} tu: they give {count} candidate "
             f"quanta, more than the limit of {_CANDIDATE_LIMIT}"
         )
     sizes = np.asarray(s, dtype=np.int64)
@@ -214,19 +216,36 @@ class _PairSplit(NamedTuple):
 
     top: np.ndarray  # b - 1 of every task, in queue order
     weight: np.ndarray  # w of every task, in queue order
-    base: int  # b . w
     gap: np.ndarray  # g of every inverted pair, ascending
-    below: np.ndarray  # below[j] is the sum of gap[:j]
     low: np.ndarray  # b_i - 1 of every inverted pair, in the order of gap
+
+    def after_round(self, quantum: int) -> _PairSplit:
+        """The split once every task has run min(quantum, residual), by a
+        filter that :mod:`ctqsched.ctq` shows to be exact."""
+        left, kept = self.top >= quantum, self.low >= quantum
+        return _PairSplit(
+            self.top[left] - quantum, self.weight[left], self.gap[kept], self.low[kept] - quantum
+        )
 
 
 def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
     """Split the queue pairs k < i into in-order and inverted ones (see the
     module docstring). Task j's w counts the tasks after it in (burst, queue
     position) order: those with a larger burst, and those behind it with the
-    same one."""
+    same one. Raises ``ValueError`` before allocating when n * n * largest
+    burst reaches 2**63 or n * n passes ``_SCAN_CELL_LIMIT``."""
+    n, largest = len(bursts), max(bursts)
+    if n * n * largest >= _INT64_LIMIT:
+        raise ValueError(
+            f"cannot scan {n} tasks with a largest burst of {largest} tu: "
+            "n * n * largest burst must stay below 2**63"
+        )
+    if n * n > _SCAN_CELL_LIMIT:
+        raise ValueError(
+            f"cannot scan {n} tasks: the pair split compares every two tasks, n * n cells, "
+            f"more than the limit of {_SCAN_CELL_LIMIT} (at most {isqrt(_SCAN_CELL_LIMIT)} tasks)"
+        )
     b = np.asarray(bursts, dtype=np.int64)
-    n = b.size
     weight = np.empty(n, dtype=np.int64)
     weight[np.argsort(b, kind="stable")] = np.arange(n - 1, -1, -1, dtype=np.int64)
     earlier, later = np.nonzero(b[:, None] > b)  # b_k > b_i as (k, i)
@@ -234,11 +253,8 @@ def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
     earlier, later = earlier[inverted], later[inverted]
     gap = b[earlier] - b[later]
     order = np.argsort(gap)
-    gap = gap[order]
-    below = np.zeros(gap.size + 1, dtype=np.int64)
-    np.cumsum(gap, out=below[1:])
     top = b - 1
-    return _PairSplit(top, weight, int(b @ weight), gap, below, top[later[order]])
+    return _PairSplit(top, weight, gap[order], top[later[order]])
 
 
 def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
@@ -248,6 +264,8 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     one candidate)."""
     bounds = np.empty(quanta.size, dtype=np.int64)
     pair_count = pairs.gap.size
+    below = np.zeros(pair_count + 1, dtype=np.int64)  # below[j] is the sum of gap[:j]
+    np.cumsum(pairs.gap, out=below[1:])
     step = max(1, _PAIR_CHUNK_CELLS // pairs.top.size)
     for lo in range(0, quanta.size, step):
         tq = quanta[lo : lo + step]
@@ -257,8 +275,8 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
         part += pair_count
         part -= short
         part *= tq
-        part += pairs.below[short]
-    bounds += pairs.base
+        part += below[short]
+    bounds += int((pairs.top + 1) @ pairs.weight)  # b . w
     return bounds
 
 
@@ -286,13 +304,23 @@ def _corrections(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     return corrections
 
 
-def _total_waiting_by_quantum(bursts: tuple[int, ...], quanta: np.ndarray) -> np.ndarray:
-    """Total waiting time T = L + correction for each quantum in ``quanta``
-    (ascending), exactly; see the module docstring."""
-    pairs = _split_pairs(bursts)
-    totals = _lower_bounds(pairs, quanta)
-    totals += _corrections(pairs, quanta)
-    return totals
+def _scan(pairs: _PairSplit) -> QuantumChoice:
+    """The scan of :func:`best_quantum` over the tasks that ``pairs`` splits."""
+    quanta = _candidate_quanta(pairs.top)
+    bounds = _lower_bounds(pairs, quanta)
+    # np.argmin takes the first minimum; scanning a reversed array makes
+    # that the largest minimizing quantum.
+    guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
+    ceiling = bounds[guess] + _corrections(pairs, quanta[guess : guess + 1])[0]
+    alive = np.flatnonzero(bounds <= ceiling)
+    totals = bounds[alive]
+    totals += _corrections(pairs, quanta[alive])
+    best = totals.size - 1 - int(np.argmin(totals[::-1]))
+    return QuantumChoice(
+        quantum=int(quanta[alive[best]]),
+        avg_waiting=Fraction(int(totals[best]), pairs.top.size),
+        candidates_evaluated=int(quanta.size),
+    )
 
 
 def best_quantum(tasks: TaskSet) -> QuantumChoice:
@@ -315,38 +343,7 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     Every minimizer q has L(q) <= T(q) <= the T of step 2, so it reaches
     step 3, and the largest quantum minimizing T there is the answer.
 
-    Raises ``ValueError`` before scanning when n * n * largest burst reaches
-    2**63, where the int64 totals would stop being exact, when one candidate's
-    pair temporaries would take more than ``_SCAN_CELL_LIMIT`` cells
-    (n > 4096), or when there are more than ``_CANDIDATE_LIMIT`` candidate
-    quanta.
+    Raises ``ValueError`` where :func:`_split_pairs` or
+    :func:`_candidate_quanta` do, before either allocates.
     """
-    bursts = tasks.bursts()
-    # Each pair adds less than 2 * largest burst, so the totals stay below
-    # n * n * largest burst.
-    if tasks.n * tasks.n * max(bursts) >= _INT64_LIMIT:
-        raise ValueError(
-            f"cannot scan {tasks.n} tasks with a largest burst of {max(bursts)} tu: "
-            "n * n * largest burst must stay below 2**63"
-        )
-    if tasks.n * tasks.n > _SCAN_CELL_LIMIT:
-        raise ValueError(
-            f"cannot scan {tasks.n} tasks: one candidate quantum takes n * n cells, "
-            f"more than the limit of {_SCAN_CELL_LIMIT} (at most {isqrt(_SCAN_CELL_LIMIT)} tasks)"
-        )
-    quanta = _candidate_quanta(bursts)
-    pairs = _split_pairs(bursts)
-    bounds = _lower_bounds(pairs, quanta)
-    # np.argmin takes the first minimum; scanning a reversed array makes
-    # that the largest minimizing quantum.
-    guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
-    ceiling = bounds[guess] + _corrections(pairs, quanta[guess : guess + 1])[0]
-    alive = np.flatnonzero(bounds <= ceiling)
-    totals = bounds[alive]
-    totals += _corrections(pairs, quanta[alive])
-    best = totals.size - 1 - int(np.argmin(totals[::-1]))
-    return QuantumChoice(
-        quantum=int(quanta[alive[best]]),
-        avg_waiting=Fraction(int(totals[best]), tasks.n),
-        candidates_evaluated=int(quanta.size),
-    )
+    return _scan(_split_pairs(tasks.bursts()))

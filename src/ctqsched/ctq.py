@@ -3,20 +3,27 @@
 Each round every surviving task runs once, in FIFO order, for at most the
 round's quantum (the round loop is :func:`ctqsched.simulate.run_rounds`).
 Between rounds the quantum is re-chosen by running the closed-form candidate
-scan (:func:`ctqsched.analytic.best_quantum`) over the survivors' residual
+scan of :func:`ctqsched.analytic.best_quantum` over the survivors' residual
 work, so short stragglers get flushed out early while a tail of long tasks
 degenerates into cheap FCFS-sized slices.
 
 The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
 scan because it offsets every candidate equally.
+
+The scan's pair split is made once per run and then filtered. With Q the sum
+of the quanta so far, the survivors are the tasks with b > Q, each with
+residual b - Q. A survivor keeps its w, which counts only tasks whose burst
+is at least its own, all of which survive; an inverted pair survives exactly
+when its smaller task does, and keeps its gap. So the filter is exact and
+leaves the pairs sorted by gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytic import best_quantum
+from .analytic import _scan, _split_pairs
 from .model import MetricsReport, Schedule, TaskSet, metrics_from_schedule
 from .simulate import Survivors, run_rounds
 
@@ -53,21 +60,26 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     round of :func:`~ctqsched.simulate.run_rounds`, and the round's record is
     written when its quantum is chosen: the survivors entering it and the
     quantum already say which of them finish in it.
+
+    The first round that scans splits its residuals' pairs, checking the
+    scan's bounds, and later rounds filter that split (module docstring).
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
 
     rounds: list[RoundRecord] = []
+    pairs = None  # the pair split of the survivors, from the first round that scans
 
     def share_for_round(number: int, survivors: Survivors) -> tuple[int, int]:
+        nonlocal pairs
         if number == 1 and first_quantum is not None:
             quantum, chosen_by = first_quantum, "user_supplied"
         else:
-            # The scan reads only bursts, and round 1's residuals are the bursts.
-            residuals = tasks
-            if number > 1:
-                residuals = TaskSet.from_bursts(residual for _, residual in survivors)
-            quantum, chosen_by = best_quantum(residuals).quantum, "optimized"
+            if pairs is None:
+                pairs = _split_pairs(tuple(residual for _, residual in survivors))
+            else:
+                pairs = pairs.after_round(rounds[-1].quantum)
+            quantum, chosen_by = _scan(pairs).quantum, "optimized"
         rounds.append(
             RoundRecord(
                 number=number,

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,17 @@ def task_sets(max_n: int = 10, max_burst: int = 60):
     return st.lists(
         st.integers(min_value=1, max_value=max_burst), min_size=1, max_size=max_n
     ).map(TaskSet.from_bursts)
+
+
+def drain_bursts(max_n: int = 60):
+    """Bursts of the CTQ drain workload: up to ``max_n`` tasks, log-uniform in
+    [1, 1000], so most pairs sit far apart and a few close together, and CTQ
+    runs several rounds."""
+    return st.lists(
+        st.floats(0, math.log(1000)).map(lambda x: max(1, round(math.exp(x)))),
+        min_size=1,
+        max_size=max_n,
+    )
 
 
 def bimodal_task_set(seed: int) -> TaskSet:

@@ -9,6 +9,10 @@ them total for total, slice for slice and report for report. The optimal
 search over quantum sequences is a bound, not an equal: no schedule that
 CTQ or fixed RR makes can wait less.
 
+``pair_split_totals`` is not a reference: it runs the package's exact pass
+at every quantum it is given, so that tests can pin that pass to the cell
+kernel.
+
 The package keeps a schedule as int64 columns only; ``Slice`` and the
 helpers after it give the tests its rows as named records.
 """
@@ -31,6 +35,7 @@ from ctqsched import (
     TaskSet,
     best_quantum,
 )
+from ctqsched.analytic import _corrections, _lower_bounds, _split_pairs
 
 
 class Slice(NamedTuple):
@@ -94,6 +99,16 @@ def reference_total_waiting(bursts, quanta):
     cap = (nq[:, :, None] + earlier[None, :, :]) * tq[:, None, None]
     ran_ahead = np.minimum(b[None, None, :], cap).sum(axis=2)
     return (ran_ahead - nq * tq[:, None]).sum(axis=1)
+
+
+def pair_split_totals(bursts, quanta):
+    """Total waiting time T = L + correction for each quantum in ``quanta``
+    (ascending), through the package's pair split: the exact pass of the
+    scan, run at every quantum it is given."""
+    pairs = _split_pairs(bursts)
+    totals = _lower_bounds(pairs, quanta)
+    totals += _corrections(pairs, quanta)
+    return totals
 
 
 def reference_rounds(tasks, share_for_round):

@@ -1,6 +1,5 @@
 """Closed-form waiting times against the slice-by-slice oracle."""
 
-import math
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import task_sets
+from conftest import drain_bursts, task_sets
 from ctqsched import (
     Task,
     TaskSet,
@@ -22,13 +21,8 @@ from ctqsched import (
     simulate_fixed_rr,
     waiting_profile,
 )
-from ctqsched.analytic import (
-    _candidate_quanta,
-    _lower_bounds,
-    _split_pairs,
-    _total_waiting_by_quantum,
-)
-from reference import reference_total_waiting, task_slices
+from ctqsched.analytic import _candidate_quanta, _lower_bounds, _split_pairs
+from reference import pair_split_totals, reference_total_waiting, task_slices
 
 
 class TestFullQuanta:
@@ -219,7 +213,7 @@ def assert_pair_kernel_equals_the_oracle(tasks):
     expected = reference_total_waiting(tasks.bursts(), quanta)
     bounds = _lower_bounds(_split_pairs(tasks.bursts()), quanta)
     assert (bounds <= expected).all()
-    totals = _total_waiting_by_quantum(tasks.bursts(), quanta)
+    totals = pair_split_totals(tasks.bursts(), quanta)
     assert totals.tolist() == expected.tolist()
 
 
@@ -258,24 +252,17 @@ def largest_minimizer(bursts, quanta):
     return int(quanta[best]), int(totals[best])
 
 
-# A CTQ round of the drain workload: up to 60 tasks, bursts log-uniform in
-# [1, 1000], so most pairs sit far apart and a few close together.
-log_uniform_bursts = st.lists(
-    st.floats(0, math.log(1000)).map(lambda x: max(1, round(math.exp(x)))), min_size=1, max_size=60
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(bursts=log_uniform_bursts)
+@given(bursts=drain_bursts())  # one CTQ round of the drain workload
 def test_pruned_scan_at_the_drain_shape(bursts):
     """Over the candidate quanta, the scan picks the cell kernel's largest
     minimizer at its total, and evaluates every candidate exactly."""
-    quanta = _candidate_quanta(tuple(bursts))
+    quanta = _candidate_quanta(np.asarray(bursts) - 1)
     quantum, total = largest_minimizer(bursts, quanta)
     choice = best_quantum(TaskSet.from_bursts(bursts))
     assert (choice.quantum, choice.avg_waiting) == (quantum, Fraction(total, len(bursts)))
     assert choice.candidates_evaluated == quanta.size
-    exact = _total_waiting_by_quantum(tuple(bursts), quanta)
+    exact = pair_split_totals(bursts, quanta)
     assert exact.tolist() == reference_total_waiting(bursts, quanta).tolist()
 
 

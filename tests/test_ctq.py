@@ -1,15 +1,19 @@
 """Per-round quantum re-optimization."""
 
 from fractions import Fraction
+from unittest.mock import Mock, patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import task_sets
+from conftest import drain_bursts, task_sets
 from ctqsched import (
     TaskSet,
+    analytic,
     best_quantum,
+    ctq,
     metrics_from_schedule,
     run_ctq,
     simulate_fcfs,
@@ -155,3 +159,83 @@ def test_ctq_matters_on_bimodal_bursts(bimodal_workloads):
         multi_round += len(trace.rounds) > 1
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
     assert (multi_round, strictly_less) == (289, 284)
+
+
+def carried_splits(tasks, first=None):
+    """The pair split each scanning round of ``run_ctq(tasks, first)`` scanned,
+    with that round's number and residuals, and how often the pairs were
+    split afresh."""
+    split = Mock(wraps=analytic._split_pairs)
+    with (
+        patch.object(ctq, "_scan", wraps=analytic._scan) as scan,
+        patch.object(ctq, "_split_pairs", split),
+        patch.object(analytic, "_split_pairs", split),
+    ):
+        trace = run_ctq(tasks, first)
+    optimized = [r for r in trace.rounds if r.chosen_by == "optimized"]
+    assert scan.call_count == len(optimized)
+    rounds = [
+        (record.number, [residual for _, residual in record.survivors_before], call.args[0])
+        for record, call in zip(optimized, scan.call_args_list)
+    ]
+    return rounds, split.call_count
+
+
+def assert_carried_splits_are_fresh(tasks, first=None):
+    """In every round that scans, the split CTQ carried equals a fresh split
+    of the round's residuals: the same top and w, and the same multiset of
+    (g, b_i - 1) pairs, ascending in g (equal gaps may come in another
+    order). Returns the carried splits by round number."""
+    rounds, split_count = carried_splits(tasks, first)
+    assert split_count == min(1, len(rounds))
+    for _, residuals, carried in rounds:
+        fresh = analytic._split_pairs(residuals)
+        assert carried.top.tolist() == fresh.top.tolist()
+        assert carried.weight.tolist() == fresh.weight.tolist()
+        gaps = carried.gap.tolist()
+        assert gaps == sorted(gaps)
+        assert sorted(zip(gaps, carried.low.tolist())) == sorted(
+            zip(fresh.gap.tolist(), fresh.low.tolist())
+        )
+    return {number: carried for number, _, carried in rounds}
+
+
+@settings(max_examples=100, deadline=None)
+@given(bursts=drain_bursts(), first=st.one_of(st.none(), st.integers(1, 1000)))
+def test_carried_split_equals_a_fresh_one_in_every_round(bursts, first):
+    assert_carried_splits_are_fresh(TaskSet.from_bursts(bursts), first)
+
+
+class TestCarriedSplit:
+    def test_single_task(self):
+        splits = assert_carried_splits_are_fresh(TaskSet.from_bursts([13]))
+        assert list(splits) == [1]
+        assert splits[1].gap.size == 0
+
+    def test_equal_bursts_have_no_inverted_pairs(self):
+        splits = assert_carried_splits_are_fresh(TaskSet.from_bursts([500] * 12))
+        assert list(splits) == [1]
+        assert splits[1].gap.size == 0
+
+    def test_the_carry_drops_every_pair(self):
+        # Quantum 1 finishes the 1; the 3 and 4 left are in order.
+        splits = assert_carried_splits_are_fresh(TaskSet.from_bursts([4, 5, 1]))
+        assert list(splits) == [1, 2]
+        assert (splits[1].gap.size, splits[2].gap.size) == (2, 0)
+
+    @pytest.mark.parametrize("bursts", [[13], [500] * 12, [20, 20, 5, 3, 1]])
+    def test_a_supplied_first_quantum_splits_at_round_two(self, bursts):
+        splits = assert_carried_splits_are_fresh(TaskSet.from_bursts(bursts), 1)
+        assert min(splits) == 2
+
+
+def test_a_ctq_run_splits_once_and_builds_no_task_set():
+    """On a 48-task drain set, CTQ splits the pairs once, in round 1, and
+    builds no TaskSet for the survivors of any later round."""
+    rng = np.random.default_rng(48)
+    bursts = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
+    tasks = TaskSet.from_bursts(bursts)
+    with patch.object(TaskSet, "from_bursts", wraps=TaskSet.from_bursts) as build:
+        rounds, split_count = carried_splits(tasks)
+    assert len(rounds) == 4
+    assert (split_count, build.call_count) == (1, 0)

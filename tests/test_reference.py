@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import task_sets
+from conftest import drain_bursts, task_sets
 from ctqsched import (
     InvariantViolation,
     Schedule,
@@ -74,6 +74,18 @@ def test_fixed_policies_equal_the_reference_loop(tasks, quantum, drawn, referenc
     first=st.one_of(st.none(), st.integers(1, 500)),
 )
 def test_ctq_trace_equals_the_reference_loop(tasks, first):
+    assert_ctq_trace_equals_the_reference_loop(tasks, first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bursts=drain_bursts(max_n=48), first=st.one_of(st.none(), st.integers(1, 1000)))
+def test_ctq_trace_equals_the_reference_loop_at_the_drain_shape(bursts, first):
+    """Several rounds, after each of which the carried pair split drops the
+    pairs of the tasks that finished; the reference rescans from scratch."""
+    assert_ctq_trace_equals_the_reference_loop(TaskSet.from_bursts(bursts), first)
+
+
+def assert_ctq_trace_equals_the_reference_loop(tasks, first):
     trace = run_ctq(tasks, first)
     records, expected = reference_ctq(tasks, first)
     assert trace.rounds == records
