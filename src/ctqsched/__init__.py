@@ -33,7 +33,7 @@ from .model import (
     format_fraction,
     metrics_from_schedule,
 )
-from .simulate import simulate_fcfs, simulate_fixed_rr, simulate_wrr
+from .simulate import simulate_fcfs, simulate_fixed_rr
 from .workload import TaskFileError, WorkloadSpec, generate, load_tasks, save_tasks
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "metrics_from_schedule",
     "simulate_fcfs",
     "simulate_fixed_rr",
-    "simulate_wrr",
     "TaskFileError",
     "WorkloadSpec",
     "generate",

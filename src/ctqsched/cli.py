@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``simulate`` -- run one scheduler on a task file; prints a metrics block,
-  plus the slice list (``task_id,start,end,round`` lines) with ``--gantt``.
+* ``simulate`` -- run one scheduler (fixed RR, FCFS or CTQ) on a task file
+  of ``id,burst`` lines; prints a metrics block, plus the slice list
+  (``task_id,start,end,round`` lines) with ``--gantt``.
 * ``best-tq``  -- report the quantum minimizing average waiting time.
 * ``compare``  -- fixed RR vs CTQ vs FCFS over seeded workloads, CSV or JSON.
 * ``generate`` -- write a seeded random task file.
@@ -34,7 +35,7 @@ from .model import (
     format_fraction,
     metrics_from_schedule,
 )
-from .simulate import simulate_fcfs, simulate_fixed_rr, simulate_wrr
+from .simulate import simulate_fcfs, simulate_fixed_rr
 from .workload import WorkloadSpec, generate, load_tasks, save_tasks
 
 
@@ -78,12 +79,10 @@ def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     tasks = _read_tasks(args.tasks)
     trace: CtqTrace | None = None
-    if args.algo in ("rr", "wrr") and args.tq is None:
-        raise UsageError(f"--tq is required for --algo {args.algo}")
     if args.algo == "rr":
+        if args.tq is None:
+            raise UsageError("--tq is required for --algo rr")
         schedule = simulate_fixed_rr(tasks, args.tq)
-    elif args.algo == "wrr":
-        schedule = simulate_wrr(tasks, args.tq, args.reference_weight)
     elif args.algo == "fcfs":
         schedule = simulate_fcfs(tasks)
     else:  # ctq
@@ -95,10 +94,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.gantt:
         lines.extend(_gantt_lines(schedule))
     lines.append(f"algorithm: {args.algo}")
-    if args.algo in ("rr", "wrr"):
+    if args.algo == "rr":
         lines.append(f"quantum: {args.tq}")
-    if args.algo == "wrr":
-        lines.append(f"reference_weight: {args.reference_weight}")
     if trace is not None:
         lines.append(f"rounds: {len(trace.rounds)}")
         lines.append(f"tq_sequence: {'|'.join(map(str, trace.quantum_sequence))}")
@@ -157,11 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one scheduler on a task file")
-    p.add_argument("--tasks", required=True, help="task file (id,burst[,weight] per line)")
-    p.add_argument("--algo", required=True, choices=("rr", "ctq", "fcfs", "wrr"))
-    p.add_argument("--tq", type=int, help="quantum for rr/wrr (tu)")
+    p.add_argument("--tasks", required=True, help="task file (id,burst per line)")
+    p.add_argument("--algo", required=True, choices=("rr", "ctq", "fcfs"))
+    p.add_argument("--tq", type=int, help="quantum for rr (tu)")
     p.add_argument("--first-tq", type=int, help="round-1 quantum for ctq (default: optimized)")
-    p.add_argument("--reference-weight", type=int, default=10, help="wrr full-quantum weight")
     p.add_argument("--gantt", action="store_true", help="also print the slice list")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_simulate)

@@ -41,20 +41,16 @@ def check_total_burst(total: int) -> None:
 
 @dataclass(frozen=True)
 class Task:
-    """A unit of work: ``burst`` tu of CPU time, known before scheduling starts.
-    ``weight`` only matters to weighted round robin."""
+    """A unit of work: ``burst`` tu of CPU time, known before scheduling starts."""
 
     id: int
     burst: int
-    weight: int = 1
 
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"task id must be non-negative, got {self.id}")
         if self.burst < 1:
             raise ValueError(f"task {self.id}: burst must be at least 1 tu, got {self.burst}")
-        if self.weight < 1:
-            raise ValueError(f"task {self.id}: weight must be at least 1, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +75,9 @@ class TaskSet:
             seen.add(task.id)
 
     @classmethod
-    def from_bursts(
-        cls, bursts: Iterable[int], weights: Iterable[int] | None = None
-    ) -> "TaskSet":
+    def from_bursts(cls, bursts: Iterable[int]) -> "TaskSet":
         """Build a queue T1..Tn from burst times; ids follow queue order."""
-        bursts = list(bursts)
-        weights = [1] * len(bursts) if weights is None else list(weights)
-        pairs = enumerate(zip(bursts, weights, strict=True))
-        return cls(tuple([Task(i + 1, burst, weight) for i, (burst, weight) in pairs]))
+        return cls(tuple([Task(i, burst) for i, burst in enumerate(bursts, start=1)]))
 
     @property
     def n(self) -> int:

@@ -7,10 +7,10 @@ same spec reproduces the same task set on any platform.
 Task files are plain text, one task per line::
 
     # comment
-    id,burst[,weight]
+    id,burst
 
 UTF-8, LF or CRLF accepted (the command line also drops a leading byte-order
-mark); saves emit LF and omit the weight when it is 1.
+mark); saves emit LF. A line with any other number of fields is an error.
 """
 
 from __future__ import annotations
@@ -77,20 +77,16 @@ def load_tasks(source: str) -> TaskSet:
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) not in (2, 3):
-            raise TaskFileError(
-                line_number, f"expected 'id,burst[,weight]', got {raw.strip()!r}"
-            )
+        if len(fields) != 2:
+            raise TaskFileError(line_number, f"expected 'id,burst', got {raw.strip()!r}")
         try:
-            values = [int(f) for f in fields]
+            task_id, burst = [int(f) for f in fields]
         except ValueError:
             raise TaskFileError(line_number, f"non-integer field in {raw.strip()!r}") from None
-        task_id, burst = values[0], values[1]
-        weight = values[2] if len(values) == 3 else 1
         if task_id in seen:
             raise TaskFileError(line_number, f"duplicate task id {task_id}")
         try:
-            task = Task(id=task_id, burst=burst, weight=weight)
+            task = Task(id=task_id, burst=burst)
         except ValueError as exc:
             raise TaskFileError(line_number, str(exc)) from None
         seen.add(task_id)
@@ -102,10 +98,4 @@ def load_tasks(source: str) -> TaskSet:
 
 def save_tasks(tasks: TaskSet) -> str:
     """Serialize to the task file format; load(save(t)) == t."""
-    lines = []
-    for task in tasks:
-        if task.weight != 1:
-            lines.append(f"{task.id},{task.burst},{task.weight}")
-        else:
-            lines.append(f"{task.id},{task.burst}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{task.id},{task.burst}\n" for task in tasks)

@@ -147,11 +147,6 @@ def reference_fcfs(tasks):
     return _slices(tasks, lambda number, survivors: [burst for _, burst in survivors])
 
 
-def reference_wrr(tasks, quantum, reference_weight=10):
-    shares = {task.id: max(1, quantum * task.weight // reference_weight) for task in tasks}
-    return _slices(tasks, lambda number, survivors: [shares[i] for i, _ in survivors])
-
-
 def reference_ctq(tasks, first_quantum=None):
     """CTQ's round records and slices, rescanning before every round."""
     choices = []

@@ -113,9 +113,7 @@ class TestWaitingProfile:
 
     def test_relabelling_ids_keeps_totals(self):
         base = TaskSet.from_bursts([24, 3, 3])
-        relabelled = TaskSet(
-            tuple(Task(id=t.id + 10, burst=t.burst, weight=t.weight) for t in base)
-        )
+        relabelled = TaskSet(tuple(Task(id=t.id + 10, burst=t.burst) for t in base))
         assert (
             waiting_profile(relabelled, 4).total_waiting
             == waiting_profile(base, 4).total_waiting

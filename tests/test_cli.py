@@ -105,10 +105,9 @@ class TestSimulate:
         assert "makespan: 30" in out_path.read_text()
 
     def test_missing_quantum_is_usage_error(self, capsys, long_then_short):
-        for algo in ("rr", "wrr"):
-            code, _, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", algo)
-            assert code == 2
-            assert err == f"error: --tq is required for --algo {algo}\n"
+        code, _, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", "rr")
+        assert code == 2
+        assert err == "error: --tq is required for --algo rr\n"
 
     def test_broken_schedule_is_invariant_violation(self, monkeypatch, capsys, long_then_short):
         def fcfs_without_last_slice(tasks):
@@ -267,6 +266,16 @@ class TestUsage:
             main(["best-tq"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--algo", "wrr"), ("--algo", "rr", "--reference-weight", "10")],
+        ids=["wrr", "reference-weight"],
+    )
+    def test_unknown_algorithm_or_flag_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--tasks", "four.tasks", *flags, "--tq", "4"])
+        assert exc.value.code == 2
+
 
 class TestSharedParser:
     """``main`` parses every call in a process with one parser."""
@@ -351,14 +360,10 @@ MANY_SLICES = "1,5\n2,1000000000000\n"
     "text,command",
     [
         (HUGE_TOTAL, ("simulate", "--algo", "rr", "--tq", "1")),
-        (HUGE_TOTAL, ("simulate", "--algo", "wrr", "--tq", "1")),
         (HUGE_TOTAL, ("simulate", "--algo", "fcfs")),
         (MANY_SLICES, ("simulate", "--algo", "rr", "--tq", "1")),
-        (MANY_SLICES, ("simulate", "--algo", "wrr", "--tq", "1")),
     ],
-    ids=[
-        "huge-total-rr", "huge-total-wrr", "huge-total-fcfs", "many-slices-rr", "many-slices-wrr",
-    ],
+    ids=["huge-total-rr", "huge-total-fcfs", "many-slices-rr"],
 )
 def test_oversized_simulation_is_validation_error(tmp_path, text, command):
     start = time.perf_counter()
@@ -367,6 +372,13 @@ def test_oversized_simulation_is_validation_error(tmp_path, text, command):
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
     assert time.perf_counter() - start < 10
+
+
+def test_third_column_is_validation_error(tmp_path):
+    result = run_cli_process(tmp_path, "1,4\n2,5,10\n", "simulate", "--algo", "rr", "--tq", "4")
+    assert result.returncode == 3
+    assert result.stderr == "error: line 2: expected 'id,burst', got '2,5,10'\n"
+    assert "Traceback" not in result.stderr
 
 
 def test_byte_order_mark_is_accepted(tmp_path, capsys):
@@ -397,8 +409,8 @@ def test_too_many_candidate_quanta_is_validation_error(tmp_path):
 
 @pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
 def test_too_many_tasks_for_the_scan_is_validation_error(tmp_path, command):
-    # One candidate quantum takes n * n = 25 * 10**6 cells, past the scan's
-    # chunk limit; the scan must refuse before it allocates them.
+    # The pair split compares every two tasks, n * n = 25 * 10**6 cells, past
+    # the 4096-task bound; the scan must refuse before it allocates them.
     text = "".join(f"{i},5\n" for i in range(1, 5001))
     result = run_cli_process(tmp_path, text, *command)
     assert result.returncode == 3
@@ -463,7 +475,7 @@ def test_best_tq_survives_hostile_task_files(text):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     text=_HOSTILE_TEXT,
-    algo=st.sampled_from(["rr", "wrr", "fcfs", "ctq"]),
+    algo=st.sampled_from(["rr", "fcfs", "ctq"]),
     # Each quantum either keeps the slice count small for every burst above
     # or pushes it past the slice limit, so no example builds millions.
     tq=st.sampled_from([1, 1000, 10**6, 10**20]),

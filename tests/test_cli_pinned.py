@@ -8,8 +8,7 @@ import pytest
 
 from ctqsched.cli import main
 
-# Weights only matter to wrr; task 3 (weight 3) gets 1 tu slices at quantum 4.
-WEIGHTED_FOUR = "1,20,10\n2,7,5\n3,12,3\n4,2,20\n"
+FOUR_TASKS = "1,20\n2,7\n3,12\n4,2\n"
 
 SIMULATE_GANTT = {
     "rr": """\
@@ -36,43 +35,6 @@ task 1: completion=41 turnaround=41 waiting=21 switches=3 slices=5
 task 2: completion=21 turnaround=21 waiting=14 switches=1 slices=2
 task 3: completion=33 turnaround=33 waiting=21 switches=2 slices=3
 task 4: completion=14 turnaround=14 waiting=12 switches=0 slices=1
-""",
-    "wrr": """\
-1,0,4,1
-2,4,6,1
-3,6,7,1
-4,7,9,1
-1,9,13,2
-2,13,15,2
-3,15,16,2
-1,16,20,3
-2,20,22,3
-3,22,23,3
-1,23,27,4
-2,27,28,4
-3,28,29,4
-1,29,33,5
-3,33,34,5
-3,34,35,6
-3,35,36,7
-3,36,37,8
-3,37,38,9
-3,38,39,10
-3,39,40,11
-3,40,41,12
-algorithm: wrr
-quantum: 4
-reference_weight: 10
-tasks: 4
-makespan: 41
-total_waiting: 70
-avg_waiting: 17.5
-avg_turnaround: 27.75
-context_switches: 11
-task 1: completion=33 turnaround=33 waiting=13 switches=4 slices=5
-task 2: completion=28 turnaround=28 waiting=21 switches=3 slices=4
-task 3: completion=41 turnaround=41 waiting=29 switches=4 slices=12
-task 4: completion=9 turnaround=9 waiting=7 switches=0 slices=1
 """,
     "fcfs": """\
 1,0,20,1
@@ -172,16 +134,16 @@ def stdout_of(capsys, *argv):
 
 @pytest.mark.parametrize("algo", sorted(SIMULATE_GANTT))
 def test_simulate_gantt_bytes(tmp_path, capsys, algo):
-    path = tmp_path / "weighted.tasks"
-    path.write_text(WEIGHTED_FOUR)
-    quantum = ("--tq", "4") if algo in ("rr", "wrr") else ()
+    path = tmp_path / "four.tasks"
+    path.write_text(FOUR_TASKS)
+    quantum = ("--tq", "4") if algo == "rr" else ()
     out = stdout_of(capsys, "simulate", "--tasks", str(path), "--algo", algo, *quantum, "--gantt")
     assert out == SIMULATE_GANTT[algo]
 
 
 def test_best_tq_bytes(tmp_path, capsys):
-    path = tmp_path / "weighted.tasks"
-    path.write_text(WEIGHTED_FOUR)
+    path = tmp_path / "four.tasks"
+    path.write_text(FOUR_TASKS)
     assert stdout_of(capsys, "best-tq", "--tasks", str(path)) == BEST_TQ
 
 

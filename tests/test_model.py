@@ -47,10 +47,6 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match="burst"):
             Task(id=1, burst=0)
 
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError, match="weight"):
-            Task(id=1, burst=5, weight=0)
-
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError, match="id"):
             Task(id=-1, burst=5)
@@ -67,10 +63,6 @@ class TestTaskSet:
         assert ts.bursts() == (24, 3, 3)
         assert ts.n == 3
         assert sum(ts.bursts()) == 30
-
-    def test_from_bursts_with_weights(self):
-        ts = TaskSet.from_bursts([10, 20], weights=[7, 4])
-        assert [t.weight for t in ts] == [7, 4]
 
 
 def edited(schedule, change):

@@ -1,4 +1,4 @@
-"""The round loop and its executors: fixed RR, FCFS, weighted RR."""
+"""The round loop and its executors: fixed RR and FCFS."""
 
 from fractions import Fraction
 
@@ -14,7 +14,6 @@ from ctqsched import (
     metrics_from_schedule,
     simulate_fcfs,
     simulate_fixed_rr,
-    simulate_wrr,
 )
 from ctqsched.simulate import run_rounds
 from reference import Slice, slices, task_slices
@@ -70,32 +69,6 @@ class TestFCFS:
             simulate_fcfs(TaskSet(()))
 
 
-class TestWeightedRR:
-    def test_weights_scale_the_quantum(self):
-        tasks = TaskSet.from_bursts([21, 12, 27], weights=[7, 4, 9])
-        schedule = simulate_wrr(tasks, 10, reference_weight=10)
-        assert [s.length for s in slices(schedule)[:3]] == [7, 4, 9]
-
-    def test_reference_weight_reduces_to_fixed_rr(self):
-        tasks = TaskSet.from_bursts([13, 5, 9], weights=[10, 10, 10])
-        assert simulate_wrr(tasks, 4, reference_weight=10) == simulate_fixed_rr(tasks, 4)
-
-    def test_light_task_gets_unit_slices(self):
-        tasks = TaskSet.from_bursts([3], weights=[1])
-        schedule = simulate_wrr(tasks, 10, reference_weight=10)
-        assert [s.length for s in slices(schedule)] == [1, 1, 1]
-
-    def test_share_is_clamped_to_one(self):
-        # weight so small the scaled share would floor to zero
-        tasks = TaskSet.from_bursts([2], weights=[1])
-        schedule = simulate_wrr(tasks, 10, reference_weight=100)
-        assert [s.length for s in slices(schedule)] == [1, 1]
-
-    def test_rejects_bad_reference_weight(self):
-        with pytest.raises(ValueError):
-            simulate_wrr(TaskSet.from_bursts([5]), 10, reference_weight=0)
-
-
 def rounds_with_quanta(tasks, quanta):
     """Every round of the loop when round r gives each survivor quanta[r - 1]
     for that round only: its number, the survivors entering it, its slices."""
@@ -147,17 +120,11 @@ class TestRunRounds:
 @given(
     tasks=task_sets(),
     quantum=st.integers(min_value=1, max_value=70),
-    weights=st.lists(st.integers(min_value=1, max_value=20), min_size=10, max_size=10),
-    policy=st.sampled_from(["rr", "wrr", "fcfs"]),
+    policy=st.sampled_from(["rr", "fcfs"]),
 )
-def test_schedule_invariants(tasks, quantum, weights, policy):
-    tasks = TaskSet.from_bursts(tasks.bursts(), weights[: tasks.n])
+def test_schedule_invariants(tasks, quantum, policy):
     run, share = {
         "rr": (lambda: simulate_fixed_rr(tasks, quantum), lambda task: quantum),
-        "wrr": (
-            lambda: simulate_wrr(tasks, quantum, reference_weight=10),
-            lambda task: max(1, quantum * task.weight // 10),
-        ),
         "fcfs": (lambda: simulate_fcfs(tasks), lambda task: task.burst),
     }[policy]
     schedule = run()
@@ -184,10 +151,3 @@ def test_schedule_invariants(tasks, quantum, weights, policy):
 @given(tasks=task_sets())
 def test_quantum_at_largest_burst_degenerates_to_fcfs(tasks):
     assert slices(simulate_fixed_rr(tasks, max(tasks.bursts()))) == slices(simulate_fcfs(tasks))
-
-
-@given(tasks=task_sets(max_n=6, max_burst=30), quantum=st.integers(1, 40))
-def test_wrr_conserves_work(tasks, quantum):
-    schedule = simulate_wrr(tasks, quantum, reference_weight=10)
-    report = metrics_from_schedule(schedule, tasks)  # validates conservation
-    assert report.makespan == sum(tasks.bursts())

@@ -50,11 +50,6 @@ class TestTaskFiles:
         text = "# fleet\r\n\r\n1,24\r\n2,3  # trailing note\r\n3,3\r\n"
         assert load_tasks(text) == TaskSet.from_bursts([24, 3, 3])
 
-    def test_weights_round_trip(self):
-        ts = TaskSet.from_bursts([10, 20, 30], weights=[7, 1, 9])
-        assert load_tasks(save_tasks(ts)) == ts
-        assert save_tasks(ts) == "1,10,7\n2,20\n3,30,9\n"
-
     def test_save_load_identity(self):
         ts = generate(WorkloadSpec(n=20, burst_min=1, burst_max=100, seed=5))
         assert load_tasks(save_tasks(ts)) == ts
@@ -74,6 +69,8 @@ class TestTaskFiles:
     def test_malformed_line_reports_line(self):
         with pytest.raises(TaskFileError, match="line 2"):
             load_tasks("1,4\n2;5")
+        with pytest.raises(TaskFileError, match="line 2"):
+            load_tasks("1,4\n2,5,10")
         with pytest.raises(TaskFileError, match="line 1"):
             load_tasks("1,four")
 
@@ -82,12 +79,7 @@ class TestTaskFiles:
             load_tasks("# nothing here\n")
 
 
-@given(
-    bursts=st.lists(st.integers(1, 1000), min_size=1, max_size=30),
-    weights=st.none() | st.lists(st.integers(1, 20), min_size=30, max_size=30),
-)
-def test_round_trip_property(bursts, weights):
-    if weights is not None:
-        weights = weights[: len(bursts)]
-    ts = TaskSet.from_bursts(bursts, weights)
+@given(bursts=st.lists(st.integers(1, 1000), min_size=1, max_size=30))
+def test_round_trip_property(bursts):
+    ts = TaskSet.from_bursts(bursts)
     assert load_tasks(save_tasks(ts)) == ts
