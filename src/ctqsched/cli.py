@@ -68,10 +68,10 @@ def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:
         f"avg_turnaround: {format_fraction(metrics.avg_turnaround)}",
         f"context_switches: {metrics.total_context_switches}",
     ]
-    for m in metrics.per_task:
+    for task_id, completion, turnaround, waiting, switches, slices in metrics.per_task:
         lines.append(
-            f"task {m.task_id}: completion={m.completion} turnaround={m.turnaround} "
-            f"waiting={m.waiting} switches={m.context_switches} slices={m.slice_count}"
+            f"task {task_id}: completion={completion} turnaround={turnaround} "
+            f"waiting={waiting} switches={switches} slices={slices}"
         )
     return lines
 

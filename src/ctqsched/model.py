@@ -5,7 +5,9 @@ context switches cost nothing, and a schedule is a gapless timeline starting
 at 0. Aggregate averages are exact ``Fraction``s so metric comparisons never
 depend on float rounding.
 
-A :class:`Schedule` stores its slices as int64 columns (queue slot, start,
+A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
+:class:`Task` and :class:`TaskMetrics` are named-tuple rows. A
+:class:`Schedule` stores its slices as int64 columns (queue slot, start,
 end, round) and nothing else, so :func:`metrics_from_schedule` runs over
 whole columns instead of walking one slice at a time. int64 times are exact
 while the total burst stays below 2**63 tu; both the round loop in
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -39,61 +41,79 @@ def check_total_burst(total: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Task:
-    """A unit of work: ``burst`` tu of CPU time, known before scheduling starts."""
+class Task(NamedTuple):
+    """One row of a :class:`TaskSet`: ``burst`` tu of CPU time, known before
+    scheduling starts. A row checks nothing; its task set does."""
 
     id: int
     burst: int
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"task id must be non-negative, got {self.id}")
-        if self.burst < 1:
-            raise ValueError(f"task {self.id}: burst must be at least 1 tu, got {self.burst}")
 
-
-@dataclass(frozen=True)
 class TaskSet:
-    """Tasks in FIFO queue order, all arriving at time 0.
-
-    Queue order is significant: a task's waiting time depends on who sits
-    ahead of it, so every operation in this package preserves the order.
-    It holds at least one task and no id twice, checked here and nowhere else.
+    """Tasks in FIFO queue order, all arriving at time 0, as two tuples of one
+    length, ``ids`` and ``bursts()``; indexing and iteration yield :class:`Task`
+    rows. Queue order is significant: a task's waiting time depends on who
+    sits ahead of it, so every operation in this package preserves it. A set
+    holds at least one task, no negative id, no burst below 1 tu and no id
+    twice, checked here and nowhere else.
     """
 
-    tasks: tuple[Task, ...]
+    __slots__ = ("ids", "_bursts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        if not self.tasks:
-            raise ValueError("a task set needs at least one task")
-        seen: set[int] = set()
-        for task in self.tasks:
-            if task.id in seen:
-                raise ValueError(f"duplicate task id {task.id}")
-            seen.add(task.id)
+    def __init__(self, ids: Iterable[int], bursts: Iterable[int]) -> None:
+        ids, bursts = tuple(ids), tuple(bursts)
+        # One pass of C builtins; only columns that fail it are walked.
+        n = len(ids)
+        valid = n == len(bursts) and n and min(ids) >= 0 and min(bursts) >= 1
+        if not (valid and len(set(ids)) == n):
+            _raise_first_task_fault(ids, bursts)
+        self.ids, self._bursts = ids, bursts
 
     @classmethod
     def from_bursts(cls, bursts: Iterable[int]) -> "TaskSet":
         """Build a queue T1..Tn from burst times; ids follow queue order."""
-        return cls(tuple([Task(i, burst) for i, burst in enumerate(bursts, start=1)]))
+        bursts = tuple(bursts)
+        return cls(range(1, len(bursts) + 1), bursts)
 
     @property
     def n(self) -> int:
-        return len(self.tasks)
+        return len(self.ids)
 
     def bursts(self) -> tuple[int, ...]:
-        return tuple(task.burst for task in self.tasks)
+        return self._bursts
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Task]:
-        return iter(self.tasks)
+        return map(Task, self.ids, self._bursts)
 
     def __getitem__(self, index: int) -> Task:
-        return self.tasks[index]
+        return Task(self.ids[index], self._bursts[index])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TaskSet) and (self.ids, self._bursts) == (other.ids, other._bursts)
+
+    def __repr__(self) -> str:
+        return f"TaskSet(ids={self.ids}, bursts={self._bursts})"
+
+
+def _raise_first_task_fault(ids: tuple[int, ...], bursts: tuple[int, ...]) -> NoReturn:
+    """Raise the first fault of columns that failed the task-set test: unequal
+    lengths, no task, then each row in queue order (a negative id, then a
+    burst below 1 tu), then the first id that repeats."""
+    if len(ids) != len(bursts):
+        raise ValueError(f"task set columns differ in length: {len(ids)} ids, {len(bursts)} bursts")
+    if not ids:
+        raise ValueError("a task set needs at least one task")
+    for task_id, burst in zip(ids, bursts):
+        if task_id < 0:
+            raise ValueError(f"task id must be non-negative, got {task_id}")
+        if burst < 1:
+            raise ValueError(f"task {task_id}: burst must be at least 1 tu, got {burst}")
+    seen: set[int] = set()
+    repeat = next(task_id for task_id in ids if task_id in seen or seen.add(task_id))
+    raise ValueError(f"duplicate task id {repeat}")
 
 
 class Schedule:
@@ -161,8 +181,7 @@ class Schedule:
         return f"Schedule({len(self)} slices, makespan={self.makespan})"
 
 
-@dataclass(frozen=True)
-class TaskMetrics:
+class TaskMetrics(NamedTuple):
     task_id: int
     completion: int
     turnaround: int
@@ -208,8 +227,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     slice end, and switches from a shifted compare of neighbouring slices.
     Only a schedule that fails the test is walked, to find its first fault.
     """
-    ids = tuple([task.id for task in tasks.tasks])
-    bursts = [task.burst for task in tasks.tasks]
+    ids, bursts = tasks.ids, tasks.bursts()
     n = len(ids)
     check_total_burst(sum(bursts))
     start, end = schedule.start, schedule.end
@@ -229,7 +247,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
         np.add.at(executed, queue, end - start)
         # Every burst is at least 1 tu, so matching totals mean a slice exists.
         valid = (
-            executed.tolist() == bursts
+            tuple(executed.tolist()) == bursts
             and start[0] == 0
             and (start[1:] == end[:-1]).all()
             and (end > start).all()
@@ -277,7 +295,7 @@ def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
     if len(set(columns.values())) > 1:
         lengths = ", ".join(f"{name} {length}" for name, length in columns.items())
         raise InvariantViolation(f"schedule columns differ in length: {lengths}")
-    bursts = {task.id: task.burst for task in tasks}
+    bursts = dict(zip(tasks.ids, tasks.bursts()))
     executed = dict.fromkeys(bursts, 0)
     ids = schedule.ids
     clock = 0

@@ -56,8 +56,7 @@ def run_rounds(tasks: TaskSet, share_for_round: ShareForRound) -> Schedule:
     more, or more than ``_SLICE_LIMIT`` slices raises ``ValueError``; an
     empty task set never gets here, since ``TaskSet`` refuses one.
     """
-    ids = [task.id for task in tasks.tasks]
-    bursts = [task.burst for task in tasks.tasks]
+    ids, bursts = tasks.ids, tasks.bursts()
     total = sum(bursts)
     check_total_burst(total)
     slot = np.arange(tasks.n)

@@ -11,15 +11,18 @@ Task files are plain text, one task per line::
 
 UTF-8, LF or CRLF accepted (the command line also drops a leading byte-order
 mark); saves emit LF. A line with any other number of fields is an error.
+Loading reads the lines once into two columns for :class:`~ctqsched.model.TaskSet`
+to check; only a file that fails is read again to find its first faulty line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .model import Task, TaskSet
+from .model import TaskSet
 from .simulate import _SLICE_LIMIT
 
 
@@ -61,16 +64,36 @@ def generate(spec: WorkloadSpec) -> TaskSet:
 
 
 class TaskFileError(ValueError):
-    """A task file line could not be parsed; carries the 1-based line number."""
+    """A task file could not be parsed. ``line_number`` is the 1-based line at
+    fault, or ``None`` when the file as a whole is (it holds no tasks)."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int | None, message: str):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
 def load_tasks(source: str) -> TaskSet:
-    """Parse task file text into a TaskSet, preserving line order as queue order."""
-    tasks: list[Task] = []
+    """Parse task file text into a TaskSet, preserving line order as queue order.
+    One lean pass fills two columns (``int`` strips the whitespace that
+    ``str.strip`` would) and the task set checks them; a failing file is walked."""
+    ids, bursts = [], []
+    try:
+        for raw in source.splitlines():
+            line = raw.split("#", 1)[0]
+            if line and not line.isspace():
+                task_id, burst = line.split(",")
+                ids.append(int(task_id))
+                bursts.append(int(burst))
+        return TaskSet(ids, bursts)
+    except ValueError:
+        pass
+    _raise_first_fault(source)
+
+
+def _raise_first_fault(source: str) -> NoReturn:
+    """Raise a failing task file's first fault. Each line, in order, is checked for
+    a field count other than two, a non-integer field, an id seen before and the
+    task set's row checks; a file with no such line holds no tasks."""
     seen: set[int] = set()
     for line_number, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,14 +109,11 @@ def load_tasks(source: str) -> TaskSet:
         if task_id in seen:
             raise TaskFileError(line_number, f"duplicate task id {task_id}")
         try:
-            task = Task(id=task_id, burst=burst)
+            TaskSet((task_id,), (burst,))
         except ValueError as exc:
             raise TaskFileError(line_number, str(exc)) from None
         seen.add(task_id)
-        tasks.append(task)
-    if not tasks:
-        raise TaskFileError(0, "no tasks found")
-    return TaskSet(tuple(tasks))
+    raise TaskFileError(None, "no tasks found")
 
 
 def save_tasks(tasks: TaskSet) -> str:

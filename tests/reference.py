@@ -1,11 +1,13 @@
-"""Reference implementations of the scan kernel, dispatch and metric extraction.
+"""Reference implementations of the scan kernel, dispatch, metric extraction
+and the task file parser.
 
 These are what the package ran before its current kernels: the n x n cell
 kernel of the candidate scan, a round loop that builds one ``Slice`` per
-dispatch and a metric loop that walks the slices one at a time. They are slow
-and obviously correct, so the code in ``ctqsched.analytic``,
-``ctqsched.simulate``, ``ctqsched.ctq`` and ``ctqsched.model`` must equal
-them total for total, slice for slice and report for report. The optimal
+dispatch, a metric loop that walks the slices one at a time and a parser that
+checks every line as it reads it. They are slow and obviously correct, so the
+code in ``ctqsched.analytic``, ``ctqsched.simulate``, ``ctqsched.ctq``,
+``ctqsched.model`` and ``ctqsched.workload`` must equal them total for total,
+slice for slice, report for report and error message for error message. The optimal
 search over quantum sequences is a bound, not an equal: no schedule that
 CTQ or fixed RR makes can wait less.
 
@@ -32,6 +34,7 @@ from ctqsched import (
     RoundRecord,
     Schedule,
     TaskMetrics,
+    TaskFileError,
     TaskSet,
     best_quantum,
 )
@@ -84,6 +87,40 @@ def task_slices(schedule: Schedule, task_id: int) -> tuple[Slice, ...]:
             schedule.round[rows].tolist(),
         )
     )
+
+
+def reference_load_tasks(source: str) -> TaskSet:
+    """The line-by-line parser: every line is checked as it is read, in the
+    order field count, integers, a repeated id, a negative id, a burst below
+    1 tu; a file without tasks is rejected as a whole."""
+    ids: list[int] = []
+    seen: set[int] = set()
+    bursts: list[int] = []
+    for line_number, raw in enumerate(source.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise TaskFileError(line_number, f"expected 'id,burst', got {raw.strip()!r}")
+        try:
+            task_id, burst = [int(f) for f in fields]
+        except ValueError:
+            raise TaskFileError(line_number, f"non-integer field in {raw.strip()!r}") from None
+        if task_id in seen:
+            raise TaskFileError(line_number, f"duplicate task id {task_id}")
+        if task_id < 0:
+            raise TaskFileError(line_number, f"task id must be non-negative, got {task_id}")
+        if burst < 1:
+            raise TaskFileError(
+                line_number, f"task {task_id}: burst must be at least 1 tu, got {burst}"
+            )
+        seen.add(task_id)
+        ids.append(task_id)
+        bursts.append(burst)
+    if not ids:
+        raise TaskFileError(None, "no tasks found")
+    return TaskSet(ids, bursts)
 
 
 def reference_total_waiting(bursts, quanta):

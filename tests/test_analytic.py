@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import drain_bursts, task_sets
 from ctqsched import (
-    Task,
     TaskSet,
     analytic,
     best_quantum,
@@ -101,7 +100,7 @@ class TestWaitingProfile:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            waiting_profile(TaskSet(()), 3)
+            waiting_profile(TaskSet((), ()), 3)
 
     def test_queue_order_changes_per_task_waits(self):
         # Same multiset of bursts, different order: totals differ, so nothing
@@ -113,7 +112,7 @@ class TestWaitingProfile:
 
     def test_relabelling_ids_keeps_totals(self):
         base = TaskSet.from_bursts([24, 3, 3])
-        relabelled = TaskSet(tuple(Task(id=t.id + 10, burst=t.burst) for t in base))
+        relabelled = TaskSet([i + 10 for i in base.ids], base.bursts())
         assert (
             waiting_profile(relabelled, 4).total_waiting
             == waiting_profile(base, 4).total_waiting
@@ -142,7 +141,7 @@ class TestBestQuantum:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            best_quantum(TaskSet(()))
+            best_quantum(TaskSet((), ()))
 
     def test_identical_bursts_pick_the_burst(self):
         # Brute force over the full candidate range via the simulator, then

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctqsched
+from conftest import HOSTILE_TEXT
 from ctqsched import Schedule, TaskSet, load_tasks, metrics_from_schedule, simulate_fcfs
 from ctqsched.cli import main
 from ctqsched.experiment import CSV_HEADER
@@ -129,6 +130,10 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--tasks", str(path), "--algo", "fcfs")
         assert code == 3
         assert "line 1" in err
+        # A file with no tasks has no faulty line to name.
+        path.write_text("# nothing here\n\n")
+        code, _, err = run_cli(capsys, "simulate", "--tasks", str(path), "--algo", "fcfs")
+        assert (code, err) == (3, "error: no tasks found\n")
 
     def test_missing_file_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--tasks", "/nope.tasks", "--algo", "fcfs")
@@ -419,35 +424,6 @@ def test_too_many_tasks_for_the_scan_is_validation_error(tmp_path, command):
     assert "Traceback" not in result.stderr
 
 
-# Hostile task files: huge, zero and negative bursts, duplicate ids, comments,
-# blanks, malformed rows, CRLF and a byte-order mark. Huge bursts are either
-# rejected by a bound or small enough to scan quickly.
-_BURSTS = st.one_of(
-    st.integers(1, 3000),
-    st.sampled_from([10**7, 10**15, 2**62, 2**63, 10**20, 10**400]),
-)
-_JUNK_LINES = st.sampled_from([
-    "# comment", "", "   ", "1,2,3,4", "x,5", "1,", "1,5,0", "1,5,-2", "-1,5",
-    "1,7 # dup", "9,0", "9,-3",
-])
-
-
-def _hostile_text(bursts, junk, newline, bom):
-    lines = [f"{i},{b}" for i, b in enumerate(bursts, start=1)]
-    for at, line in junk:
-        lines.insert(at, line)
-    return bom + newline.join(lines)
-
-
-_HOSTILE_TEXT = st.builds(
-    _hostile_text,
-    bursts=st.lists(_BURSTS, max_size=8),
-    junk=st.lists(st.tuples(st.integers(0, 8), _JUNK_LINES), max_size=2),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    bom=st.sampled_from(["", "\ufeff"]),
-)
-
-
 def assert_survives(argv, text=None):
     """``main(argv)`` ends in a documented exit code, prints no traceback, and
     writes to stderr exactly when it fails. Given ``text``, it also gets
@@ -467,14 +443,14 @@ def assert_survives(argv, text=None):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=_HOSTILE_TEXT)
+@given(text=HOSTILE_TEXT)
 def test_best_tq_survives_hostile_task_files(text):
     assert_survives(["best-tq"], text)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    text=_HOSTILE_TEXT,
+    text=HOSTILE_TEXT,
     algo=st.sampled_from(["rr", "fcfs", "ctq"]),
     # Each quantum either keeps the slice count small for every burst above
     # or pushes it past the slice limit, so no example builds millions.

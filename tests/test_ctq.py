@@ -55,7 +55,7 @@ class TestRunCtq:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            run_ctq(TaskSet(()))
+            run_ctq(TaskSet((), ()))
         with pytest.raises(ValueError):
             run_ctq(MIXED_FIVE, first_quantum=0)
 

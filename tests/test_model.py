@@ -43,19 +43,48 @@ CTQ_GANTT = gantt(
 
 
 class TestTaskValidation:
+    """A ``Task`` row checks nothing; its task set checks every row."""
+
     def test_zero_burst_rejected(self):
         with pytest.raises(ValueError, match="burst"):
-            Task(id=1, burst=0)
+            TaskSet((1,), (0,))
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError, match="id"):
-            Task(id=-1, burst=5)
+            TaskSet((-1,), (5,))
 
 
 class TestTaskSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            TaskSet((Task(id=1, burst=3), Task(id=1, burst=4)))
+            TaskSet((1, 1), (3, 4))
+
+    @pytest.mark.parametrize(
+        "ids,bursts,message",
+        [
+            ((1, 1, 2), (3, 4, 0), "task 2: burst must be at least 1 tu, got 0"),
+            ((-1,), (0,), "task id must be non-negative, got -1"),
+            ((4, -1), (0, 5), "task 4: burst must be at least 1 tu, got 0"),
+            ((3, 1, 1, 3), (1, 1, 1, 1), "duplicate task id 1"),
+            ((), (), "a task set needs at least one task"),
+            ((1, 2), (5,), "task set columns differ in length: 2 ids, 1 bursts"),
+        ],
+        ids=["burst-before-duplicate", "id-before-burst", "row-order", "first-duplicate",
+             "empty", "unequal-columns"],
+    )
+    def test_first_fault_is_reported(self, ids, bursts, message):
+        # Unequal columns and an empty set come first, then each row in queue
+        # order (id before burst), then the first repeated id.
+        with pytest.raises(ValueError) as info:
+            TaskSet(ids, bursts)
+        assert str(info.value) == message
+
+    def test_rows_are_named_tuples_over_the_columns(self):
+        ts = TaskSet((7, 3), (2, 9))
+        assert ts[1] == Task(id=3, burst=9) == (3, 9)
+        assert list(ts) == [Task(7, 2), Task(3, 9)]
+        assert (ts.ids, ts.bursts(), len(ts)) == ((7, 3), (2, 9), 2)
+        assert ts == TaskSet([7, 3], iter([2, 9])) != TaskSet((3, 7), (9, 2))
 
     def test_from_bursts_preserves_queue_order(self):
         ts = TaskSet.from_bursts([24, 3, 3])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import task_sets
 from ctqsched import (
-    Task,
     TaskSet,
     full_quanta,
     metrics_from_schedule,
@@ -49,7 +48,7 @@ class TestFixedRR:
         with pytest.raises(ValueError):
             simulate_fixed_rr(TaskSet.from_bursts([5]), 0)
         with pytest.raises(ValueError):
-            simulate_fixed_rr(TaskSet(()), 3)
+            simulate_fixed_rr(TaskSet((), ()), 3)
 
 
 class TestFCFS:
@@ -66,7 +65,7 @@ class TestFCFS:
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
-            simulate_fcfs(TaskSet(()))
+            simulate_fcfs(TaskSet((), ()))
 
 
 def rounds_with_quanta(tasks, quanta):
@@ -106,12 +105,12 @@ class TestRunRounds:
         assert slices[-1].end == 49
 
     def test_single_survivor_with_big_quantum(self):
-        rounds = rounds_with_quanta(TaskSet((Task(id=3, burst=7),)), [100])
+        rounds = rounds_with_quanta(TaskSet((3,), (7,)), [100])
         assert rounds == [(1, ((3, 7),), (Slice(3, 0, 7, 1),))]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            rounds_with_quanta(TaskSet(()), [2])
+            rounds_with_quanta(TaskSet((), ()), [2])
         with pytest.raises(ValueError):
             rounds_with_quanta(TaskSet.from_bursts([5]), [0])
 

@@ -1,10 +1,23 @@
 """Seeded generation and the task file format."""
 
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctqsched import TaskFileError, TaskSet, WorkloadSpec, generate, load_tasks, save_tasks
+from conftest import HOSTILE_TEXT
+from ctqsched import (
+    TaskFileError,
+    TaskSet,
+    WorkloadSpec,
+    generate,
+    load_tasks,
+    model,
+    save_tasks,
+    workload,
+)
+from reference import reference_load_tasks
 
 
 class TestGenerate:
@@ -75,8 +88,41 @@ class TestTaskFiles:
             load_tasks("1,four")
 
     def test_empty_file_rejected(self):
-        with pytest.raises(TaskFileError):
+        with pytest.raises(TaskFileError, match="^no tasks found$") as info:
             load_tasks("# nothing here\n")
+        assert info.value.line_number is None
+
+    def test_a_valid_file_never_reaches_the_walkers(self):
+        # Comments, blanks, CRLF and padded fields all stay on the lean pass;
+        # only a failing file is walked, once.
+        lines = [f" {i} ,\t{i % 97 + 1} " for i in range(1, 201)]
+        lines[::10] = [line + "# note" for line in lines[::10]]
+        text = "# 200 tasks\r\n\r\n \t\r\n" + "\r\n".join(lines)
+        with patch.object(
+            workload, "_raise_first_fault", wraps=workload._raise_first_fault
+        ) as walk, patch.object(
+            model, "_raise_first_task_fault", wraps=model._raise_first_task_fault
+        ) as check:
+            tasks = load_tasks(text)
+            assert (walk.call_count, check.call_count, tasks.n) == (0, 0, 200)
+            with pytest.raises(TaskFileError, match="line 2: duplicate task id 1"):
+                load_tasks("1,5\n1,6\n")
+            assert (walk.call_count, check.call_count) == (1, 1)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=HOSTILE_TEXT)
+def test_parser_equals_the_reference(text):
+    """The lean pass and its walker return the line-by-line parser's task set,
+    or raise its first error with the identical message."""
+    try:
+        expected = reference_load_tasks(text)
+    except TaskFileError as exc:
+        with pytest.raises(TaskFileError) as info:
+            load_tasks(text)
+        assert (str(info.value), info.value.line_number) == (str(exc), exc.line_number)
+    else:
+        assert load_tasks(text) == expected
 
 
 @given(bursts=st.lists(st.integers(1, 1000), min_size=1, max_size=30))
