@@ -64,6 +64,14 @@ The split also rejects more than 4096 tasks, and the scan more than
 ``_CANDIDATE_LIMIT`` candidate quanta. Property tests pin the scan to the
 sequential pure-Python evaluation, and L and T to the n x n cell kernel it
 replaced over every quantum.
+
+The one float step is L's full_quanta, (b - 1) // tq, taken as the float64
+quotient truncated to int64. It is exact while every b - 1 stays below
+2**53: a quotient that is not an integer lies at least 1 / tq below the next
+integer, and IEEE division rounds it by at most (b - 1) / tq * 2**-53, which
+is less than 1 / tq. The candidate limit admits no b - 1 of 2**44 or more
+(its isqrt alone would pass the limit), and every scan counts its candidates
+before it divides.
 """
 
 from __future__ import annotations
@@ -261,7 +269,12 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     """L(tq) = b . w + tq * (nq . w) + tq * #{inverted, g >= tq}
     + sum{g : inverted, g < tq} for each quantum in ``quanta``. Candidates
     are taken in chunks of about ``_PAIR_CHUNK_CELLS`` cells of nq (at least
-    one candidate)."""
+    one candidate).
+
+    nq = (b - 1) // tq is the float64 quotient truncated to int64. That is
+    exact while every b - 1 stays below 2**53 (see the module docstring);
+    :func:`_candidate_quanta`, which every scan runs first, refuses any b - 1
+    of 2**44 or more."""
     bounds = np.empty(quanta.size, dtype=np.int64)
     pair_count = pairs.gap.size
     below = np.zeros(pair_count + 1, dtype=np.int64)  # below[j] is the sum of gap[:j]
@@ -270,7 +283,7 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     for lo in range(0, quanta.size, step):
         tq = quanta[lo : lo + step]
         part = bounds[lo : lo + tq.size]
-        np.matmul(pairs.top // tq[:, None], pairs.weight, out=part)
+        np.matmul((pairs.top / tq[:, None]).astype(np.int64), pairs.weight, out=part)
         short = np.searchsorted(pairs.gap, tq)  # inverted pairs with g < tq
         part += pair_count
         part -= short
@@ -304,23 +317,28 @@ def _corrections(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     return corrections
 
 
-def _scan(pairs: _PairSplit) -> QuantumChoice:
-    """The scan of :func:`best_quantum` over the tasks that ``pairs`` splits."""
+def _scan(pairs: _PairSplit) -> tuple[int, int, int]:
+    """The scan of :func:`best_quantum` over the tasks that ``pairs`` splits:
+    the largest minimizing quantum, its total waiting time and the number of
+    candidates."""
     quanta = _candidate_quanta(pairs.top)
     bounds = _lower_bounds(pairs, quanta)
     # np.argmin takes the first minimum; scanning a reversed array makes
     # that the largest minimizing quantum.
     guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
-    ceiling = bounds[guess] + _corrections(pairs, quanta[guess : guess + 1])[0]
+    # T at the guess, inline: the correction of _corrections at one quantum.
+    tq = int(quanta[guess])
+    gap = pairs.gap[: pairs.gap.searchsorted(tq)]
+    reach = pairs.low[: gap.size] % tq
+    reach += gap
+    ceiling = int(bounds[guess]) + int(np.add.reduce(tq - gap, where=reach >= tq))
     alive = np.flatnonzero(bounds <= ceiling)
+    if alive.size == 1:  # only the guess can reach its own T
+        return tq, ceiling, quanta.size
     totals = bounds[alive]
     totals += _corrections(pairs, quanta[alive])
     best = totals.size - 1 - int(np.argmin(totals[::-1]))
-    return QuantumChoice(
-        quantum=int(quanta[alive[best]]),
-        avg_waiting=Fraction(int(totals[best]), pairs.top.size),
-        candidates_evaluated=int(quanta.size),
-    )
+    return int(quanta[alive[best]]), int(totals[best]), quanta.size
 
 
 def best_quantum(tasks: TaskSet) -> QuantumChoice:
@@ -338,7 +356,8 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
 
     1. the lower bound L at every candidate, O(n) each;
     2. the total T at the largest candidate minimizing L;
-    3. T at every candidate whose L is at most that T.
+    3. T at every candidate whose L is at most that T, unless the candidate
+       of step 2 is the only one: then it is the answer.
 
     Every minimizer q has L(q) <= T(q) <= the T of step 2, so it reaches
     step 3, and the largest quantum minimizing T there is the answer.
@@ -346,4 +365,5 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     Raises ``ValueError`` where :func:`_split_pairs` or
     :func:`_candidate_quanta` do, before either allocates.
     """
-    return _scan(_split_pairs(tasks.bursts()))
+    quantum, total, count = _scan(_split_pairs(tasks.bursts()))
+    return QuantumChoice(quantum, Fraction(total, tasks.n), count)

@@ -79,7 +79,7 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
                 pairs = _split_pairs(tuple(residual for _, residual in survivors))
             else:
                 pairs = pairs.after_round(rounds[-1].quantum)
-            quantum, chosen_by = _scan(pairs).quantum, "optimized"
+            quantum, chosen_by = _scan(pairs)[0], "optimized"
         rounds.append(
             RoundRecord(
                 number=number,

@@ -10,15 +10,20 @@ Task files are plain text, one task per line::
     id,burst
 
 UTF-8, LF or CRLF accepted (the command line also drops a leading byte-order
-mark); saves emit LF. A line with any other number of fields is an error.
+mark); saves emit LF. Lines end at LF only, so the line numbers in errors are
+the ones an editor shows: a form feed, file separator or other Unicode line
+break inside a line is whitespace there, not a line end. The CR of a CRLF is
+whitespace that ``int`` and ``str.strip`` drop, and the command line reads
+files in universal-newline mode, which turns a lone CR into LF. A line with
+any other number of fields is an error.
 Loading reads the lines once into two columns for :class:`~ctqsched.model.TaskSet`
-to check; only a file that fails is read again to find its first faulty line.
+to check; only a file that fails is read again, line by line, to find its
+first faulty line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -75,10 +80,11 @@ class TaskFileError(ValueError):
 def load_tasks(source: str) -> TaskSet:
     """Parse task file text into a TaskSet, preserving line order as queue order.
     One lean pass fills two columns (``int`` strips the whitespace that
-    ``str.strip`` would) and the task set checks them; a failing file is walked."""
+    ``str.strip`` would, except the separators U+001C to U+001F) and the task
+    set checks them; a file that fails it is parsed again line by line."""
     ids, bursts = [], []
     try:
-        for raw in source.splitlines():
+        for raw in source.split("\n"):
             line = raw.split("#", 1)[0]
             if line and not line.isspace():
                 task_id, burst = line.split(",")
@@ -87,25 +93,27 @@ def load_tasks(source: str) -> TaskSet:
         return TaskSet(ids, bursts)
     except ValueError:
         pass
-    _raise_first_fault(source)
+    return _parse_by_line(source)
 
 
-def _raise_first_fault(source: str) -> NoReturn:
-    """Raise a failing task file's first fault. Each line, in order, is checked for
-    a field count other than two, a non-integer field, an id seen before and the
-    task set's row checks; a file with no such line holds no tasks."""
+def _parse_by_line(source: str) -> TaskSet:
+    """Parse task file text line by line, raising its first fault. Each line,
+    in order, is checked for a field count other than two, a field that is no
+    integer or too long to read, an id seen before and the task set's row
+    checks; a file with no faulty line and no task holds no tasks. Valid files
+    that the lean pass hands over parse here: their fields carry a separator
+    U+001C to U+001F, which ``str.strip`` drops and ``int`` does not."""
+    ids: list[int] = []
+    bursts: list[int] = []
     seen: set[int] = set()
-    for line_number, raw in enumerate(source.splitlines(), start=1):
+    for line_number, raw in enumerate(source.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise TaskFileError(line_number, f"expected 'id,burst', got {raw.strip()!r}")
-        try:
-            task_id, burst = [int(f) for f in fields]
-        except ValueError:
-            raise TaskFileError(line_number, f"non-integer field in {raw.strip()!r}") from None
+        task_id, burst = [_int_field(line_number, raw, f) for f in fields]
         if task_id in seen:
             raise TaskFileError(line_number, f"duplicate task id {task_id}")
         try:
@@ -113,7 +121,26 @@ def _raise_first_fault(source: str) -> NoReturn:
         except ValueError as exc:
             raise TaskFileError(line_number, str(exc)) from None
         seen.add(task_id)
-    raise TaskFileError(None, "no tasks found")
+        ids.append(task_id)
+        bursts.append(burst)
+    if not ids:
+        raise TaskFileError(None, "no tasks found")
+    return TaskSet(ids, bursts)
+
+
+def _int_field(line_number: int, raw: str, field: str) -> int:
+    """A stripped ``field`` as an int. A signed or unsigned run of digits that
+    ``int`` still refuses is past its digit limit, and is reported by length
+    without echoing the line."""
+    try:
+        return int(field)
+    except ValueError:
+        digits = field[1:] if field.startswith(("+", "-")) else field
+        if digits.isdecimal():
+            message = f"integer field of {len(digits)} digits is too large"
+        else:
+            message = f"non-integer field in {raw.strip()!r}"
+        raise TaskFileError(line_number, message) from None
 
 
 def save_tasks(tasks: TaskSet) -> str:

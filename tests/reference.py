@@ -21,6 +21,7 @@ helpers after it give the tests its rows as named records.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -90,23 +91,22 @@ def task_slices(schedule: Schedule, task_id: int) -> tuple[Slice, ...]:
 
 
 def reference_load_tasks(source: str) -> TaskSet:
-    """The line-by-line parser: every line is checked as it is read, in the
-    order field count, integers, a repeated id, a negative id, a burst below
-    1 tu; a file without tasks is rejected as a whole."""
+    """The line-by-line parser: lines end at LF only, and every line is
+    checked as it is read, in the order field count, integers (a field past
+    ``int``'s digit limit is too large, any other a non-integer), a repeated
+    id, a negative id, a burst below 1 tu; a file without tasks is rejected
+    as a whole."""
     ids: list[int] = []
     seen: set[int] = set()
     bursts: list[int] = []
-    for line_number, raw in enumerate(source.splitlines(), start=1):
+    for line_number, raw in enumerate(source.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise TaskFileError(line_number, f"expected 'id,burst', got {raw.strip()!r}")
-        try:
-            task_id, burst = [int(f) for f in fields]
-        except ValueError:
-            raise TaskFileError(line_number, f"non-integer field in {raw.strip()!r}") from None
+        task_id, burst = [reference_int_field(line_number, raw, f) for f in fields]
         if task_id in seen:
             raise TaskFileError(line_number, f"duplicate task id {task_id}")
         if task_id < 0:
@@ -121,6 +121,20 @@ def reference_load_tasks(source: str) -> TaskSet:
     if not ids:
         raise TaskFileError(None, "no tasks found")
     return TaskSet(ids, bursts)
+
+
+def reference_int_field(line_number: int, raw: str, field: str) -> int:
+    """``int(field)``; a field it refuses is too large when it is a sign and
+    digits (past ``int``'s digit limit), and otherwise a non-integer."""
+    try:
+        return int(field)
+    except ValueError:
+        digits = re.fullmatch(r"[+-]?(\d+)", field)
+        if digits is None:
+            raise TaskFileError(line_number, f"non-integer field in {raw.strip()!r}") from None
+        raise TaskFileError(
+            line_number, f"integer field of {len(digits[1])} digits is too large"
+        ) from None
 
 
 def reference_total_waiting(bursts, quanta):

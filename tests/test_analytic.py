@@ -2,7 +2,8 @@
 
 import tracemalloc
 from fractions import Fraction
-from unittest.mock import patch
+from math import isqrt
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -261,6 +262,93 @@ def test_pruned_scan_at_the_drain_shape(bursts):
     assert choice.candidates_evaluated == quanta.size
     exact = pair_split_totals(bursts, quanta)
     assert exact.tolist() == reference_total_waiting(bursts, quanta).tolist()
+
+
+@pytest.mark.parametrize(
+    "bursts,survivors",
+    [
+        ([24, 3, 3], 1),  # only the guess: its T is the answer, no exact pass
+        ([19, 19, 4, 2], 2),  # quanta 2 and 3 tie on L; the exact pass splits them
+        ([7], 6),  # no pairs: every candidate ties at 0 and the largest wins
+        # The guess, 5, loses to quantum 1. Its T counts the pair 21, 19,
+        # whose (b_i - 1) % tq + g is exactly tq; without it 1 is pruned.
+        ([21, 19, 5], 3),
+    ],
+)
+def test_both_scan_exits(bursts, survivors):
+    """The scan returns the cell kernel's largest minimizer and total both
+    when the guess alone survives the prune and when others do; only the
+    second runs the exact pass over the survivors."""
+    pairs = _split_pairs(tuple(bursts))
+    quanta = _candidate_quanta(pairs.top)
+    bounds = _lower_bounds(pairs, quanta)
+    guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
+    ceiling = int(pair_split_totals(bursts, quanta)[guess])
+    assert int((bounds <= ceiling).sum()) == survivors
+    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
+        quantum, total, count = analytic._scan(pairs)
+    assert exact.call_count == (survivors > 1)
+    assert (quantum, total, count) == (*largest_minimizer(bursts, quanta), quanta.size)
+    assert (quantum, total) == largest_minimizer(bursts, every_quantum(TaskSet.from_bursts(bursts)))
+
+
+def python_lower_bounds(pairs, quanta):
+    """L at each quantum of ``quanta`` in Python ints, from the split's columns:
+    a . w + tq * #{inverted, g >= tq} + sum{g : inverted, g < tq}."""
+    rows = list(zip(pairs.top.tolist(), pairs.weight.tolist()))
+    gaps = pairs.gap.tolist()
+    return [
+        sum((top + 1 + top // tq * tq) * w for top, w in rows)
+        + sum(tq if g >= tq else g for g in gaps)
+        for tq in quanta
+    ]
+
+
+def quanta_near_the_root(m):
+    """m // v and m // v + 1 for v around isqrt(m), where the candidates are
+    densest, and for the smallest v, where the quotients are largest."""
+    root = isqrt(m)
+    vs = [*range(1, 6), *range(root - 5, root + 6)]
+    return np.array(sorted({m // v + k for v in vs for k in (0, 1)}), dtype=np.int64)
+
+
+def test_lower_bounds_are_exact_at_the_candidate_limit():
+    """nq comes from a float64 quotient. Beside a few small tasks, a burst
+    with b - 1 as large as the candidate limit admits gives the same L as
+    Python ints where the quotients are largest and densest. The largest
+    burst adds its nq to L only through a later equal burst (its w), so it
+    comes twice; one distinct burst brings its candidates once."""
+    small = [5, 17, 3]
+    spare = analytic._CANDIDATE_LIMIT - 1 - 2 * sum(isqrt(b - 1) for b in small)
+    root = spare // 3  # a burst with isqrt(m) = root brings 3 * root + 1 candidates
+    m = (root + 1) ** 2 - 1  # the largest m with that isqrt
+    assert 1.9e12 < m < 2**44
+    pairs = _split_pairs((m + 1, *small, m + 1))
+    assert pairs.weight[0] == 1
+    assert _candidate_quanta(pairs.top).size <= analytic._CANDIDATE_LIMIT
+    with pytest.raises(ValueError, match="candidate quanta"):
+        _candidate_quanta(np.array([m + 2 * root + 3, *(b - 1 for b in small)]))
+    quanta = quanta_near_the_root(m)
+    assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)
+
+
+@pytest.mark.parametrize("top", [2**53 - 1, 2**53 - 3, 3**33])
+def test_lower_bounds_are_exact_below_2_to_the_53(top):
+    """The float64 quotient truncates to the exact floor for every b - 1
+    below 2**53, far past what the candidate limit lets a scan reach."""
+    pairs = _split_pairs((top + 1, 2, top + 1, 1))
+    quanta = quanta_near_the_root(top)
+    assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)
+
+
+def test_bursts_past_2_to_the_53_never_reach_the_float_step():
+    lower_bounds = Mock(wraps=_lower_bounds)
+    with patch.object(analytic, "_lower_bounds", lower_bounds):
+        with pytest.raises(ValueError, match="candidate quanta"):
+            best_quantum(TaskSet.from_bursts([2**60]))
+        with pytest.raises(ValueError, match="candidate quanta"):
+            best_quantum(TaskSet.from_bursts([3, 2**53 + 1, 7]))
+    assert lower_bounds.call_count == 0
 
 
 def scan_peak(tasks):

@@ -386,6 +386,15 @@ def test_third_column_is_validation_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_field_past_the_digit_limit_is_validation_error(tmp_path, capsys):
+    # The message names the field's length; it does not echo the 4.3 kB line.
+    path = tmp_path / "long.tasks"
+    path.write_text("1,5\n9," + "9" * 4301 + "\n")
+    code, out, err = run_cli(capsys, "best-tq", "--tasks", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: line 2: integer field of 4301 digits is too large\n"
+
+
 def test_byte_order_mark_is_accepted(tmp_path, capsys):
     path = tmp_path / "bom.tasks"
     path.write_bytes("\ufeff1,5\n".encode("utf-8"))

@@ -87,6 +87,25 @@ class TestTaskFiles:
         with pytest.raises(TaskFileError, match="line 1"):
             load_tasks("1,four")
 
+    def test_only_lf_ends_a_line(self):
+        # A form feed is whitespace inside a line, so the second line stays 2.
+        with pytest.raises(TaskFileError, match=r"^line 2: non-integer field in '2,x'$"):
+            load_tasks("1,5\x0c\n2,x")
+        assert load_tasks("1,5\x0c\x1c\u2028\n2,6\x85") == TaskSet.from_bursts([5, 6])
+
+    def test_separator_in_a_field_is_stripped(self):
+        # int refuses U+001C..U+001F and str.strip drops them: the lean pass
+        # fails and the line-by-line parse accepts the file.
+        assert load_tasks("1,5\n3,\x1f4\x1c\n") == TaskSet((1, 3), (5, 4))
+
+    @pytest.mark.parametrize("field", ["9" * 4301, "-" + "9" * 4301, "+" + "9" * 5000])
+    def test_field_past_the_digit_limit_is_too_large(self, field):
+        with pytest.raises(TaskFileError) as info:
+            load_tasks(f"1,5\n2,{field}\n")
+        digits = len(field.lstrip("+-"))
+        assert str(info.value) == f"line 2: integer field of {digits} digits is too large"
+        assert len(str(info.value)) < 60
+
     def test_empty_file_rejected(self):
         with pytest.raises(TaskFileError, match="^no tasks found$") as info:
             load_tasks("# nothing here\n")
@@ -99,7 +118,7 @@ class TestTaskFiles:
         lines[::10] = [line + "# note" for line in lines[::10]]
         text = "# 200 tasks\r\n\r\n \t\r\n" + "\r\n".join(lines)
         with patch.object(
-            workload, "_raise_first_fault", wraps=workload._raise_first_fault
+            workload, "_parse_by_line", wraps=workload._parse_by_line
         ) as walk, patch.object(
             model, "_raise_first_task_fault", wraps=model._raise_first_task_fault
         ) as check:
