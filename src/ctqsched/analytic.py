@@ -47,12 +47,14 @@ The scan does not need every quantum. On an interval where each task's
 full_quanta = (b - 1) // tq is constant, every term of the total is either a
 constant burst or a non-negative multiple of tq, so the total is A + S * tq
 with S >= 0: its smallest value sits at the interval's left end, and when
-S == 0 the right end ties with it. Evaluating only the two ends of every such
-interval therefore finds the largest minimizing quantum exactly. A burst b has
-O(sqrt(b)) intervals, so the scan takes O(sum of sqrt(b_i)) candidates instead
-of the largest burst. :func:`best_quantum` computes L at all of them and T
-only where L says the minimum can still be. CTQ splits the pairs once per
-run and filters the split after each round (:meth:`_PairSplit.after_round`).
+S == 0 the right end ties with it. So the ends of every such interval, or
+any superset of them within [1, largest burst], give the largest minimizing
+quantum exactly: an extra point never beats its interval's left end, and
+ties it only when the right end ties too. A burst b has O(sqrt(b))
+intervals, so the scan takes O(sum of sqrt(b_i)) candidates instead of the
+largest burst. :func:`best_quantum` computes L at all of them and T only
+where L says the minimum can still be. CTQ carries the split and its
+candidate blocks, a superset of each later round's ends, from round to round.
 
 All arithmetic is exact integer arithmetic, vectorized with numpy int64. Each
 pair adds less than 2 * largest burst, so T stays below n * n * largest
@@ -60,18 +62,16 @@ burst, which :func:`_split_pairs` keeps below 2**63. Every total and partial
 sum the scan stores adds up non-negative pieces of T, so none passes it, and
 the per-pair values stay below 2 * largest burst; the scan builds no upper
 bound such as a . w + tq * #{inverted pairs}, which could pass 2**63.
-The split also rejects more than 4096 tasks, and the scan more than
-``_CANDIDATE_LIMIT`` candidate quanta. Property tests pin the scan to the
-sequential pure-Python evaluation, and L and T to the n x n cell kernel it
-replaced over every quantum.
+The split also rejects more than 4096 tasks and more than ``_CANDIDATE_LIMIT``
+candidates. Property tests pin the scan to the sequential pure-Python
+evaluation, and L and T to the n x n cell kernel over every quantum.
 
 The one float step is L's full_quanta, (b - 1) // tq, taken as the float64
 quotient truncated to int64. It is exact while every b - 1 stays below
 2**53: a quotient that is not an integer lies at least 1 / tq below the next
 integer, and IEEE division rounds it by at most (b - 1) / tq * 2**-53, which
-is less than 1 / tq. The candidate limit admits no b - 1 of 2**44 or more
-(its isqrt alone would pass the limit), and every scan counts its candidates
-before it divides.
+is less than 1 / tq. The candidate limit, which the split checks first,
+admits no b - 1 of 2**44 or more (its isqrt alone would pass the limit).
 """
 
 from __future__ import annotations
@@ -184,64 +184,56 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
     return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n), quantum)
 
 
-def _candidate_quanta(top: np.ndarray) -> np.ndarray:
+def _candidate_quanta(pairs: _PairSplit) -> np.ndarray:
     """Both ends of every interval on which each (b - 1) // tq is constant,
-    given the b - 1 of every task as ``top``.
+    for the tasks that ``pairs`` splits.
 
     For m = b - 1 and s = isqrt(m), every tq in 1..s+1 is taken. Above s + 1,
     m // tq is some v in 1..s, constant on (m // (v + 1), m // v], or 0 from
     m + 1 = b on; every such end lies in 1..s+1 or in {m // v, m // v + 1 :
     v = 1..s}. The last interval of all ends at the largest burst, which is
-    its own m // 1 + 1. The result is sorted, distinct and within
-    [1, largest burst]. Raises ``ValueError`` before allocating when the
-    count exceeds ``_CANDIDATE_LIMIT``.
+    its own m // 1 + 1. A block carried through quanta Q divides m - Q by
+    more v than it needs and drops the quotients 0. The result is sorted,
+    distinct and within [1, largest burst].
     """
-    m = list(set(top.tolist()))
-    s = [isqrt(x) for x in m]
-    count = max(s) + 1 + 2 * sum(s)
-    if count > _CANDIDATE_LIMIT:
-        raise ValueError(
-            f"cannot scan bursts up to {max(m) + 1} tu: they give {count} candidate "
-            f"quanta, more than the limit of {_CANDIDATE_LIMIT}"
-        )
-    sizes = np.asarray(s, dtype=np.int64)
-    mm = np.repeat(np.asarray(m, dtype=np.int64), sizes)
-    # v runs 1..s within each burst's block of the flattened arrays.
-    v = np.arange(1, mm.size + 1, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    quotients = mm // v
-    quanta = np.concatenate((np.arange(1, max(s) + 2, dtype=np.int64), quotients, quotients + 1))
+    quotients = pairs.block_top // pairs.block_v
+    root = isqrt(int(pairs.top[-1]))
+    quanta = np.concatenate((np.arange(1, root + 2, dtype=np.int64), quotients, quotients + 1))
     quanta.sort()
     # Sorting and dropping repeats here is faster than np.unique.
     fresh = np.empty(quanta.size, dtype=bool)
-    fresh[0] = True
+    fresh[0] = quanta[0] > 0
     np.not_equal(quanta[1:], quanta[:-1], out=fresh[1:])
     return quanta[fresh]
 
 
 class _PairSplit(NamedTuple):
-    """What the total waiting time needs of the queue pairs, from
-    :func:`_split_pairs`; only the quantum is left to plug in."""
+    """The queue as the scan needs it, from :func:`_split_pairs`; only tq is left to plug in."""
 
-    top: np.ndarray  # b - 1 of every task, in queue order
-    weight: np.ndarray  # w of every task, in queue order
+    top: np.ndarray  # b - 1 of every task, ascending
+    weight: np.ndarray  # w of every task in the order of top: n - 1, ..., 0
     gap: np.ndarray  # g of every inverted pair, ascending
     low: np.ndarray  # b_i - 1 of every inverted pair, in the order of gap
+    block_top: np.ndarray  # m of each (m, v) of the candidate blocks, ascending
+    block_v: np.ndarray  # v = 1..isqrt(m) within each distinct m's block
 
     def after_round(self, quantum: int) -> _PairSplit:
-        """The split once every task has run min(quantum, residual), by a
-        filter that :mod:`ctqsched.ctq` shows to be exact."""
-        left, kept = self.top >= quantum, self.low >= quantum
+        """The split after a round of ``quantum``: its survivors' suffix (:mod:`ctqsched.ctq`)."""
+        k, j = self.top.searchsorted(quantum), self.block_top.searchsorted(quantum)
+        kept = self.low >= quantum
         return _PairSplit(
-            self.top[left] - quantum, self.weight[left], self.gap[kept], self.low[kept] - quantum
+            self.top[k:] - quantum, self.weight[k:], self.gap[kept], self.low[kept] - quantum,
+            self.block_top[j:] - quantum, self.block_v[j:],
         )
 
 
 def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
-    """Split the queue pairs k < i into in-order and inverted ones (see the
-    module docstring). Task j's w counts the tasks after it in (burst, queue
-    position) order: those with a larger burst, and those behind it with the
-    same one. Raises ``ValueError`` before allocating when n * n * largest
-    burst reaches 2**63 or n * n passes ``_SCAN_CELL_LIMIT``."""
+    """Split the queue pairs k < i into in-order and inverted ones (see the module
+    docstring) and build the candidate blocks: v = 1..isqrt(m) for each distinct
+    m = b - 1, ascending. w counts the tasks after each in (burst, queue position)
+    order, so with b - 1 ascending it is n - 1, ..., 0. Raises ``ValueError``
+    before allocating when n * n * largest burst reaches 2**63, n * n passes
+    ``_SCAN_CELL_LIMIT`` or the candidates pass ``_CANDIDATE_LIMIT``, in that order."""
     n, largest = len(bursts), max(bursts)
     if n * n * largest >= _INT64_LIMIT:
         raise ValueError(
@@ -253,16 +245,26 @@ def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
             f"cannot scan {n} tasks: the pair split compares every two tasks, n * n cells, "
             f"more than the limit of {_SCAN_CELL_LIMIT} (at most {isqrt(_SCAN_CELL_LIMIT)} tasks)"
         )
-    b = np.asarray(bursts, dtype=np.int64)
-    weight = np.empty(n, dtype=np.int64)
-    weight[np.argsort(b, kind="stable")] = np.arange(n - 1, -1, -1, dtype=np.int64)
-    earlier, later = np.nonzero(b[:, None] > b)  # b_k > b_i as (k, i)
-    inverted = earlier < later
-    earlier, later = earlier[inverted], later[inverted]
-    gap = b[earlier] - b[later]
+    m = sorted({burst - 1 for burst in bursts})
+    s = [isqrt(x) for x in m]
+    if (count := s[-1] + 1 + 2 * sum(s)) > _CANDIDATE_LIMIT:
+        raise ValueError(
+            f"cannot scan bursts up to {largest} tu: they give {count} candidate "
+            f"quanta, more than the limit of {_CANDIDATE_LIMIT}"
+        )
+    sizes = np.asarray(s, dtype=np.int64)
+    block_top = np.repeat(np.asarray(m, dtype=np.int64), sizes)
+    block_v = np.arange(1, block_top.size + 1, dtype=np.int64)  # v = 1..s in each block
+    block_v -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # once its offset is taken off
+    top = np.asarray(bursts, dtype=np.int64) - 1
+    weight = np.arange(n - 1, -1, -1, dtype=np.int64)
+    inverted = top[:, None] > top  # b_k > b_i as (row k, column i)
+    inverted &= weight[:, None] > weight  # and k < i, as n - 1 - k > n - 1 - i
+    gap, low = np.nonzero(inverted)  # k and i of each inverted pair,
+    gap, low = top[gap], top[low]  # then b_k - 1 and b_i - 1
+    gap -= low
     order = np.argsort(gap)
-    top = b - 1
-    return _PairSplit(top, weight, gap[order], top[later[order]])
+    return _PairSplit(np.sort(top), weight, gap[order], low[order], block_top, block_v)
 
 
 def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
@@ -273,8 +275,7 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
 
     nq = (b - 1) // tq is the float64 quotient truncated to int64. That is
     exact while every b - 1 stays below 2**53 (see the module docstring);
-    :func:`_candidate_quanta`, which every scan runs first, refuses any b - 1
-    of 2**44 or more."""
+    :func:`_split_pairs` refuses any b - 1 of 2**44 or more."""
     bounds = np.empty(quanta.size, dtype=np.int64)
     pair_count = pairs.gap.size
     below = np.zeros(pair_count + 1, dtype=np.int64)  # below[j] is the sum of gap[:j]
@@ -321,7 +322,7 @@ def _scan(pairs: _PairSplit) -> tuple[int, int, int]:
     """The scan of :func:`best_quantum` over the tasks that ``pairs`` splits:
     the largest minimizing quantum, its total waiting time and the number of
     candidates."""
-    quanta = _candidate_quanta(pairs.top)
+    quanta = _candidate_quanta(pairs)
     bounds = _lower_bounds(pairs, quanta)
     # np.argmin takes the first minimum; scanning a reversed array makes
     # that the largest minimizing quantum.
@@ -362,8 +363,7 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     Every minimizer q has L(q) <= T(q) <= the T of step 2, so it reaches
     step 3, and the largest quantum minimizing T there is the answer.
 
-    Raises ``ValueError`` where :func:`_split_pairs` or
-    :func:`_candidate_quanta` do, before either allocates.
+    Raises ``ValueError`` where :func:`_split_pairs` does, before it allocates.
     """
     quantum, total, count = _scan(_split_pairs(tasks.bursts()))
     return QuantumChoice(quantum, Fraction(total, tasks.n), count)

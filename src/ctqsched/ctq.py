@@ -11,12 +11,17 @@ The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
 scan because it offsets every candidate equally.
 
-The scan's pair split is made once per run and then filtered. With Q the sum
+The scan's pair split is made once per run and then sliced. With Q the sum
 of the quanta so far, the survivors are the tasks with b > Q, each with
-residual b - Q. A survivor keeps its w, which counts only tasks whose burst
-is at least its own, all of which survive; an inverted pair survives exactly
-when its smaller task does, and keeps its gap. So the filter is exact and
-leaves the pairs sorted by gap.
+residual b - Q; the split holds the b - 1 ascending, so they are a suffix of
+it. A survivor keeps its w, which counts only tasks after it in (burst,
+queue position) order, all of which survive, so the suffix of the w,
+n' - 1, ..., 0, is a fresh split's. An inverted pair survives exactly when
+its smaller task does, and keeps its gap, so the pairs stay sorted by gap.
+A survivor's candidate block, v = 1..isqrt(b - 1), holds every v its
+residual needs, so the carried blocks give a superset of the fresh
+interval ends, and the scan picks the same quantum from it
+(:mod:`ctqsched.analytic`).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     quantum already say which of them finish in it.
 
     The first round that scans splits its residuals' pairs, checking the
-    scan's bounds, and later rounds filter that split (module docstring).
+    scan's bounds, and later rounds slice that split (module docstring).
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")

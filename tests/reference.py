@@ -2,14 +2,15 @@
 and the task file parser.
 
 These are what the package ran before its current kernels: the n x n cell
-kernel of the candidate scan, a round loop that builds one ``Slice`` per
-dispatch, a metric loop that walks the slices one at a time and a parser that
-checks every line as it reads it. They are slow and obviously correct, so the
-code in ``ctqsched.analytic``, ``ctqsched.simulate``, ``ctqsched.ctq``,
-``ctqsched.model`` and ``ctqsched.workload`` must equal them total for total,
-slice for slice, report for report and error message for error message. The optimal
-search over quantum sequences is a bound, not an equal: no schedule that
-CTQ or fixed RR makes can wait less.
+kernel of the candidate scan and its candidate quanta in plain integers, a
+round loop that builds one ``Slice`` per dispatch, a metric loop that walks
+the slices one at a time and a parser that checks every line as it reads it.
+They are slow and obviously correct, so the code in ``ctqsched.analytic``,
+``ctqsched.simulate``, ``ctqsched.ctq``, ``ctqsched.model`` and
+``ctqsched.workload`` must equal them total for total, slice for slice,
+report for report and error message for error message. The optimal search
+over quantum sequences is a bound, not an equal: no schedule that CTQ or
+fixed RR makes can wait less.
 
 ``pair_split_totals`` is not a reference: it runs the package's exact pass
 at every quantum it is given, so that tests can pin that pass to the cell
@@ -25,6 +26,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -150,6 +152,18 @@ def reference_total_waiting(bursts, quanta):
     cap = (nq[:, :, None] + earlier[None, :, :]) * tq[:, None, None]
     ran_ahead = np.minimum(b[None, None, :], cap).sum(axis=2)
     return (ran_ahead - nq * tq[:, None]).sum(axis=1)
+
+
+def reference_candidate_quanta(bursts):
+    """The candidate quanta of a scan of ``bursts``, in plain integers: every
+    tq in 1..isqrt(largest m) + 1, and m // v and m // v + 1 for each
+    m = b - 1 and v in 1..isqrt(m). Sorted and distinct."""
+    tops = {burst - 1 for burst in bursts}
+    quanta = set(range(1, isqrt(max(tops)) + 2))
+    for m in tops:
+        for v in range(1, isqrt(m) + 1):
+            quanta.update((m // v, m // v + 1))
+    return sorted(quanta)
 
 
 def pair_split_totals(bursts, quanta):

@@ -21,7 +21,7 @@ from ctqsched import (
     simulate_fixed_rr,
     waiting_profile,
 )
-from ctqsched.analytic import _candidate_quanta, _lower_bounds, _split_pairs
+from ctqsched.analytic import _candidate_quanta, _lower_bounds, _PairSplit, _split_pairs
 from reference import pair_split_totals, reference_total_waiting, task_slices
 
 
@@ -255,7 +255,7 @@ def largest_minimizer(bursts, quanta):
 def test_pruned_scan_at_the_drain_shape(bursts):
     """Over the candidate quanta, the scan picks the cell kernel's largest
     minimizer at its total, and evaluates every candidate exactly."""
-    quanta = _candidate_quanta(np.asarray(bursts) - 1)
+    quanta = _candidate_quanta(_split_pairs(tuple(bursts)))
     quantum, total = largest_minimizer(bursts, quanta)
     choice = best_quantum(TaskSet.from_bursts(bursts))
     assert (choice.quantum, choice.avg_waiting) == (quantum, Fraction(total, len(bursts)))
@@ -280,7 +280,7 @@ def test_both_scan_exits(bursts, survivors):
     when the guess alone survives the prune and when others do; only the
     second runs the exact pass over the survivors."""
     pairs = _split_pairs(tuple(bursts))
-    quanta = _candidate_quanta(pairs.top)
+    quanta = _candidate_quanta(pairs)
     bounds = _lower_bounds(pairs, quanta)
     guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
     ceiling = int(pair_split_totals(bursts, quanta)[guess])
@@ -324,10 +324,10 @@ def test_lower_bounds_are_exact_at_the_candidate_limit():
     m = (root + 1) ** 2 - 1  # the largest m with that isqrt
     assert 1.9e12 < m < 2**44
     pairs = _split_pairs((m + 1, *small, m + 1))
-    assert pairs.weight[0] == 1
-    assert _candidate_quanta(pairs.top).size <= analytic._CANDIDATE_LIMIT
+    assert pairs.weight[pairs.top == m][0] == 1
+    assert _candidate_quanta(pairs).size <= analytic._CANDIDATE_LIMIT
     with pytest.raises(ValueError, match="candidate quanta"):
-        _candidate_quanta(np.array([m + 2 * root + 3, *(b - 1 for b in small)]))
+        _split_pairs((m + 2 * root + 4, *small))
     quanta = quanta_near_the_root(m)
     assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)
 
@@ -335,8 +335,18 @@ def test_lower_bounds_are_exact_at_the_candidate_limit():
 @pytest.mark.parametrize("top", [2**53 - 1, 2**53 - 3, 3**33])
 def test_lower_bounds_are_exact_below_2_to_the_53(top):
     """The float64 quotient truncates to the exact floor for every b - 1
-    below 2**53, far past what the candidate limit lets a scan reach."""
-    pairs = _split_pairs((top + 1, 2, top + 1, 1))
+    below 2**53, far past what the candidate limit lets a scan reach. The
+    split of bursts top + 1, 2, top + 1, 1 is built by hand, since
+    _split_pairs refuses their candidates; at a small top it matches."""
+
+    def by_hand(top):
+        columns = ([0, 1, top, top], [3, 2, 1, 0], [1, top - 1, top, top], [0, 1, 0, 0])
+        none = np.empty(0, dtype=np.int64)  # no candidate blocks: L takes its quanta
+        return _PairSplit(*(np.array(c, dtype=np.int64) for c in columns), none, none)
+
+    small = _split_pairs((11, 2, 11, 1))
+    assert [c.tolist() for c in by_hand(10)[:4]] == [c.tolist() for c in small[:4]]
+    pairs = by_hand(top)
     quanta = quanta_near_the_root(top)
     assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)
 
