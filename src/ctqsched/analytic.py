@@ -46,15 +46,15 @@ and T >= L. Only T walks pairs, and only the inverted ones with g < tq.
 The scan does not need every quantum. On an interval where each task's
 full_quanta = (b - 1) // tq is constant, every term of the total is either a
 constant burst or a non-negative multiple of tq, so the total is A + S * tq
-with S >= 0: its smallest value sits at the interval's left end, and when
-S == 0 the right end ties with it. So the ends of every such interval, or
-any superset of them within [1, largest burst], give the largest minimizing
-quantum exactly: an extra point never beats its interval's left end, and
-ties it only when the right end ties too. A burst b has O(sqrt(b))
-intervals, so the scan takes O(sum of sqrt(b_i)) candidates instead of the
-largest burst. :func:`best_quantum` computes L at all of them and T only
-where L says the minimum can still be. CTQ carries the split and its
-candidate blocks, a superset of each later round's ends, from round to round.
+with S >= 0: its smallest value sits at the interval's left end. S == 0
+only once tq reaches every burst but the queue's last, and from there T
+stays constant up to the largest burst, itself a left end. So the left ends
+of the intervals give the largest minimizing quantum exactly. A burst b has
+O(sqrt(b)) intervals, so the scan takes O(sum of sqrt(b_i)) candidates
+instead of the largest burst. :func:`best_quantum` computes L at all of
+them and T only where L says the minimum can still be. CTQ carries the
+split and its candidate blocks from round to round; the blocks give exactly
+each later round's left ends.
 
 All arithmetic is exact integer arithmetic, vectorized with numpy int64. Each
 pair adds less than 2 * largest burst, so T stays below n * n * largest
@@ -96,9 +96,12 @@ _PAIR_CHUNK_CELLS = 1 << 14
 # rejects more than isqrt(_SCAN_CELL_LIMIT) = 4096 tasks.
 _SCAN_CELL_LIMIT = 1 << 24
 
-# Most candidate quanta one scan may evaluate, checked before any allocation.
-# A burst b contributes about 3 * sqrt(b) candidates, so this admits a single
-# burst up to about 2e12 tu; larger inputs are rejected with ValueError.
+# Bound on a scan's candidate quanta, checked before any allocation: with
+# s = isqrt(b - 1) over the distinct bursts, s_max + 1 + 2 * sum(s), both
+# ends of every interval. The scan takes only the left ends, at most
+# s_max + 1 + sum(s), but the bound keeps counting both, so that it refuses
+# the same inputs. It admits a single burst up to about 2e12 tu; larger
+# inputs are rejected with ValueError.
 _CANDIDATE_LIMIT = 1 << 22
 
 
@@ -185,24 +188,26 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
 
 
 def _candidate_quanta(pairs: _PairSplit) -> np.ndarray:
-    """Both ends of every interval on which each (b - 1) // tq is constant,
-    for the tasks that ``pairs`` splits.
+    """The left end of every interval on which each (b - 1) // tq is
+    constant, for the tasks that ``pairs`` splits.
 
     For m = b - 1 and s = isqrt(m), every tq in 1..s+1 is taken. Above s + 1,
     m // tq is some v in 1..s, constant on (m // (v + 1), m // v], or 0 from
-    m + 1 = b on; every such end lies in 1..s+1 or in {m // v, m // v + 1 :
-    v = 1..s}. The last interval of all ends at the largest burst, which is
-    its own m // 1 + 1. A block carried through quanta Q divides m - Q by
-    more v than it needs and drops the quotients 0. The result is sorted,
-    distinct and within [1, largest burst].
+    m + 1 = b on; every such left end lies in 1..s+1 or in {m // v + 1 :
+    v = 1..s}. The last interval of all starts at the largest burst, its own
+    m // 1 + 1. A block carried through quanta Q divides m - Q by more v
+    than it needs, but a v past isqrt(m - Q) gives a quotient + 1 of at most
+    isqrt(m - Q) + 1, already taken. The result is sorted, distinct and
+    within [1, largest burst].
     """
     quotients = pairs.block_top // pairs.block_v
+    quotients += 1
     root = isqrt(int(pairs.top[-1]))
-    quanta = np.concatenate((np.arange(1, root + 2, dtype=np.int64), quotients, quotients + 1))
+    quanta = np.concatenate((np.arange(1, root + 2, dtype=np.int64), quotients))
     quanta.sort()
     # Sorting and dropping repeats here is faster than np.unique.
     fresh = np.empty(quanta.size, dtype=bool)
-    fresh[0] = quanta[0] > 0
+    fresh[0] = True
     np.not_equal(quanta[1:], quanta[:-1], out=fresh[1:])
     return quanta[fresh]
 
@@ -253,18 +258,19 @@ def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
             f"quanta, more than the limit of {_CANDIDATE_LIMIT}"
         )
     sizes = np.asarray(s, dtype=np.int64)
-    block_top = np.repeat(np.asarray(m, dtype=np.int64), sizes)
+    block_top = np.asarray(m, dtype=np.int64).repeat(sizes)
     block_v = np.arange(1, block_top.size + 1, dtype=np.int64)  # v = 1..s in each block
-    block_v -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # once its offset is taken off
+    block_v -= (sizes.cumsum() - sizes).repeat(sizes)  # once its offset is taken off
     top = np.asarray(bursts, dtype=np.int64) - 1
     weight = np.arange(n - 1, -1, -1, dtype=np.int64)
     inverted = top[:, None] > top  # b_k > b_i as (row k, column i)
     inverted &= weight[:, None] > weight  # and k < i, as n - 1 - k > n - 1 - i
-    gap, low = np.nonzero(inverted)  # k and i of each inverted pair,
+    gap, low = inverted.nonzero()  # k and i of each inverted pair,
     gap, low = top[gap], top[low]  # then b_k - 1 and b_i - 1
     gap -= low
-    order = np.argsort(gap)
-    return _PairSplit(np.sort(top), weight, gap[order], low[order], block_top, block_v)
+    order = gap.argsort()
+    top.sort()
+    return _PairSplit(top, weight, gap[order], low[order], block_top, block_v)
 
 
 def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
@@ -279,13 +285,13 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     bounds = np.empty(quanta.size, dtype=np.int64)
     pair_count = pairs.gap.size
     below = np.zeros(pair_count + 1, dtype=np.int64)  # below[j] is the sum of gap[:j]
-    np.cumsum(pairs.gap, out=below[1:])
+    np.add.accumulate(pairs.gap, out=below[1:])
     step = max(1, _PAIR_CHUNK_CELLS // pairs.top.size)
     for lo in range(0, quanta.size, step):
         tq = quanta[lo : lo + step]
         part = bounds[lo : lo + tq.size]
         np.matmul((pairs.top / tq[:, None]).astype(np.int64), pairs.weight, out=part)
-        short = np.searchsorted(pairs.gap, tq)  # inverted pairs with g < tq
+        short = pairs.gap.searchsorted(tq)  # inverted pairs with g < tq
         part += pair_count
         part -= short
         part *= tq
@@ -303,7 +309,7 @@ def _corrections(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     Candidates are taken in chunks of about ``_PAIR_CHUNK_CELLS`` cells of
     the longest such prefix (at least one candidate).
     """
-    short = np.searchsorted(pairs.gap, quanta)
+    short = pairs.gap.searchsorted(quanta)
     corrections = np.empty(quanta.size, dtype=np.int64)
     step = max(1, _PAIR_CHUNK_CELLS // max(1, int(short[-1])))
     for lo in range(0, quanta.size, step):
@@ -324,21 +330,21 @@ def _scan(pairs: _PairSplit) -> tuple[int, int, int]:
     candidates."""
     quanta = _candidate_quanta(pairs)
     bounds = _lower_bounds(pairs, quanta)
-    # np.argmin takes the first minimum; scanning a reversed array makes
-    # that the largest minimizing quantum.
-    guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
+    # argmin takes the first minimum; scanning a reversed array makes that
+    # the largest minimizing quantum.
+    guess = bounds.size - 1 - int(bounds[::-1].argmin())
     # T at the guess, inline: the correction of _corrections at one quantum.
     tq = int(quanta[guess])
     gap = pairs.gap[: pairs.gap.searchsorted(tq)]
     reach = pairs.low[: gap.size] % tq
     reach += gap
     ceiling = int(bounds[guess]) + int(np.add.reduce(tq - gap, where=reach >= tq))
-    alive = np.flatnonzero(bounds <= ceiling)
+    (alive,) = (bounds <= ceiling).nonzero()
     if alive.size == 1:  # only the guess can reach its own T
         return tq, ceiling, quanta.size
     totals = bounds[alive]
     totals += _corrections(pairs, quanta[alive])
-    best = totals.size - 1 - int(np.argmin(totals[::-1]))
+    best = totals.size - 1 - int(totals[::-1].argmin())
     return int(quanta[alive[best]]), int(totals[best]), quanta.size
 
 
@@ -350,7 +356,7 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
     a larger quantum never increases the number of context switches, so among
     equally good waits the cheaper schedule wins.
 
-    Only the ends of the intervals on which every task's full_quanta is
+    Only the left ends of the intervals on which every task's full_quanta is
     constant are candidates (see the module docstring), and
     ``candidates_evaluated`` reports how many. The scan bounds and prunes
     them in three steps:

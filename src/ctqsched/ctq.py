@@ -19,9 +19,9 @@ queue position) order, all of which survive, so the suffix of the w,
 n' - 1, ..., 0, is a fresh split's. An inverted pair survives exactly when
 its smaller task does, and keeps its gap, so the pairs stay sorted by gap.
 A survivor's candidate block, v = 1..isqrt(b - 1), holds every v its
-residual needs, so the carried blocks give a superset of the fresh
-interval ends, and the scan picks the same quantum from it
-(:mod:`ctqsched.analytic`).
+residual r needs. A v past isqrt(r - 1) gives a left end of at most
+isqrt(r - 1) + 1, which the scan takes anyway, so the carried blocks give
+exactly the fresh candidates (:mod:`ctqsched.analytic`).
 """
 
 from __future__ import annotations

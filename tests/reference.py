@@ -156,13 +156,13 @@ def reference_total_waiting(bursts, quanta):
 
 def reference_candidate_quanta(bursts):
     """The candidate quanta of a scan of ``bursts``, in plain integers: every
-    tq in 1..isqrt(largest m) + 1, and m // v and m // v + 1 for each
-    m = b - 1 and v in 1..isqrt(m). Sorted and distinct."""
+    tq in 1..isqrt(largest m) + 1, and m // v + 1 for each m = b - 1 and v in
+    1..isqrt(m), the left ends of the intervals on which each m // tq is
+    constant. Sorted and distinct."""
     tops = {burst - 1 for burst in bursts}
     quanta = set(range(1, isqrt(max(tops)) + 2))
     for m in tops:
-        for v in range(1, isqrt(m) + 1):
-            quanta.update((m // v, m // v + 1))
+        quanta.update(m // v + 1 for v in range(1, isqrt(m) + 1))
     return sorted(quanta)
 
 

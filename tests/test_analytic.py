@@ -1,6 +1,9 @@
 """Closed-form waiting times against the slice-by-slice oracle."""
 
+import os
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from unittest.mock import Mock, patch
@@ -121,10 +124,10 @@ class TestWaitingProfile:
 
 
 class TestBestQuantum:
-    # Quanta the scan evaluates: both ends of every interval on which each
-    # (burst - 1) // tq is constant. For 19, 19, 4, 2 that is 1..7, 9, 10, 18
-    # and 19, the ends for 18 // tq (3 // tq and 1 // tq add none).
-    CANDIDATES = {(19, 19, 4, 2): 11, (17, 17, 2): 10, (15, 15): 9, (7,): 6}
+    # Quanta the scan evaluates: the left end of every interval on which each
+    # (burst - 1) // tq is constant. For 19, 19, 4, 2 that is 1..5, 7, 10 and
+    # 19, the left ends for 18 // tq (3 // tq and 1 // tq add none).
+    CANDIDATES = {(19, 19, 4, 2): 8, (17, 17, 2): 8, (15, 15): 7, (7,): 5}
 
     @pytest.mark.parametrize(
         "bursts,expected",
@@ -268,8 +271,8 @@ def test_pruned_scan_at_the_drain_shape(bursts):
     "bursts,survivors",
     [
         ([24, 3, 3], 1),  # only the guess: its T is the answer, no exact pass
-        ([19, 19, 4, 2], 2),  # quanta 2 and 3 tie on L; the exact pass splits them
-        ([7], 6),  # no pairs: every candidate ties at 0 and the largest wins
+        ([19, 19, 4, 2], 2),  # quanta 1 and 2 tie on L; the exact pass splits them
+        ([7], 5),  # no pairs: every candidate ties at 0 and the largest wins
         # The guess, 5, loses to quantum 1. Its T counts the pair 21, 19,
         # whose (b_i - 1) % tq + g is exactly tq; without it 1 is pruned.
         ([21, 19, 5], 3),
@@ -386,6 +389,35 @@ def test_scan_of_300_tasks_stays_small():
     few arrays of them at a time, and peak below 1.5 MiB of allocations."""
     bursts = np.random.default_rng(300).integers(1, 1001, 300).tolist()
     assert scan_peak(TaskSet.from_bursts(bursts)) < 1.5 * (1 << 20)
+
+
+def test_scan_calls_no_python_level_numpy_wrapper():
+    """On a 48-task drain split, ``_scan`` and ``_PairSplit.after_round`` call
+    numpy's C entry points (ndarray methods, ufuncs) and never the Python
+    wrappers of ``fromnumeric.py`` (``numpy/_core/`` or ``numpy/core/``), in
+    every round and through both exits of the scan."""
+    rng = np.random.default_rng(48)
+    bursts = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
+    pairs = _split_pairs(tuple(bursts))
+    calls, rounds = Counter(), 0
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[os.path.basename(frame.f_code.co_filename)] += 1
+
+    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
+        sys.setprofile(count)
+        try:
+            while True:
+                rounds += 1
+                quantum = analytic._scan(pairs)[0]
+                if quantum > pairs.top[-1]:
+                    break
+                pairs = pairs.after_round(quantum)
+        finally:
+            sys.setprofile(None)
+    assert 0 < exact.call_count < rounds
+    assert calls["fromnumeric.py"] == 0
 
 
 def assert_candidates_keep_the_argmin(tasks):

@@ -157,7 +157,7 @@ class TestBestTq:
         path = tmp_path / "q.tasks"
         path.write_text("1,19\n2,19\n3,4\n4,2\n")
         _, out, _ = run_cli(capsys, "best-tq", "--tasks", str(path))
-        assert "candidates_evaluated: 11" in out
+        assert "candidates_evaluated: 8" in out
         assert "avg_waiting: 16.25" in out
 
 

@@ -84,12 +84,12 @@ task 4: completion=8 turnaround=8 waiting=6 switches=1 slices=2
 """,
 }
 
-# The scan evaluates 13 of the 20 quanta: the ends of the intervals on which
-# every (burst - 1) // tq is constant.
+# The scan evaluates 10 of the 20 quanta: the left ends of the intervals on
+# which every (burst - 1) // tq is constant.
 BEST_TQ = """\
 tq: 1
 avg_waiting: 15.75
-candidates_evaluated: 13
+candidates_evaluated: 10
 """
 
 COMPARE_ARGS = (

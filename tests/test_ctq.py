@@ -185,9 +185,8 @@ def assert_carried_splits_are_fresh(tasks, first=None):
     """In every round that scans, the split CTQ carried equals a fresh split
     of the round's residuals: the same top and w, and the same multiset of
     (g, b_i - 1) pairs, ascending in g (equal gaps may come in another
-    order). Its blocks give candidates that are sorted, distinct, within
-    [1, largest residual] and hold every fresh one. Returns the carried
-    splits by round number."""
+    order). Its blocks give exactly the fresh candidates, the left ends of
+    the residuals' intervals. Returns the carried splits by round number."""
     rounds, split_count = carried_splits(tasks, first)
     assert split_count == min(1, len(rounds))
     for _, residuals, carried in rounds:
@@ -199,10 +198,9 @@ def assert_carried_splits_are_fresh(tasks, first=None):
         assert sorted(zip(gaps, carried.low.tolist())) == sorted(
             zip(fresh.gap.tolist(), fresh.low.tolist())
         )
-        quanta = analytic._candidate_quanta(carried).tolist()
-        assert quanta == sorted(set(quanta))
-        assert 1 <= quanta[0] and quanta[-1] <= max(residuals)
-        assert set(reference_candidate_quanta(residuals)) <= set(quanta)
+        quanta = analytic._candidate_quanta(carried)
+        assert quanta.tolist() == reference_candidate_quanta(residuals)
+        assert np.array_equal(quanta, analytic._candidate_quanta(fresh))
     return {number: carried for number, _, carried in rounds}
 
 
@@ -215,9 +213,9 @@ def test_carried_split_equals_a_fresh_one_in_every_round(bursts, first):
 @settings(max_examples=100, deadline=None)
 @given(bursts=drain_bursts(), first=st.one_of(st.none(), st.integers(1, 1000)))
 def test_carried_candidates_pick_what_fresh_ones_pick(bursts, first):
-    """A fresh split's candidates are exactly the interval ends of its
-    residuals; a carried split's may hold more, but its scan returns the
-    fresh split's largest minimizing quantum and total in every round."""
+    """A fresh split's candidates are exactly the left ends of its residuals'
+    intervals, and a carried split's scan returns the fresh split's largest
+    minimizing quantum and total in every round."""
     rounds, _ = carried_splits(TaskSet.from_bursts(bursts), first)
     for _, residuals, carried in rounds:
         fresh = analytic._split_pairs(residuals)
@@ -244,12 +242,13 @@ class TestCarriedSplit:
 
     def test_a_carried_block_may_pass_its_residual(self):
         # After quanta 1 and 2 the 5 has residual 2, but its block still
-        # holds v = 2 from m = 4: the quotient (4 - 3) // 2 is 0 and dropped.
+        # holds v = 2 from m = 4: the quotient (4 - 3) // 2 is 0, and its
+        # left end 1 is already a candidate.
         splits = assert_carried_splits_are_fresh(TaskSet.from_bursts([31, 5, 3]))
         assert list(splits) == [1, 2, 3, 4]
         carried = splits[3]
         assert (carried.block_top // carried.block_v == 0).any()
-        quanta = [1, 2, 3, 4, 5, 6, 7, 9, 10, 13, 14, 27, 28]
+        quanta = [1, 2, 3, 4, 5, 6, 7, 10, 14, 28]
         assert analytic._candidate_quanta(carried).tolist() == quanta
 
     @pytest.mark.parametrize("bursts", [[13], [500] * 12, [20, 20, 5, 3, 1]])

@@ -1,24 +1,34 @@
-"""The paper's context-switch claim, as exact counts.
+"""The paper's two claims, as exact counts.
 
-The abstract says CTQ keeps context switches "as low as possible". These
-tests count CTQ's switches against fixed RR at CTQ's own first quantum, the
-quantum ``compare`` gives its RR arm: over the bimodal family, where CTQ
-switches far less, and on one ``compare`` seed, where CTQ trades thousands of
-switches for a shorter wait.
+The abstract says CTQ lowers the average waiting time and keeps context
+switches "as low as possible". These tests count both against fixed RR at
+CTQ's own first quantum, the quantum ``compare`` gives its RR arm: over the
+bimodal family and the drain shape, where CTQ switches less on nearly every
+set; over the ``compare`` family, where CTQ runs more than one round on about
+a tenth of the sets; and on one ``compare`` seed, where CTQ trades thousands
+of switches for a shorter wait.
 """
 
 import csv
 import io
+import math
+import random
 
-from ctqsched import metrics_from_schedule, run_ctq, simulate_fixed_rr
+from ctqsched import TaskSet, metrics_from_schedule, run_ctq, simulate_fixed_rr
 from ctqsched.cli import main
+from ctqsched.workload import WorkloadSpec, generate
+
+
+def against_rr(tasks):
+    """CTQ's trace on ``tasks`` and the metrics of fixed RR at its first quantum."""
+    trace = run_ctq(tasks)
+    return trace, metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]), tasks)
 
 
 def test_ctq_switches_less_on_bimodal_bursts(bimodal_workloads):
     fewer = equal = more = rr_switches = ctq_switches = 0
     for tasks in bimodal_workloads:
-        trace = run_ctq(tasks)
-        rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]), tasks)
+        trace, rr = against_rr(tasks)
         ctq = trace.metrics.total_context_switches
         fewer += ctq < rr.total_context_switches
         equal += ctq == rr.total_context_switches
@@ -27,6 +37,51 @@ def test_ctq_switches_less_on_bimodal_bursts(bimodal_workloads):
         ctq_switches += ctq
     assert (fewer, equal, more) == (285, 15, 0)
     assert (rr_switches, ctq_switches) == (148386, 4334)
+
+
+def test_ctq_switches_less_on_drain_bursts():
+    """48 bursts log-uniform in [1, 1000] (the shape of the ``ctq_drain``
+    bench workload), ``random.Random(s)`` for s = 0..299: CTQ runs more than
+    one round and waits strictly less than RR on every set. It switches less
+    on all sets but s = 192, where its 22 rounds switch 428 times against
+    RR's 397."""
+    multi_round = strictly_less = fewer = rr_switches = ctq_switches = 0
+    more = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        tasks = TaskSet.from_bursts(
+            max(1, round(math.exp(rng.uniform(0, math.log(1000))))) for _ in range(48)
+        )
+        trace, rr = against_rr(tasks)
+        multi_round += len(trace.rounds) > 1
+        strictly_less += trace.metrics.total_waiting < rr.total_waiting
+        ctq = trace.metrics.total_context_switches
+        fewer += ctq < rr.total_context_switches
+        if ctq > rr.total_context_switches:
+            more.append((seed, ctq, rr.total_context_switches, len(trace.rounds)))
+        rr_switches += rr.total_context_switches
+        ctq_switches += ctq
+    assert (multi_round, strictly_less) == (300, 300)
+    assert (fewer, more) == (299, [(192, 428, 397, 22)])
+    assert (rr_switches, ctq_switches) == (878160, 40033)
+
+
+def test_ctq_against_rr_over_the_compare_family():
+    """``compare --n 12 --burst-max 5000`` at seeds 1..2000: CTQ runs more
+    than one round on 221 sets, waits strictly less than RR on 169 of them
+    and switches more on 15. On every other set it runs RR's one round, with
+    RR's wait and switches."""
+    multi_round = strictly_less = more_switches = 0
+    for seed in range(1, 2001):
+        tasks = generate(WorkloadSpec(n=12, burst_min=1, burst_max=5000, seed=seed))
+        trace, rr = against_rr(tasks)
+        if len(trace.rounds) == 1:
+            assert trace.metrics.total_waiting == rr.total_waiting
+            assert trace.metrics.total_context_switches == rr.total_context_switches
+        multi_round += len(trace.rounds) > 1
+        strictly_less += trace.metrics.total_waiting < rr.total_waiting
+        more_switches += trace.metrics.total_context_switches > rr.total_context_switches
+    assert (multi_round, strictly_less, more_switches) == (221, 169, 15)
 
 
 def test_ctq_trades_switches_for_wait_at_compare_seed_917(capsys):
