@@ -1,11 +1,12 @@
 """Changeable Time Quantum (CTQ): round robin with a per-round quantum.
 
 Each round every surviving task runs once, in FIFO order, for at most the
-round's quantum (the round loop is :func:`ctqsched.simulate.run_rounds`).
-Between rounds the quantum is re-chosen by running the closed-form candidate
-scan of :func:`ctqsched.analytic.best_quantum` over the survivors' residual
-work, so short stragglers get flushed out early while a tail of long tasks
-degenerates into cheap FCFS-sized slices.
+round's quantum. Before every round, :func:`run_ctq`'s own loop re-chooses
+the quantum by running the closed-form candidate scan of
+:func:`ctqsched.analytic.best_quantum` over the survivors' residual work, so
+short stragglers get flushed out early while a tail of long tasks
+degenerates into cheap FCFS-sized slices. The quanta fix the schedule, which
+:func:`ctqsched.simulate.run_rounds` then builds in one pass.
 
 The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
@@ -29,8 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analytic import _scan, _split_pairs
-from .model import MetricsReport, Schedule, TaskSet, metrics_from_schedule
-from .simulate import Survivors, run_rounds
+from .model import MetricsReport, Schedule, TaskSet, check_total_burst, metrics_from_schedule
+from .simulate import _check_slice_count, run_rounds
+
+Survivors = tuple[tuple[int, int], ...]  # (task_id, residual tu), queue order
 
 
 @dataclass(frozen=True)
@@ -61,42 +64,40 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
 
     Round 1 uses ``first_quantum`` when supplied; otherwise it, like every
     later round, uses the quantum that minimizes the closed-form average
-    waiting time of the current residual set. Each quantum holds for one
-    round of :func:`~ctqsched.simulate.run_rounds`, and the round's record is
-    written when its quantum is chosen: the survivors entering it and the
-    quantum already say which of them finish in it.
+    waiting time of the current residual set. Each round's record is written
+    when its quantum is chosen: the survivors entering it and the quantum
+    already say which of them finish in it. The chosen quanta then build the
+    schedule in one call of :func:`~ctqsched.simulate.run_rounds`.
 
-    The first round that scans splits its residuals' pairs, checking the
-    scan's bounds, and later rounds slice that split (module docstring).
+    The total burst is checked before the first scan, and the slice bound
+    after each round's scan, on the survivors dispatched so far. The first
+    round that scans splits its residuals' pairs, checking the scan's
+    bounds, and later rounds slice that split (module docstring).
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
+    check_total_burst(sum(tasks.bursts()))
 
     rounds: list[RoundRecord] = []
+    survivors: Survivors = tuple(zip(tasks.ids, tasks.bursts()))
     pairs = None  # the pair split of the survivors, from the first round that scans
-
-    def share_for_round(number: int, survivors: Survivors) -> tuple[int, int]:
-        nonlocal pairs
-        if number == 1 and first_quantum is not None:
-            quantum, chosen_by = first_quantum, "user_supplied"
-        else:
+    dispatched = 0
+    while survivors:
+        if rounds or first_quantum is None:
             if pairs is None:
                 pairs = _split_pairs(tuple(residual for _, residual in survivors))
             else:
                 pairs = pairs.after_round(rounds[-1].quantum)
             quantum, chosen_by = _scan(pairs)[0], "optimized"
-        rounds.append(
-            RoundRecord(
-                number=number,
-                quantum=quantum,
-                survivors_before=survivors,
-                completed=tuple(
-                    task_id for task_id, residual in survivors if residual <= quantum
-                ),
-                chosen_by=chosen_by,
-            )
+        else:
+            quantum, chosen_by = first_quantum, "user_supplied"
+        dispatched += len(survivors)
+        _check_slice_count(dispatched)
+        completed = tuple(task_id for task_id, residual in survivors if residual <= quantum)
+        rounds.append(RoundRecord(len(rounds) + 1, quantum, survivors, completed, chosen_by))
+        survivors = tuple(
+            (task_id, residual - quantum) for task_id, residual in survivors if residual > quantum
         )
-        return quantum, 1
 
-    schedule = run_rounds(tasks, share_for_round)
+    schedule = run_rounds(tasks, [r.quantum for r in rounds])
     return CtqTrace(tuple(rounds), schedule, metrics_from_schedule(schedule, tasks))

@@ -10,7 +10,7 @@ A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
 :class:`Schedule` stores its slices as int64 columns (queue slot, start,
 end, round) and nothing else, so :func:`metrics_from_schedule` runs over
 whole columns instead of walking one slice at a time. int64 times are exact
-while the total burst stays below 2**63 tu; both the round loop in
+while the total burst stays below 2**63 tu; both the schedule builder in
 :mod:`ctqsched.simulate` and the metrics reject larger task sets with
 ``ValueError`` before they allocate.
 """
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, NoReturn
 import numpy as np
 
 # Schedules hold their times in int64 columns, exact below this bound. No
-# time in a schedule exceeds the total burst, so the round loop and the
+# time in a schedule exceeds the total burst, so the schedule builder and the
 # metrics check that total before they allocate.
 _INT64_LIMIT = 1 << 63
 
@@ -123,7 +123,8 @@ class Schedule:
     Row ``i`` runs task ``ids[slot[i]]`` from ``start[i]`` to ``end[i]`` in
     round ``round[i]``. Task ids stay Python ints in ``ids``, so they may be
     any size; the times are exact while they stay below 2**63 tu, which the
-    round loop checks through the total burst before it allocates anything.
+    schedule builder checks through the total burst before it allocates
+    anything.
     Every survivor runs once per round, so a row's round number also counts
     how many times its task has been dispatched, this row included.
 

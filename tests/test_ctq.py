@@ -16,6 +16,7 @@ from ctqsched import (
     ctq,
     metrics_from_schedule,
     run_ctq,
+    simulate,
     simulate_fcfs,
     simulate_fixed_rr,
 )
@@ -58,6 +59,34 @@ class TestRunCtq:
             run_ctq(TaskSet((), ()))
         with pytest.raises(ValueError):
             run_ctq(MIXED_FIVE, first_quantum=0)
+
+    @pytest.mark.parametrize("first", [None, 1])
+    def test_a_huge_total_is_refused_before_any_scan(self, first):
+        # The scan would refuse these bursts too (n * n * largest burst past
+        # 2**63), but the total-burst bound is checked first.
+        tasks = TaskSet.from_bursts([5 * 10**18, 5 * 10**18])
+        with patch.object(ctq, "_split_pairs") as split, pytest.raises(ValueError) as error:
+            run_ctq(tasks, first)
+        assert str(error.value) == (
+            "total burst 10000000000000000000 tu is too large: schedules hold times below 2**63 tu"
+        )
+        assert split.call_count == 0
+
+    def test_a_long_tail_stops_at_the_slice_bound(self):
+        """This queue runs 13,066 rounds to the end, nearly all at quantum 1.
+        With the bound at 60 slices, the loop stops right after round 11's
+        scan: the six survivors of rounds 1-11 would take 66 slices."""
+        tasks = TaskSet.from_bursts([30944, 27499, 14803, 13056, 10038, 2892])
+        with (
+            patch.object(simulate, "_SLICE_LIMIT", 60),
+            patch.object(ctq, "_scan", wraps=analytic._scan) as scan,
+            pytest.raises(ValueError) as error,
+        ):
+            run_ctq(tasks)
+        assert str(error.value) == (
+            "schedule needs more than 60 slices; use a larger quantum or fewer tasks"
+        )
+        assert scan.call_count == 11
 
 
 @settings(max_examples=100, deadline=None)

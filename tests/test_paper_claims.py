@@ -5,8 +5,9 @@ switches "as low as possible". These tests count both against fixed RR at
 CTQ's own first quantum, the quantum ``compare`` gives its RR arm: over the
 bimodal family and the drain shape, where CTQ switches less on nearly every
 set; over the ``compare`` family, where CTQ runs more than one round on about
-a tenth of the sets; and on one ``compare`` seed, where CTQ trades thousands
-of switches for a shorter wait.
+a tenth of the sets; over 48 uniform bursts, where CTQ is FCFS on every set;
+and on one ``compare`` seed, where CTQ trades thousands of switches for a
+shorter wait.
 """
 
 import csv
@@ -82,6 +83,24 @@ def test_ctq_against_rr_over_the_compare_family():
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
         more_switches += trace.metrics.total_context_switches > rr.total_context_switches
     assert (multi_round, strictly_less, more_switches) == (221, 169, 15)
+
+
+def test_ctq_is_fcfs_on_the_uniform_48_family():
+    """``compare --n 48 --burst-max 1000`` at seeds 1..300: CTQ's first
+    quantum is the largest burst on every set, so it never runs a second
+    round, waits what RR waits, task for task, and neither arm switches."""
+    one_round = largest_first = same_waits = 0
+    switches = set()
+    for seed in range(1, 301):
+        tasks = generate(WorkloadSpec(n=48, burst_min=1, burst_max=1000, seed=seed))
+        trace, rr = against_rr(tasks)
+        one_round += len(trace.rounds) == 1
+        largest_first += trace.quantum_sequence[0] == max(tasks.bursts())
+        same_waits += [m.waiting for m in trace.metrics.per_task] == [
+            m.waiting for m in rr.per_task
+        ]
+        switches |= {trace.metrics.total_context_switches, rr.total_context_switches}
+    assert (one_round, largest_first, same_waits, switches) == (300, 300, 300, {0})
 
 
 def test_ctq_trades_switches_for_wait_at_compare_seed_917(capsys):

@@ -1,9 +1,10 @@
-"""The round loop and its executors: fixed RR and FCFS."""
+"""The schedule builder and its executors: fixed RR and FCFS."""
 
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import task_sets
@@ -15,7 +16,7 @@ from ctqsched import (
     simulate_fixed_rr,
 )
 from ctqsched.simulate import run_rounds
-from reference import Slice, slices, task_slices
+from reference import Slice, reference_rounds, slices, task_slices
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
@@ -69,19 +70,17 @@ class TestFCFS:
 
 
 def rounds_with_quanta(tasks, quanta):
-    """Every round of the loop when round r gives each survivor quanta[r - 1]
-    for that round only: its number, the survivors entering it, its slices."""
-    entering = []
-
-    def share_for_round(number, survivors):
-        entering.append((number, survivors))
-        return quanta[number - 1], 1
-
-    rows = slices(run_rounds(tasks, share_for_round))
-    return [
-        (number, survivors, tuple(s for s in rows if s.round == number))
-        for number, survivors in entering
-    ]
+    """Every round of ``run_rounds(tasks, quanta)``: its number, the survivors
+    entering it as (task_id, residual) pairs, in queue order, and its slices."""
+    rows = slices(run_rounds(tasks, quanta))
+    left = dict(zip(tasks.ids, tasks.bursts()))
+    rounds = []
+    for number in range(1, rows[-1].round + 1):
+        own = tuple(s for s in rows if s.round == number)
+        rounds.append((number, tuple((s.task_id, left[s.task_id]) for s in own), own))
+        for s in own:
+            left[s.task_id] -= s.length
+    return rounds
 
 
 class TestRunRounds:
@@ -111,8 +110,38 @@ class TestRunRounds:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             rounds_with_quanta(TaskSet((), ()), [2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="quantum must be at least 1 tu, got 0"):
             rounds_with_quanta(TaskSet.from_bursts([5]), [0])
+        with pytest.raises(ValueError, match="quantum must be at least 1 tu, got -3"):
+            run_rounds(MIXED_FIVE, [4, -3, 2])
+        with pytest.raises(ValueError):
+            run_rounds(MIXED_FIVE, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tasks=task_sets(),
+    quanta=st.lists(
+        st.one_of(st.integers(1, 70), st.integers(2**63 - 2, 2**66)), min_size=1, max_size=8
+    ),
+)
+# Heads whose offers pass every burst before the sequence ends, a last
+# quantum held for three more rounds, one quantum, and quanta past 2**63 tu.
+# The last example's offers add up past 2**63 even once each is clamped at
+# the total burst, so the work offered is clamped too.
+@example(tasks=MIXED_FIVE, quanta=[1, 2, 2, 15, 3, 9, 2**64])
+@example(tasks=MIXED_FIVE, quanta=[20, 1, 1])
+@example(tasks=TaskSet.from_bursts([6, 1, 3]), quanta=[1, 2])
+@example(tasks=MIXED_FIVE, quanta=[3])
+@example(tasks=MIXED_FIVE, quanta=[2**63])
+@example(tasks=MIXED_FIVE, quanta=[1, 2**63 + 5, 4])
+@example(tasks=TaskSet.from_bursts([2**62, 2**62 - 1]), quanta=[2**62, 2**63, 5])
+def test_run_rounds_equals_the_reference_round_loop(tasks, quanta):
+    # The reference offers round r quanta[r - 1], and the last quantum after.
+    rounds = reference_rounds(
+        tasks, lambda number, survivors: repeat(quanta[min(number, len(quanta)) - 1])
+    )
+    assert slices(run_rounds(tasks, quanta)) == tuple(s for *_, own in rounds for s in own)
 
 
 @settings(max_examples=300)
