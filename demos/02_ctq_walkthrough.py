@@ -11,19 +11,24 @@ from ctqsched import TaskSet, format_fraction, metrics_from_schedule, run_ctq, s
 tasks = TaskSet.from_bursts([20, 20, 5, 3, 1])
 trace = run_ctq(tasks, first_quantum=1)
 
+# The schedule's rows of a round are the tasks entering it; a row that runs
+# all the work its task has left finishes that task.
+left = dict(zip(tasks.ids, tasks.bursts()))
 for record in trace.rounds:
-    survivors = ", ".join(f"T{tid}:{res}tu" for tid, res in record.survivors_before)
-    print(f"round {record.number}: quantum = {record.quantum} tu ({record.chosen_by})")
-    print(f"  entering: {survivors}")
-    ran = [
-        f"T{task_id} {start}-{end}"
+    rows = [
+        (task_id, start, end)
         for task_id, start, end, number in trace.schedule
         if number == record.number
     ]
-    print("  ran:      " + " | ".join(ran))
-    if record.completed:
-        print(f"  finished: {', '.join(f'T{tid}' for tid in record.completed)}")
+    print(f"round {record.number}: quantum = {record.quantum} tu ({record.chosen_by})")
+    print("  entering: " + ", ".join(f"T{task_id}:{left[task_id]}tu" for task_id, _, _ in rows))
+    print("  ran:      " + " | ".join(f"T{task_id} {start}-{end}" for task_id, start, end in rows))
+    finished = [f"T{task_id}" for task_id, start, end in rows if end - start == left[task_id]]
+    if finished:
+        print(f"  finished: {', '.join(finished)}")
     print()
+    for task_id, start, end in rows:
+        left[task_id] -= end - start
 
 m = trace.metrics
 print(f"quantum sequence: {list(trace.quantum_sequence)}")

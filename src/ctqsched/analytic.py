@@ -215,8 +215,7 @@ def _candidate_quanta(pairs: _PairSplit) -> np.ndarray:
 class _PairSplit(NamedTuple):
     """The queue as the scan needs it, from :func:`_split_pairs`; only tq is left to plug in."""
 
-    top: np.ndarray  # b - 1 of every task, ascending
-    weight: np.ndarray  # w of every task in the order of top: n - 1, ..., 0
+    top: np.ndarray  # b - 1 of every task, ascending; its w is n - 1, ..., 0
     gap: np.ndarray  # g of every inverted pair, ascending
     low: np.ndarray  # b_i - 1 of every inverted pair, in the order of gap
     block_top: np.ndarray  # m of each (m, v) of the candidate blocks, ascending
@@ -227,7 +226,7 @@ class _PairSplit(NamedTuple):
         k, j = self.top.searchsorted(quantum), self.block_top.searchsorted(quantum)
         kept = self.low >= quantum
         return _PairSplit(
-            self.top[k:] - quantum, self.weight[k:], self.gap[kept], self.low[kept] - quantum,
+            self.top[k:] - quantum, self.gap[kept], self.low[kept] - quantum,
             self.block_top[j:] - quantum, self.block_v[j:],
         )
 
@@ -235,10 +234,9 @@ class _PairSplit(NamedTuple):
 def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
     """Split the queue pairs k < i into in-order and inverted ones (see the module
     docstring) and build the candidate blocks: v = 1..isqrt(m) for each distinct
-    m = b - 1, ascending. w counts the tasks after each in (burst, queue position)
-    order, so with b - 1 ascending it is n - 1, ..., 0. Raises ``ValueError``
-    before allocating when n * n * largest burst reaches 2**63, n * n passes
-    ``_SCAN_CELL_LIMIT`` or the candidates pass ``_CANDIDATE_LIMIT``, in that order."""
+    m = b - 1, ascending. Raises ``ValueError`` before allocating when n * n *
+    largest burst reaches 2**63, n * n passes ``_SCAN_CELL_LIMIT`` or the
+    candidates pass ``_CANDIDATE_LIMIT``, in that order."""
     n, largest = len(bursts), max(bursts)
     if n * n * largest >= _INT64_LIMIT:
         raise ValueError(
@@ -262,27 +260,29 @@ def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
     block_v = np.arange(1, block_top.size + 1, dtype=np.int64)  # v = 1..s in each block
     block_v -= (sizes.cumsum() - sizes).repeat(sizes)  # once its offset is taken off
     top = np.asarray(bursts, dtype=np.int64) - 1
-    weight = np.arange(n - 1, -1, -1, dtype=np.int64)
+    position = np.arange(n)
     inverted = top[:, None] > top  # b_k > b_i as (row k, column i)
-    inverted &= weight[:, None] > weight  # and k < i, as n - 1 - k > n - 1 - i
+    inverted &= position[:, None] < position  # and k < i
     gap, low = inverted.nonzero()  # k and i of each inverted pair,
     gap, low = top[gap], top[low]  # then b_k - 1 and b_i - 1
     gap -= low
     order = gap.argsort()
     top.sort()
-    return _PairSplit(top, weight, gap[order], low[order], block_top, block_v)
+    return _PairSplit(top, gap[order], low[order], block_top, block_v)
 
 
 def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     """L(tq) = b . w + tq * (nq . w) + tq * #{inverted, g >= tq}
     + sum{g : inverted, g < tq} for each quantum in ``quanta``. Candidates
     are taken in chunks of about ``_PAIR_CHUNK_CELLS`` cells of nq (at least
-    one candidate).
+    one candidate). w counts the tasks after each in (burst, queue position)
+    order, so in the order of top it is n - 1, ..., 0.
 
     nq = (b - 1) // tq is the float64 quotient truncated to int64. That is
     exact while every b - 1 stays below 2**53 (see the module docstring);
     :func:`_split_pairs` refuses any b - 1 of 2**44 or more."""
     bounds = np.empty(quanta.size, dtype=np.int64)
+    weight = np.arange(pairs.top.size - 1, -1, -1, dtype=np.int64)
     pair_count = pairs.gap.size
     below = np.zeros(pair_count + 1, dtype=np.int64)  # below[j] is the sum of gap[:j]
     np.add.accumulate(pairs.gap, out=below[1:])
@@ -290,13 +290,13 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     for lo in range(0, quanta.size, step):
         tq = quanta[lo : lo + step]
         part = bounds[lo : lo + tq.size]
-        np.matmul((pairs.top / tq[:, None]).astype(np.int64), pairs.weight, out=part)
+        np.matmul((pairs.top / tq[:, None]).astype(np.int64), weight, out=part)
         short = pairs.gap.searchsorted(tq)  # inverted pairs with g < tq
         part += pair_count
         part -= short
         part *= tq
         part += below[short]
-    bounds += int((pairs.top + 1) @ pairs.weight)  # b . w
+    bounds += int((pairs.top + 1) @ weight)  # b . w
     return bounds
 
 

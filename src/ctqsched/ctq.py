@@ -12,14 +12,14 @@ The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
 scan because it offsets every candidate equally.
 
-The scan's pair split is made once per run and then sliced. With Q the sum
-of the quanta so far, the survivors are the tasks with b > Q, each with
-residual b - Q; the split holds the b - 1 ascending, so they are a suffix of
-it. A survivor keeps its w, which counts only tasks after it in (burst,
-queue position) order, all of which survive, so the suffix of the w,
-n' - 1, ..., 0, is a fresh split's. An inverted pair survives exactly when
-its smaller task does, and keeps its gap, so the pairs stay sorted by gap.
-A survivor's candidate block, v = 1..isqrt(b - 1), holds every v its
+The scan's pair split is made once per run and then sliced; it is the only
+survivor state the round loop keeps, and a round's record holds just the
+decision. With Q the sum of the quanta so far, the survivors are the tasks
+with b > Q, each with residual b - Q; the split holds the b - 1 ascending,
+so they are a suffix of it, in a fresh split's order, and the scan reads
+each survivor's w off its position there. An inverted pair survives exactly
+when its smaller task does, and keeps its gap, so the pairs stay sorted by
+gap. A survivor's candidate block, v = 1..isqrt(b - 1), holds every v its
 residual r needs. A v past isqrt(r - 1) gives a left end of at most
 isqrt(r - 1) + 1, which the scan takes anyway, so the carried blocks give
 exactly the fresh candidates (:mod:`ctqsched.analytic`).
@@ -33,18 +33,13 @@ from .analytic import _scan, _split_pairs
 from .model import MetricsReport, Schedule, TaskSet, check_total_burst, metrics_from_schedule
 from .simulate import _check_slice_count, run_rounds
 
-Survivors = tuple[tuple[int, int], ...]  # (task_id, residual tu), queue order
-
-
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round saw and did. ``survivors_before`` holds the residual
-    work of every task entering the round, in their original queue order."""
+    """How one round's quantum was chosen. The tasks entering round r, and
+    those finishing in it, are the schedule's rows of round r."""
 
     number: int
     quantum: int
-    survivors_before: Survivors
-    completed: tuple[int, ...]
     chosen_by: str  # "user_supplied" or "optimized"
 
 
@@ -64,40 +59,42 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
 
     Round 1 uses ``first_quantum`` when supplied; otherwise it, like every
     later round, uses the quantum that minimizes the closed-form average
-    waiting time of the current residual set. Each round's record is written
-    when its quantum is chosen: the survivors entering it and the quantum
-    already say which of them finish in it. The chosen quanta then build the
-    schedule in one call of :func:`~ctqsched.simulate.run_rounds`.
+    waiting time of the current residual set. The loop keeps its survivors
+    only as the pair split of their residuals, made once and sliced after
+    each round (module docstring); it stops when the split holds no task.
+    The chosen quanta then build the schedule in one call of
+    :func:`~ctqsched.simulate.run_rounds`.
 
-    The total burst is checked before the first scan, and the slice bound
-    after each round's scan, on the survivors dispatched so far. The first
-    round that scans splits its residuals' pairs, checking the scan's
-    bounds, and later rounds slice that split (module docstring).
+    The total burst is checked before the split, which checks the scan's
+    bounds, and the slice bound after each round's quantum is chosen, on the
+    survivors dispatched so far.
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
-    check_total_burst(sum(tasks.bursts()))
+    bursts = tasks.bursts()
+    check_total_burst(sum(bursts))
 
-    rounds: list[RoundRecord] = []
-    survivors: Survivors = tuple(zip(tasks.ids, tasks.bursts()))
-    pairs = None  # the pair split of the survivors, from the first round that scans
+    quanta: list[int] = []
+    residuals = bursts
     dispatched = 0
-    while survivors:
-        if rounds or first_quantum is None:
-            if pairs is None:
-                pairs = _split_pairs(tuple(residual for _, residual in survivors))
-            else:
-                pairs = pairs.after_round(rounds[-1].quantum)
-            quantum, chosen_by = _scan(pairs)[0], "optimized"
-        else:
-            quantum, chosen_by = first_quantum, "user_supplied"
-        dispatched += len(survivors)
+    if first_quantum is not None:
+        quanta.append(first_quantum)
+        dispatched = tasks.n
         _check_slice_count(dispatched)
-        completed = tuple(task_id for task_id, residual in survivors if residual <= quantum)
-        rounds.append(RoundRecord(len(rounds) + 1, quantum, survivors, completed, chosen_by))
-        survivors = tuple(
-            (task_id, residual - quantum) for task_id, residual in survivors if residual > quantum
-        )
+        residuals = tuple(burst - first_quantum for burst in bursts if burst > first_quantum)
+    if residuals:
+        pairs = _split_pairs(residuals)
+        while pairs.top.size:
+            quantum = _scan(pairs)[0]
+            dispatched += pairs.top.size
+            _check_slice_count(dispatched)
+            quanta.append(quantum)
+            pairs = pairs.after_round(quantum)
 
-    schedule = run_rounds(tasks, [r.quantum for r in rounds])
-    return CtqTrace(tuple(rounds), schedule, metrics_from_schedule(schedule, tasks))
+    first = "optimized" if first_quantum is None else "user_supplied"
+    rounds = tuple(
+        RoundRecord(number, quantum, first if number == 1 else "optimized")
+        for number, quantum in enumerate(quanta, start=1)
+    )
+    schedule = run_rounds(tasks, quanta)
+    return CtqTrace(rounds, schedule, metrics_from_schedule(schedule, tasks))

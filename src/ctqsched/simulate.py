@@ -51,14 +51,14 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     from one cumulative sum over the whole schedule.
 
     No quantum, a quantum below 1 tu, a total burst of 2**63 tu or more, or
-    more than ``_SLICE_LIMIT`` slices raises ``ValueError``; an empty task
-    set never gets here, since ``TaskSet`` refuses one.
+    more than ``_SLICE_LIMIT`` slices raises ``ValueError``, checked in that
+    order; an empty task set never gets here, since ``TaskSet`` refuses one.
     """
+    if (least := min(quanta)) < 1:
+        raise ValueError(f"quantum must be at least 1 tu, got {least}")
     ids, bursts = tasks.ids, tasks.bursts()
     total = sum(bursts)
     check_total_burst(total)
-    if (least := min(quanta)) < 1:
-        raise ValueError(f"quantum must be at least 1 tu, got {least}")
     offers = [*map(min, quanta, repeat(total))]
     listed, last = len(offers), offers[-1]  # rounds past the sequence offer ``last``
     offered = np.array([*map(min, accumulate(offers, initial=0), repeat(total))], dtype=np.int64)
@@ -95,8 +95,6 @@ def simulate_fixed_rr(tasks: TaskSet, quantum: int) -> Schedule:
     the quantum boundary completes within that slice, and finished tasks leave
     the queue.
     """
-    if quantum < 1:
-        raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
     return run_rounds(tasks, [quantum])
 
 

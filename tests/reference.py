@@ -17,7 +17,10 @@ at every quantum it is given, so that tests can pin that pass to the cell
 kernel.
 
 The package keeps a schedule as int64 columns only; ``Slice`` and the
-helpers after it give the tests its rows as named records.
+helpers after it give the tests its rows as named records. CTQ's round
+records keep only each round's quantum and how it was chosen, so
+``schedule_rounds`` reads the rest of a round off the schedule: the tasks
+entering it, with their residual work, and those finishing in it.
 """
 
 from __future__ import annotations
@@ -90,6 +93,34 @@ def task_slices(schedule: Schedule, task_id: int) -> tuple[Slice, ...]:
             schedule.round[rows].tolist(),
         )
     )
+
+
+class Round(NamedTuple):
+    """One round of a schedule: the survivors entering it as (task_id,
+    residual) pairs and the ids of those finishing in it, both in queue
+    order, and its slices."""
+
+    number: int
+    survivors: tuple[tuple[int, int], ...]
+    completed: tuple[int, ...]
+    slices: tuple[Slice, ...]
+
+
+def schedule_rounds(tasks: TaskSet, schedule: Schedule) -> list[Round]:
+    """Every round of ``schedule``, a schedule of ``tasks``: a round's rows
+    are the tasks entering it, each with its burst less the work of its
+    earlier rows, and a row that runs all of that work finishes its task."""
+    rows = slices(schedule)
+    left = dict(zip(tasks.ids, tasks.bursts()))
+    rounds = []
+    for number in range(1, rows[-1].round + 1):
+        own = tuple(s for s in rows if s.round == number)
+        survivors = tuple((s.task_id, left[s.task_id]) for s in own)
+        completed = tuple(s.task_id for s in own if s.length == left[s.task_id])
+        rounds.append(Round(number, survivors, completed, own))
+        for s in own:
+            left[s.task_id] -= s.length
+    return rounds
 
 
 def reference_load_tasks(source: str) -> TaskSet:
@@ -213,7 +244,9 @@ def reference_fcfs(tasks):
 
 
 def reference_ctq(tasks, first_quantum=None):
-    """CTQ's round records and slices, rescanning before every round."""
+    """CTQ's round records and rounds, rescanning before every round. Each
+    ``Round`` comes from the reference loop: its survivors as that loop
+    carried them, and its completions where a slice ran a task's residual."""
     choices = []
 
     def share_for_round(number, survivors):
@@ -224,15 +257,14 @@ def reference_ctq(tasks, first_quantum=None):
             choices.append((best_quantum(residuals).quantum, "optimized"))
         return repeat(choices[-1][0])
 
-    records, slices = [], []
+    records, rounds = [], []
     for number, before, round_slices in reference_rounds(tasks, share_for_round):
-        quantum, chosen_by = choices[-1]
+        records.append(RoundRecord(number, *choices[-1]))
         completed = tuple(
             s.task_id for s, (_, residual) in zip(round_slices, before) if s.length == residual
         )
-        records.append(RoundRecord(number, quantum, before, completed, chosen_by))
-        slices.extend(round_slices)
-    return tuple(records), tuple(slices)
+        rounds.append(Round(number, before, completed, round_slices))
+    return tuple(records), rounds
 
 
 def optimal_total_waiting(bursts):

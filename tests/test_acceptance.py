@@ -25,7 +25,7 @@ from ctqsched import (
     waiting_profile,
 )
 from ctqsched.cli import main
-from reference import slices, task_slices
+from reference import schedule_rounds, slices, task_slices
 
 
 def announce(number, description):
@@ -180,11 +180,11 @@ def test_criterion_7_compare_determinism(tmp_path, capsys):
 def test_criterion_8_trace_self_consistency(benchmark_sweep):
     results, _ = benchmark_sweep
     checked = 0
-    for _, _, trace in results:
-        for record in trace.rounds:
+    for tasks, _, trace in results:
+        for record, round_ in zip(trace.rounds, schedule_rounds(tasks, trace.schedule)):
             if record.number < 2:
                 continue
-            residuals = TaskSet.from_bursts([r for _, r in record.survivors_before])
+            residuals = TaskSet.from_bursts([r for _, r in round_.survivors])
             assert best_quantum(residuals).quantum == record.quantum
             checked += 1
     assert checked > 0

@@ -297,8 +297,9 @@ def test_both_scan_exits(bursts, survivors):
 
 def python_lower_bounds(pairs, quanta):
     """L at each quantum of ``quanta`` in Python ints, from the split's columns:
-    a . w + tq * #{inverted, g >= tq} + sum{g : inverted, g < tq}."""
-    rows = list(zip(pairs.top.tolist(), pairs.weight.tolist()))
+    a . w + tq * #{inverted, g >= tq} + sum{g : inverted, g < tq}, with w
+    n - 1, ..., 0 by position in the order of top."""
+    rows = list(zip(pairs.top.tolist(), range(pairs.top.size - 1, -1, -1)))
     gaps = pairs.gap.tolist()
     return [
         sum((top + 1 + top // tq * tq) * w for top, w in rows)
@@ -327,7 +328,7 @@ def test_lower_bounds_are_exact_at_the_candidate_limit():
     m = (root + 1) ** 2 - 1  # the largest m with that isqrt
     assert 1.9e12 < m < 2**44
     pairs = _split_pairs((m + 1, *small, m + 1))
-    assert pairs.weight[pairs.top == m][0] == 1
+    assert pairs.top.size - 1 - np.flatnonzero(pairs.top == m)[0] == 1  # the first m's w
     assert _candidate_quanta(pairs).size <= analytic._CANDIDATE_LIMIT
     with pytest.raises(ValueError, match="candidate quanta"):
         _split_pairs((m + 2 * root + 4, *small))
@@ -343,12 +344,12 @@ def test_lower_bounds_are_exact_below_2_to_the_53(top):
     _split_pairs refuses their candidates; at a small top it matches."""
 
     def by_hand(top):
-        columns = ([0, 1, top, top], [3, 2, 1, 0], [1, top - 1, top, top], [0, 1, 0, 0])
+        columns = ([0, 1, top, top], [1, top - 1, top, top], [0, 1, 0, 0])
         none = np.empty(0, dtype=np.int64)  # no candidate blocks: L takes its quanta
         return _PairSplit(*(np.array(c, dtype=np.int64) for c in columns), none, none)
 
     small = _split_pairs((11, 2, 11, 1))
-    assert [c.tolist() for c in by_hand(10)[:4]] == [c.tolist() for c in small[:4]]
+    assert [c.tolist() for c in by_hand(10)[:3]] == [c.tolist() for c in small[:3]]
     pairs = by_hand(top)
     quanta = quanta_near_the_root(top)
     assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)

@@ -346,17 +346,31 @@ def run_cli_process(tmp_path, text, *command, timeout=60):
     )
 
 
-@pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
-def test_burst_too_large_for_the_scan_is_validation_error(tmp_path, command):
-    # 5 * 10**19 does not fit in int64; the scan must refuse it, not crash.
-    result = run_cli_process(tmp_path, "1,5\n2,50000000000000000000\n", *command)
-    assert result.returncode == 3
-    assert result.stderr.startswith("error:")
-    assert "Traceback" not in result.stderr
-
-
 # The total burst does not fit in int64.
 HUGE_TOTAL = "1,5\n2,50000000000000000000\n"
+
+
+@pytest.mark.parametrize("command", [("best-tq",), ("simulate", "--algo", "ctq")])
+def test_burst_too_large_for_the_scan_is_validation_error(tmp_path, command):
+    # 5 * 10**19 does not fit in int64, and neither command may crash on it.
+    # best-tq reaches the scan, which refuses n * n * largest burst past
+    # 2**63; CTQ checks the total burst first, before any scan.
+    result = run_cli_process(tmp_path, HUGE_TOTAL, *command)
+    assert result.returncode == 3
+    assert result.stderr == {
+        "best-tq": "error: cannot scan 2 tasks with a largest burst of 50000000000000000000 tu: "
+        "n * n * largest burst must stay below 2**63\n",
+        "simulate": "error: total burst 50000000000000000005 tu is too large: "
+        "schedules hold times below 2**63 tu\n",
+    }[command[0]]
+
+
+def test_rr_checks_its_quantum_before_the_total_burst(tmp_path):
+    result = run_cli_process(tmp_path, HUGE_TOTAL, "simulate", "--algo", "rr", "--tq", "0")
+    assert result.returncode == 3
+    assert result.stderr == "error: quantum must be at least 1 tu, got 0\n"
+
+
 # It fits, but quantum 1 would need about 10**12 slices.
 MANY_SLICES = "1,5\n2,1000000000000\n"
 

@@ -20,7 +20,7 @@ from ctqsched import (
     simulate_fcfs,
     simulate_fixed_rr,
 )
-from reference import optimal_total_waiting, reference_candidate_quanta, slices
+from reference import optimal_total_waiting, reference_candidate_quanta, schedule_rounds, slices
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
@@ -37,10 +37,11 @@ class TestRunCtq:
         assert [r.chosen_by for r in trace.rounds] == [
             "user_supplied", "optimized", "optimized", "optimized",
         ]
-        assert [r.completed for r in trace.rounds] == [(5,), (4,), (3,), (1, 2)]
-        assert trace.rounds[1].survivors_before == ((1, 19), (2, 19), (3, 4), (4, 2))
-        assert trace.rounds[2].survivors_before == ((1, 17), (2, 17), (3, 2))
-        assert trace.rounds[3].survivors_before == ((1, 15), (2, 15))
+        rounds = schedule_rounds(MIXED_FIVE, trace.schedule)
+        assert [r.completed for r in rounds] == [(5,), (4,), (3,), (1, 2)]
+        assert rounds[1].survivors == ((1, 19), (2, 19), (3, 4), (4, 2))
+        assert rounds[2].survivors == ((1, 17), (2, 17), (3, 2))
+        assert rounds[3].survivors == ((1, 15), (2, 15))
 
     def test_single_task_runs_to_completion_in_one_round(self):
         trace = run_ctq(TaskSet.from_bursts([13]))
@@ -72,6 +73,20 @@ class TestRunCtq:
         )
         assert split.call_count == 0
 
+    def test_a_supplied_first_quantum_is_counted_before_any_split(self):
+        # Round 1 dispatches all five tasks, past a bound of 4 slices, so the
+        # run stops there, before it splits the survivors' pairs.
+        with (
+            patch.object(simulate, "_SLICE_LIMIT", 4),
+            patch.object(ctq, "_split_pairs") as split,
+            pytest.raises(ValueError) as error,
+        ):
+            run_ctq(MIXED_FIVE, first_quantum=1)
+        assert str(error.value) == (
+            "schedule needs more than 4 slices; use a larger quantum or fewer tasks"
+        )
+        assert split.call_count == 0
+
     def test_a_long_tail_stops_at_the_slice_bound(self):
         """This queue runs 13,066 rounds to the end, nearly all at quantum 1.
         With the bound at 60 slices, the loop stops right after round 11's
@@ -95,36 +110,25 @@ def test_trace_self_consistency(tasks, first):
     trace = run_ctq(tasks, first)
 
     # The schedule already passed metric validation (conservation, contiguity)
-    # inside run_ctq; check the trace bookkeeping against it.
-    dispatched = {task.id: 0 for task in tasks}
-    rows = slices(trace.schedule)
-    index = 0
-    for record in trace.rounds:
-        # Residuals entering the round match the work not yet dispatched.
-        for task_id, residual in record.survivors_before:
-            burst = next(t.burst for t in tasks if t.id == task_id)
-            assert residual == burst - dispatched[task_id] > 0
-        for _ in record.survivors_before:
-            s = rows[index]
-            assert s.round == record.number
-            dispatched[s.task_id] += s.length
-            index += 1
-    assert index == len(rows)
+    # inside run_ctq; it runs one round per record, and each record's quantum.
+    rounds = schedule_rounds(tasks, trace.schedule)
+    assert [r.number for r in rounds] == [r.number for r in trace.rounds]
 
-    # Each re-optimized quantum is reproducible from the recorded survivors
+    # Each re-optimized quantum is reproducible from the round's survivors
     # and lies within [1, max residual].
-    for record in trace.rounds:
-        residuals = [r for _, r in record.survivors_before]
+    for record, round_ in zip(trace.rounds, rounds):
+        residuals = [r for _, r in round_.survivors]
+        assert all(s.length == min(record.quantum, r) for s, r in zip(round_.slices, residuals))
         if record.chosen_by == "optimized":
             rebuilt = TaskSet.from_bursts(residuals)
             assert best_quantum(rebuilt).quantum == record.quantum
             assert 1 <= record.quantum <= max(residuals)
 
     # Survivor counts never grow, and the last round drains the queue.
-    counts = [len(r.survivors_before) for r in trace.rounds]
+    counts = [len(r.survivors) for r in rounds]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    assert len(trace.rounds[-1].completed) >= 1
-    assert sum(len(r.completed) for r in trace.rounds) == tasks.n
+    assert len(rounds[-1].completed) >= 1
+    assert sum(len(r.completed) for r in rounds) == tasks.n
 
     # Deterministic.
     assert run_ctq(tasks, first) == trace
@@ -201,18 +205,22 @@ def carried_splits(tasks, first=None):
         patch.object(analytic, "_split_pairs", split),
     ):
         trace = run_ctq(tasks, first)
-    optimized = [r for r in trace.rounds if r.chosen_by == "optimized"]
+    optimized = [
+        round_
+        for record, round_ in zip(trace.rounds, schedule_rounds(tasks, trace.schedule))
+        if record.chosen_by == "optimized"
+    ]
     assert scan.call_count == len(optimized)
     rounds = [
-        (record.number, [residual for _, residual in record.survivors_before], call.args[0])
-        for record, call in zip(optimized, scan.call_args_list)
+        (round_.number, [residual for _, residual in round_.survivors], call.args[0])
+        for round_, call in zip(optimized, scan.call_args_list)
     ]
     return rounds, split.call_count
 
 
 def assert_carried_splits_are_fresh(tasks, first=None):
     """In every round that scans, the split CTQ carried equals a fresh split
-    of the round's residuals: the same top and w, and the same multiset of
+    of the round's residuals: the same top, and the same multiset of
     (g, b_i - 1) pairs, ascending in g (equal gaps may come in another
     order). Its blocks give exactly the fresh candidates, the left ends of
     the residuals' intervals. Returns the carried splits by round number."""
@@ -221,7 +229,6 @@ def assert_carried_splits_are_fresh(tasks, first=None):
     for _, residuals, carried in rounds:
         fresh = analytic._split_pairs(residuals)
         assert carried.top.tolist() == fresh.top.tolist()
-        assert carried.weight.tolist() == fresh.weight.tolist()
         gaps = carried.gap.tolist()
         assert gaps == sorted(gaps)
         assert sorted(zip(gaps, carried.low.tolist())) == sorted(

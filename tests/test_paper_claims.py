@@ -6,7 +6,8 @@ CTQ's own first quantum, the quantum ``compare`` gives its RR arm: over the
 bimodal family and the drain shape, where CTQ switches less on nearly every
 set; over the ``compare`` family, where CTQ runs more than one round on about
 a tenth of the sets; over 48 uniform bursts, where CTQ is FCFS on every set;
-and on one ``compare`` seed, where CTQ trades thousands of switches for a
+over criterion 6's generator, where it runs more than one round on 9 of 300
+sets; and on one ``compare`` seed, where CTQ trades thousands of switches for a
 shorter wait.
 """
 
@@ -101,6 +102,31 @@ def test_ctq_is_fcfs_on_the_uniform_48_family():
         ]
         switches |= {trace.metrics.total_context_switches, rr.total_context_switches}
     assert (one_round, largest_first, same_waits, switches) == (300, 300, 300, {0})
+
+
+def test_ctq_against_rr_over_criterion_6s_generator():
+    """Criterion 6's generator (``random.Random(20260810)``, n drawn from
+    5..50, bursts in 1..500 at seeds 9000 + i) run to 300 sets: CTQ runs
+    more than one round on 9 sets, waits strictly less than RR on 7 and
+    longer on none, and switches less on 7, equally on 293 and more on none.
+    So criterion 6's strict "<" rests on the few multi-round sets."""
+    rng = random.Random(20260810)
+    multi_round = less = longer = fewer = equal = more = rr_switches = ctq_switches = 0
+    for i in range(300):
+        tasks = generate(WorkloadSpec(rng.randint(5, 50), 1, 500, 9000 + i))
+        trace, rr = against_rr(tasks)
+        multi_round += len(trace.rounds) > 1
+        less += trace.metrics.total_waiting < rr.total_waiting
+        longer += trace.metrics.total_waiting > rr.total_waiting
+        ctq = trace.metrics.total_context_switches
+        fewer += ctq < rr.total_context_switches
+        equal += ctq == rr.total_context_switches
+        more += ctq > rr.total_context_switches
+        rr_switches += rr.total_context_switches
+        ctq_switches += ctq
+    assert (multi_round, less, longer) == (9, 7, 0)
+    assert (fewer, equal, more) == (7, 293, 0)
+    assert (rr_switches, ctq_switches) == (228, 70)
 
 
 def test_ctq_trades_switches_for_wait_at_compare_seed_917(capsys):

@@ -23,6 +23,7 @@ from reference import (
     reference_fixed_rr,
     reference_metrics,
     schedule_from_slices,
+    schedule_rounds,
     slices,
 )
 
@@ -73,8 +74,11 @@ def test_ctq_trace_equals_the_reference_loop_at_the_drain_shape(bursts, first):
 
 def assert_ctq_trace_equals_the_reference_loop(tasks, first):
     trace = run_ctq(tasks, first)
-    records, expected = reference_ctq(tasks, first)
+    records, rounds = reference_ctq(tasks, first)
     assert trace.rounds == records
+    # Survivors, completions and slices, round by round, against the schedule.
+    assert schedule_rounds(tasks, trace.schedule) == rounds
+    expected = tuple(s for round_ in rounds for s in round_.slices)
     assert slices(trace.schedule) == expected
     assert trace.metrics == reference_metrics(expected, sum(tasks.bursts()), tasks)
 

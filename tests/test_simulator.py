@@ -16,7 +16,7 @@ from ctqsched import (
     simulate_fixed_rr,
 )
 from ctqsched.simulate import run_rounds
-from reference import Slice, reference_rounds, slices, task_slices
+from reference import Slice, reference_rounds, schedule_rounds, slices, task_slices
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
@@ -50,6 +50,9 @@ class TestFixedRR:
             simulate_fixed_rr(TaskSet.from_bursts([5]), 0)
         with pytest.raises(ValueError):
             simulate_fixed_rr(TaskSet((), ()), 3)
+        # The quantum is checked before the total burst.
+        with pytest.raises(ValueError, match="^quantum must be at least 1 tu, got 0$"):
+            simulate_fixed_rr(TaskSet.from_bursts([5, 5 * 10**19]), 0)
 
 
 class TestFCFS:
@@ -69,49 +72,36 @@ class TestFCFS:
             simulate_fcfs(TaskSet((), ()))
 
 
-def rounds_with_quanta(tasks, quanta):
-    """Every round of ``run_rounds(tasks, quanta)``: its number, the survivors
-    entering it as (task_id, residual) pairs, in queue order, and its slices."""
-    rows = slices(run_rounds(tasks, quanta))
-    left = dict(zip(tasks.ids, tasks.bursts()))
-    rounds = []
-    for number in range(1, rows[-1].round + 1):
-        own = tuple(s for s in rows if s.round == number)
-        rounds.append((number, tuple((s.task_id, left[s.task_id]) for s in own), own))
-        for s in own:
-            left[s.task_id] -= s.length
-    return rounds
-
-
 class TestRunRounds:
     # The CTQ reference run's quanta; the clock enters round r where round
     # r - 1's last slice ends.
     def test_mid_run_round(self):
-        rounds = rounds_with_quanta(MIXED_FIVE, [1, 2, 2, 15])
-        number, survivors, slices = rounds[1]
-        assert (number, survivors) == (2, ((1, 19), (2, 19), (3, 4), (4, 2)))
-        assert rounds[0][2][-1].end == 5
+        rounds = schedule_rounds(MIXED_FIVE, run_rounds(MIXED_FIVE, [1, 2, 2, 15]))
+        number, survivors, completed, slices = rounds[1]
+        assert (number, survivors, completed) == (2, ((1, 19), (2, 19), (3, 4), (4, 2)), (4,))
+        assert rounds[0].slices[-1].end == 5
         assert [(s.start, s.end) for s in slices] == [(5, 7), (7, 9), (9, 11), (11, 13)]
-        assert rounds[2][1] == ((1, 17), (2, 17), (3, 2))
+        assert rounds[2].survivors == ((1, 17), (2, 17), (3, 2))
         assert slices[-1].end == 13
 
     def test_final_round_drains_everyone(self):
-        rounds = rounds_with_quanta(MIXED_FIVE, [1, 2, 2, 15])
-        number, survivors, slices = rounds[-1]
-        assert (number, survivors) == (4, ((1, 15), (2, 15)))
-        assert rounds[2][2][-1].end == 19
+        rounds = schedule_rounds(MIXED_FIVE, run_rounds(MIXED_FIVE, [1, 2, 2, 15]))
+        number, survivors, completed, slices = rounds[-1]
+        assert (number, survivors, completed) == (4, ((1, 15), (2, 15)), (1, 2))
+        assert rounds[2].slices[-1].end == 19
         assert [(s.start, s.end) for s in slices] == [(19, 34), (34, 49)]
         assert slices[-1].end == 49
 
     def test_single_survivor_with_big_quantum(self):
-        rounds = rounds_with_quanta(TaskSet((3,), (7,)), [100])
-        assert rounds == [(1, ((3, 7),), (Slice(3, 0, 7, 1),))]
+        tasks = TaskSet((3,), (7,))
+        rounds = schedule_rounds(tasks, run_rounds(tasks, [100]))
+        assert rounds == [(1, ((3, 7),), (3,), (Slice(3, 0, 7, 1),))]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            rounds_with_quanta(TaskSet((), ()), [2])
+            run_rounds(TaskSet((), ()), [2])
         with pytest.raises(ValueError, match="quantum must be at least 1 tu, got 0"):
-            rounds_with_quanta(TaskSet.from_bursts([5]), [0])
+            run_rounds(TaskSet.from_bursts([5]), [0])
         with pytest.raises(ValueError, match="quantum must be at least 1 tu, got -3"):
             run_rounds(MIXED_FIVE, [4, -3, 2])
         with pytest.raises(ValueError):
