@@ -11,10 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error, 3 input validation error (including
 inputs past a documented bound: more than 2**22 tasks to generate or compare
-(``--n``), a total burst of 2**63 tu or more, a schedule of more than 2**22
-slices, a scan over more than 4096 tasks, a scan too large for exact int64
-totals or with more than 2**22 candidate quanta), 4 internal invariant
-violation.
+(``--n``), a negative ``--seed``, a ``--burst-max`` of 2**63 tu or more, a
+total burst of 2**63 tu or more, a schedule of more than 2**22 slices, a
+scan over more than 4096 tasks, a scan too large for exact int64 totals or
+with more than 2**22 candidate quanta), 4 internal invariant violation.
 """
 
 from __future__ import annotations

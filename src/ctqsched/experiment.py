@@ -3,9 +3,14 @@
 For each generated workload the fixed-RR arm gets the strongest fair
 baseline: its quantum is the one the candidate scan picks for the initial
 set. The CTQ arm starts from that same choice and re-optimizes every round.
-Rows are exact (rationals rendered only at the CSV/JSON boundary) and the
-whole run is a pure function of its arguments, so repeated invocations are
-byte-identical.
+When that first quantum is at least the largest burst, CTQ finishes every
+task in its first round, and all three arms are one schedule: fixed RR at
+that quantum is the very ``run_rounds`` call CTQ made, and FCFS runs each
+task once for its whole burst, as that round did. Such a workload builds
+one schedule and one metrics report for its three rows; any other builds
+each arm. Rows are exact (rationals rendered only at the CSV/JSON
+boundary) and the whole run is a pure function of its arguments, so
+repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -62,11 +67,18 @@ def compare_workload(
     tasks: TaskSet, workload_id: str = "0"
 ) -> tuple[ExperimentRow, ExperimentRow, ExperimentRow]:
     """Run the three arms on one task set; rows in rr, ctq, fcfs order. The
-    RR arm's quantum is CTQ's round-1 choice: the scan over the whole set."""
+    RR arm's quantum is CTQ's round-1 choice: the scan over the whole set.
+
+    A one-round CTQ run is also the RR and FCFS schedule (module
+    docstring), so both rows reuse its metrics; otherwise each arm is
+    built here."""
     trace = run_ctq(tasks)
     quantum = trace.quantum_sequence[0]
-    rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, quantum), tasks)
-    fcfs_metrics = metrics_from_schedule(simulate_fcfs(tasks), tasks)
+    if len(trace.rounds) == 1:
+        rr_metrics = fcfs_metrics = trace.metrics
+    else:
+        rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, quantum), tasks)
+        fcfs_metrics = metrics_from_schedule(simulate_fcfs(tasks), tasks)
     return (
         _row(workload_id, tasks, "rr", str(quantum), rr_metrics),
         _row(
@@ -108,13 +120,19 @@ def run_comparison(
                 n=n,
                 algorithm=algorithm,
                 tq_policy="mean",
-                avg_wt=sum(r.avg_wt for r in arm) / runs,
-                avg_tat=sum(r.avg_tat for r in arm) / runs,
-                context_switches=sum(r.context_switches for r in arm) / runs,
-                makespan=sum(r.makespan for r in arm) / runs,
+                avg_wt=_mean([r.avg_wt for r in arm]),
+                avg_tat=_mean([r.avg_tat for r in arm]),
+                context_switches=_mean([r.context_switches for r in arm]),
+                makespan=_mean([r.makespan for r in arm]),
             )
         )
     return rows
+
+
+def _mean(values: list[Fraction]) -> Fraction:
+    """The mean of one or more Fractions. The sum starts from the first
+    value, not from the int 0, so no int is promoted along the way."""
+    return sum(values[1:], values[0]) / len(values)
 
 
 def _rendered(rows: list[ExperimentRow]) -> list[list[object]]:

@@ -327,23 +327,23 @@ def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
 
 def format_fraction(value: Fraction | int) -> str:
     """Render an exact rational: a terminating decimal when one exists
-    (``134/5`` -> ``"26.8"``), otherwise ``numerator/denominator``."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
+    (``134/5`` -> ``"26.8"``), otherwise ``numerator/denominator``. The
+    parts are read off ``value`` (an int is its own numerator, over 1), so
+    no new ``Fraction`` is built."""
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
     # The decimal expansion terminates iff the denominator is 2^a * 5^b.
-    den = f.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
+    twos = (den & -den).bit_length() - 1
+    rest = den >> twos
+    fives = 0
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{f.numerator}/{f.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    scaled = abs(f.numerator) * 10**digits // f.denominator
+    scaled = abs(num) * 10**digits // den
     whole, frac = divmod(scaled, 10**digits)
-    sign = "-" if f.numerator < 0 else ""
+    sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{str(frac).zfill(digits)}"

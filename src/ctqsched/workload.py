@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TaskSet
+from .model import _INT64_LIMIT, TaskSet
 from .simulate import _SLICE_LIMIT
 
 
@@ -37,7 +37,10 @@ class WorkloadSpec:
 
     ``n`` may not exceed ``_SLICE_LIMIT`` (2**22): every task takes at least
     one slice, so no larger set can be scheduled, and refusing it here keeps
-    :func:`generate` from drawing it first.
+    :func:`generate` from drawing it first. ``seed`` must be non-negative and
+    ``burst_max`` below 2**63 tu, the bounds of the PCG64 seed and of the
+    int64 draw; they are checked here, after the others, so the message
+    names the field rather than coming from numpy.
     """
 
     n: int
@@ -59,6 +62,10 @@ class WorkloadSpec:
             raise ValueError(
                 f"empty burst range [{self.burst_min}, {self.burst_max}]"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.burst_max >= _INT64_LIMIT:
+            raise ValueError(f"burst_max must be below 2**63 tu, got {self.burst_max}")
 
 
 def generate(spec: WorkloadSpec) -> TaskSet:

@@ -16,6 +16,10 @@ fixed RR makes can wait less.
 at every quantum it is given, so that tests can pin that pass to the cell
 kernel.
 
+``reference_compare_workload`` is the comparison harness before it shared
+a one-round CTQ run with its RR and FCFS arms: it builds all three arms
+every time, from the reference dispatch and metrics above.
+
 The package keeps a schedule as int64 columns only; ``Slice`` and the
 helpers after it give the tests its rows as named records. CTQ's round
 records keep only each round's quantum and how it was chosen, so
@@ -35,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ctqsched import (
+    ExperimentRow,
     InvariantViolation,
     MetricsReport,
     RoundRecord,
@@ -359,4 +364,27 @@ def reference_metrics(slices, makespan, tasks):
         avg_turnaround=Fraction(sum(m.turnaround for m in per_task), tasks.n),
         total_context_switches=sum(m.context_switches for m in per_task),
         makespan=makespan,
+    )
+
+
+def reference_compare_workload(tasks, workload_id="0"):
+    """The rr, ctq and fcfs rows of one task set, each arm dispatched and
+    measured on its own: RR at CTQ's first quantum, CTQ, then FCFS."""
+    records, rounds = reference_ctq(tasks)
+    quanta = tuple(r.quantum for r in records)
+    makespan = sum(tasks.bursts())
+
+    def row(algorithm, tq_policy, slices, rounds=None, tq_sequence=None):
+        metrics = reference_metrics(slices, makespan, tasks)
+        return ExperimentRow(
+            workload_id, tasks.n, algorithm, tq_policy, metrics.avg_waiting,
+            metrics.avg_turnaround, Fraction(metrics.total_context_switches),
+            Fraction(metrics.makespan), rounds, tq_sequence,
+        )
+
+    ctq_slices = tuple(s for r in rounds for s in r.slices)
+    return (
+        row("rr", str(quanta[0]), reference_fixed_rr(tasks, quanta[0])),
+        row("ctq", "optimized", ctq_slices, len(records), quanta),
+        row("fcfs", "none", reference_fcfs(tasks)),
     )

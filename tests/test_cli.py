@@ -231,6 +231,29 @@ class TestCompare:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize(
+        "burst_max, err",
+        [
+            ("100000000000000000000", "error: burst_max must be below 2**63 tu, "
+             "got 100000000000000000000\n"),
+            ("9223372036854775808", "error: burst_max must be below 2**63 tu, "
+             "got 9223372036854775808\n"),
+            # 2**63 - 1 draws, and three such bursts pass the total-burst bound.
+            ("9223372036854775807", "error: total burst 14816839280658273049 tu is too "
+             "large: schedules hold times below 2**63 tu\n"),
+        ],
+    )
+    def test_burst_max_past_int64_exits_3(self, capsys, burst_max, err):
+        assert run_cli(
+            capsys, "compare", "--n", "3", "--burst-min", "1", "--burst-max", burst_max,
+            "--seed", "1",
+        ) == (3, "", err)
+
+    def test_negative_seed_exits_3(self, capsys):
+        assert run_cli(
+            capsys, "compare", "--n", "3", "--burst-max", "20", "--seed", "-1", "--runs", "2",
+        ) == (3, "", "error: seed must be non-negative, got -1\n")
+
 
 class TestGenerate:
     def test_round_trips_through_loader(self, tmp_path, capsys):
@@ -251,6 +274,16 @@ class TestGenerate:
         )
         assert (code, out) == (3, "")
         assert "task count must be at most 4194304" in err
+
+    def test_negative_seed_exits_3(self, capsys):
+        assert run_cli(
+            capsys, "generate", "--n", "3", "--burst-max", "20", "--seed", "-5",
+        ) == (3, "", "error: seed must be non-negative, got -5\n")
+
+    def test_burst_max_past_int64_exits_3(self, capsys):
+        assert run_cli(
+            capsys, "generate", "--n", "3", "--burst-max", str(2**63), "--seed", "1",
+        ) == (3, "", f"error: burst_max must be below 2**63 tu, got {2**63}\n")
 
     def test_deterministic_output(self, capsys):
         args = ("generate", "--n", "5", "--burst-min", "1", "--burst-max", "500", "--seed", "42")

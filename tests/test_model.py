@@ -271,3 +271,25 @@ class TestFormatFraction:
     )
     def test_rendering(self, value, rendered):
         assert format_fraction(value) == rendered
+
+    @given(
+        st.integers(-(2**80), 2**80),
+        st.integers(0, 70),
+        st.integers(0, 30),
+        st.sampled_from([1, 1, 3, 7, 49, 2**61 - 1]) | st.integers(1, 10**6),
+        st.booleans(),
+    )
+    def test_rendering_round_trips(self, numerator, a, b, other, as_int):
+        value = numerator if as_int else Fraction(numerator, 2**a * 5**b * other)
+        rendered = format_fraction(value)
+        assert Fraction(rendered) == value
+        # The reduced denominator, split into 2^twos * 5^fives * rest.
+        rest, twos, fives = Fraction(value).denominator, 0, 0
+        while rest % 2 == 0:
+            rest, twos = rest // 2, twos + 1
+        while rest % 5 == 0:
+            rest, fives = rest // 5, fives + 1
+        assert ("/" in rendered) == (rest != 1)
+        if rest == 1:
+            decimals = rendered.partition(".")[2]
+            assert len(decimals) == max(twos, fives)

@@ -54,6 +54,28 @@ class TestGenerate:
         with pytest.raises(ValueError, match="at most 4194304"):
             WorkloadSpec(n=2**22 + 1, burst_min=1, burst_max=10, seed=1)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((3, 1, 20, -5), "seed must be non-negative, got -5"),
+            ((3, 1, 2**63, 1), f"burst_max must be below 2**63 tu, got {2**63}"),
+            ((3, 1, 10**20, 1), f"burst_max must be below 2**63 tu, got {10**20}"),
+            # The checks before these come first.
+            ((0, 1, 2**63, -5), "task count must be at least 1, got 0"),
+            ((3, 5, 4, -5), "empty burst range [5, 4]"),
+        ],
+    )
+    def test_seed_and_burst_max_bounds(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            WorkloadSpec(*fields)
+        assert str(exc.value) == message
+
+    def test_largest_burst_max_still_draws(self):
+        # 2**63 - 1 is inside the int64 draw; the total-burst bound is the
+        # schedule's to check, not the spec's.
+        tasks = generate(WorkloadSpec(n=3, burst_min=1, burst_max=2**63 - 1, seed=1))
+        assert max(tasks.bursts()) < 2**63
+
 
 class TestTaskFiles:
     def test_load_reference_queue(self):
