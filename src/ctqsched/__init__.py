@@ -11,8 +11,6 @@ from .analytic import (
     RoundRobinProfile,
     TaskWait,
     best_quantum,
-    full_quanta,
-    last_slice_start,
     waiting_profile,
 )
 from .ctq import CtqTrace, RoundRecord, run_ctq
@@ -43,8 +41,6 @@ __all__ = [
     "RoundRobinProfile",
     "TaskWait",
     "best_quantum",
-    "full_quanta",
-    "last_slice_start",
     "waiting_profile",
     "CtqTrace",
     "RoundRecord",

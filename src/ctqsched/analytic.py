@@ -2,12 +2,12 @@
 
 For a FIFO queue where every task arrives at time 0, fixed-quantum round
 robin is regular enough that each task's timeline can be computed without
-running it: how many whole quanta it burns before its final slice
-(:func:`full_quanta`), when that final slice starts (:func:`last_slice_start`),
-and therefore how long it spends waiting. Minimizing the resulting total
-waiting time over the quanta in [1, largest burst] yields the quantum with the
-smallest average wait (:func:`best_quantum`); that choice is the decision rule
-the per-round CTQ scheduler applies between rounds.
+running it: how many whole quanta it burns before its final slice, when that
+final slice starts, and therefore how long it spends waiting (a
+:class:`TaskWait` row of :func:`waiting_profile`). Minimizing the resulting
+total waiting time over the quanta in [1, largest burst] yields the quantum
+with the smallest average wait (:func:`best_quantum`); that choice is the
+decision rule the per-round CTQ scheduler applies between rounds.
 
 One rule gives every task's wait. With nq_i = (b_i - 1) // tq, task i's
 final slice starts once it has run nq_i full quanta and every other task k
@@ -17,7 +17,7 @@ nq_i for k behind it. Its wait is that start less its own nq_i * tq, so
     wait_i = sum over k < i of min(b_k, (nq_i + 1) * tq)
            + sum over k > i of min(b_k, nq_i * tq).
 
-:func:`last_slice_start` evaluates this rule task by task in plain integers.
+:func:`waiting_profile` evaluates this rule task by task in plain integers.
 The total needs no per-task timeline. A queue pair k < i adds
 min(b_k, (nq_i + 1) * tq) to i's wait and min(b_i, nq_k * tq) to k's. Since
 nq * tq < b <= (nq + 1) * tq, the two sum to a_k when nq_k <= nq_i and to
@@ -105,42 +105,18 @@ _SCAN_CELL_LIMIT = 1 << 24
 _CANDIDATE_LIMIT = 1 << 22
 
 
-def full_quanta(burst: int, quantum: int) -> int:
-    """Number of whole quanta a task runs before its final slice:
-    (burst - 1) // quantum, so a burst that is an exact multiple of the
-    quantum folds the boundary run into the final slice and
-    ``full_quanta(8, 4)`` is 1, not 2. Under fixed-quantum round robin this
-    always equals (number of slices) - 1.
-    """
-    if burst < 1:
-        raise ValueError(f"burst must be at least 1 tu, got {burst}")
-    if quantum < 1:
-        raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
-    return (burst - 1) // quantum
-
-
-def last_slice_start(tasks: TaskSet, quantum: int, position: int) -> int:
-    """Start time of the final slice the task at queue ``position`` receives.
-
-    ``position`` is 1-based queue order. This is the per-task rule of the
-    module docstring in plain integers, independent of the vectorized scan.
-    """
-    if not 1 <= position <= tasks.n:
-        raise IndexError(f"queue position {position} out of range 1..{tasks.n}")
-    bursts = tasks.bursts()
-    i = position - 1
-    nq = full_quanta(bursts[i], quantum)
-    ahead = (nq + 1) * quantum
-    behind = nq * quantum
-    return (
-        behind
-        + sum(min(b, ahead) for b in bursts[:i])
-        + sum(min(b, behind) for b in bursts[i + 1 :])
-    )
-
-
 @dataclass(frozen=True)
 class TaskWait:
+    """One task's row of :func:`waiting_profile`.
+
+    ``full_quanta`` is the rule's nq = (b - 1) // tq, the whole quanta the
+    task runs before its final slice: a burst that is an exact multiple of
+    the quantum folds the boundary run into the final slice, so a burst of 8
+    at quantum 4 has 1, not 2. It is the task's slice count minus one.
+    ``last_slice_start`` is when that final slice starts, full_quanta * tq +
+    ``waiting``, and ``waiting`` equals completion - burst.
+    """
+
     task_id: int
     full_quanta: int
     last_slice_start: int
@@ -170,20 +146,21 @@ class QuantumChoice:
 
 
 def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
-    """Evaluate the closed-form waiting time of every task under fixed RR.
-
-    waiting = last_slice_start - full_quanta * quantum, which equals
-    completion - burst; the slice-by-slice simulator must agree exactly.
-    """
+    """Evaluate the waiting rule of the module docstring for every task under
+    fixed RR, in plain integers and independent of the vectorized scan. Each
+    wait equals completion - burst; the slice-by-slice simulator must agree."""
+    if quantum < 1:
+        raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
+    bursts = tasks.bursts()
     rows = []
-    total = 0
-    for position in range(1, tasks.n + 1):
-        task = tasks[position - 1]
-        nq = full_quanta(task.burst, quantum)
-        start = last_slice_start(tasks, quantum, position)
-        waiting = start - nq * quantum
-        rows.append(TaskWait(task.id, nq, start, waiting))
-        total += waiting
+    for i, (task_id, burst) in enumerate(zip(tasks.ids, bursts)):
+        nq = (burst - 1) // quantum
+        behind = nq * quantum
+        ahead = behind + quantum
+        waiting = sum(min(b, ahead) for b in bursts[:i])
+        waiting += sum(min(b, behind) for b in bursts[i + 1 :])
+        rows.append(TaskWait(task_id, nq, behind + waiting, waiting))
+    total = sum(row.waiting for row in rows)
     return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n), quantum)
 
 

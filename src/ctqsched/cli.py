@@ -4,7 +4,8 @@ Subcommands:
 
 * ``simulate`` -- run one scheduler (fixed RR, FCFS or CTQ) on a task file
   of ``id,burst`` lines; prints a metrics block, plus the slice list
-  (``task_id,start,end,round`` lines) with ``--gantt``.
+  (``task_id,start,end,round`` lines) with ``--gantt``. ``--tq`` goes
+  with ``rr`` only, which needs it, and ``--first-tq`` with ``ctq`` only.
 * ``best-tq``  -- report the quantum minimizing average waiting time.
 * ``compare``  -- fixed RR vs CTQ vs FCFS over seeded workloads, CSV or JSON.
 * ``generate`` -- write a seeded random task file.
@@ -78,6 +79,10 @@ def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     tasks = _read_tasks(args.tasks)
+    if args.tq is not None and args.algo != "rr":
+        raise UsageError("--tq applies only to --algo rr")
+    if args.first_tq is not None and args.algo != "ctq":
+        raise UsageError("--first-tq applies only to --algo ctq")
     trace: CtqTrace | None = None
     if args.algo == "rr":
         if args.tq is None:

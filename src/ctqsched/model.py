@@ -51,11 +51,11 @@ class Task(NamedTuple):
 
 class TaskSet:
     """Tasks in FIFO queue order, all arriving at time 0, as two tuples of one
-    length, ``ids`` and ``bursts()``; indexing and iteration yield :class:`Task`
-    rows. Queue order is significant: a task's waiting time depends on who
-    sits ahead of it, so every operation in this package preserves it. A set
-    holds at least one task, no negative id, no burst below 1 tu and no id
-    twice, checked here and nowhere else.
+    length, ``ids`` and ``bursts()``; iteration yields :class:`Task` rows.
+    Queue order is significant: a task's waiting time depends on who sits
+    ahead of it, so every operation in this package preserves it. A set holds
+    at least one task, no negative id, no burst below 1 tu and no id twice,
+    checked here and nowhere else.
     """
 
     __slots__ = ("ids", "_bursts")
@@ -87,9 +87,6 @@ class TaskSet:
 
     def __iter__(self) -> Iterator[Task]:
         return map(Task, self.ids, self._bursts)
-
-    def __getitem__(self, index: int) -> Task:
-        return Task(self.ids[index], self._bursts[index])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TaskSet) and (self.ids, self._bursts) == (other.ids, other._bursts)

@@ -12,6 +12,11 @@ report for report and error message for error message. The optimal search
 over quantum sequences is a bound, not an equal: no schedule that CTQ or
 fixed RR makes can wait less.
 
+``reference_sequence_waits`` states the waiting rule of
+``ctqsched.analytic`` for any sequence of per-round quanta, in plain
+integers: the rule that fixed RR (one quantum), FCFS (the largest burst)
+and CTQ (the quanta its rounds chose) all follow.
+
 ``pair_split_totals`` is not a reference: it runs the package's exact pass
 at every quantum it is given, so that tests can pin that pass to the cell
 kernel.
@@ -188,6 +193,24 @@ def reference_total_waiting(bursts, quanta):
     cap = (nq[:, :, None] + earlier[None, :, :]) * tq[:, None, None]
     ran_ahead = np.minimum(b[None, None, :], cap).sum(axis=2)
     return (ran_ahead - nq * tq[:, None]).sum(axis=1)
+
+
+def reference_sequence_waits(bursts, quanta):
+    """Each task's waiting time when round r offers every survivor
+    ``quanta[r - 1]`` tu and the last quantum holds past the list. With W_r
+    the work offered through round r (W_0 = 0), task i finishes in round
+    r_i, the first with W_r >= b_i. Before its final slice, each task k
+    ahead of it has run min(b_k, W_{r_i}) and each task behind it
+    min(b_k, W_{r_i - 1}); their sum is i's wait."""
+    offered = [0]
+    while offered[-1] < max(bursts):
+        offered.append(offered[-1] + quanta[min(len(offered), len(quanta)) - 1])
+    waits = []
+    for i, burst in enumerate(bursts):
+        r = next(r for r, work in enumerate(offered) if work >= burst)
+        ahead = sum(min(b, offered[r]) for b in bursts[:i])
+        waits.append(ahead + sum(min(b, offered[r - 1]) for b in bursts[i + 1 :]))
+    return waits
 
 
 def reference_candidate_quanta(bursts):

@@ -18,14 +18,20 @@ from ctqsched import (
     TaskSet,
     analytic,
     best_quantum,
-    full_quanta,
-    last_slice_start,
+    compare_workload,
     metrics_from_schedule,
+    run_ctq,
     simulate_fixed_rr,
     waiting_profile,
 )
 from ctqsched.analytic import _candidate_quanta, _lower_bounds, _PairSplit, _split_pairs
-from reference import pair_split_totals, reference_total_waiting, task_slices
+from ctqsched.simulate import run_rounds
+from reference import (
+    pair_split_totals,
+    reference_sequence_waits,
+    reference_total_waiting,
+    task_slices,
+)
 
 
 class TestFullQuanta:
@@ -40,41 +46,29 @@ class TestFullQuanta:
         ],
     )
     def test_values(self, burst, quantum, expected):
-        assert full_quanta(burst, quantum) == expected
+        (row,) = waiting_profile(TaskSet.from_bursts([burst]), quantum).per_task
+        assert row.full_quanta == expected
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            full_quanta(0, 4)
-        with pytest.raises(ValueError):
-            full_quanta(4, 0)
+            waiting_profile(TaskSet.from_bursts([4]), 0)
 
 
 class TestLastSliceStart:
     def test_reference_queue(self):
-        ts = TaskSet.from_bursts([24, 3, 3])
-        assert last_slice_start(ts, 4, 1) == 26
-        assert last_slice_start(ts, 4, 2) == 4
-        assert last_slice_start(ts, 4, 3) == 7
+        rows = waiting_profile(TaskSet.from_bursts([24, 3, 3]), 4).per_task
+        assert [row.last_slice_start for row in rows] == [26, 4, 7]
 
     def test_single_task_starts_after_its_own_quanta(self):
         ts = TaskSet.from_bursts([11])
         for quantum in (1, 2, 3, 11, 20):
-            assert last_slice_start(ts, quantum, 1) == full_quanta(11, quantum) * quantum
-
-    def test_position_out_of_range(self):
-        ts = TaskSet.from_bursts([5, 5])
-        with pytest.raises(IndexError):
-            last_slice_start(ts, 2, 0)
-        with pytest.raises(IndexError):
-            last_slice_start(ts, 2, 3)
+            (row,) = waiting_profile(ts, quantum).per_task
+            assert row.last_slice_start == row.full_quanta * quantum
 
     def test_rejects_non_positive_quantum(self):
         ts = TaskSet.from_bursts([5, 5])
         with pytest.raises(ValueError, match="quantum must be at least 1 tu, got 0"):
-            last_slice_start(ts, 0, 1)
-        # The position is checked first.
-        with pytest.raises(IndexError):
-            last_slice_start(ts, 0, 3)
+            waiting_profile(ts, 0)
 
 
 class TestWaitingProfile:
@@ -179,6 +173,51 @@ def test_closed_form_matches_simulation_for_every_quantum(tasks):
             assert row.waiting == metrics.waiting
             assert row.full_quanta == len(slices) - 1
             assert row.last_slice_start == slices[-1].start
+
+
+# The waiting rule for any quantum sequence (``reference_sequence_waits``)
+# against dispatch, the closed form at one quantum, CTQ and the comparison.
+# Quanta up to 400 include some past the total burst of up to 320 tu.
+@settings(max_examples=200, deadline=None)
+@given(
+    tasks=task_sets(max_n=8, max_burst=40),
+    quanta=st.lists(st.one_of(st.integers(1, 12), st.integers(1, 400)), min_size=1, max_size=6),
+)
+def test_sequence_rule_matches_dispatch(tasks, quanta):
+    report = metrics_from_schedule(run_rounds(tasks, quanta), tasks)
+    waits = reference_sequence_waits(tasks.bursts(), quanta)
+    assert waits == [metrics.waiting for metrics in report.per_task]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tasks=task_sets(), quantum=st.integers(1, 70))
+def test_sequence_rule_at_one_quantum_is_the_profile(tasks, quantum):
+    profile = waiting_profile(tasks, quantum)
+    waits = reference_sequence_waits(tasks.bursts(), [quantum])
+    assert waits == [row.waiting for row in profile.per_task]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bursts=drain_bursts(max_n=24), first=st.one_of(st.none(), st.integers(1, 1000)))
+def test_ctq_total_is_the_sequence_rule(bursts, first):
+    trace = run_ctq(TaskSet.from_bursts(bursts), first)
+    assert trace.metrics.total_waiting == sum(
+        reference_sequence_waits(bursts, trace.quantum_sequence)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tasks=task_sets())
+def test_compare_arms_wait_by_the_sequence_rule(tasks):
+    bursts = tasks.bursts()
+
+    def avg_wait(quanta):
+        return Fraction(sum(reference_sequence_waits(bursts, quanta)), tasks.n)
+
+    rr, ctq, fcfs = compare_workload(tasks)
+    assert rr.avg_wt == avg_wait([int(rr.tq_policy)])
+    assert ctq.avg_wt == avg_wait(ctq.tq_sequence)
+    assert fcfs.avg_wt == avg_wait([max(bursts)])
 
 
 @settings(max_examples=150, deadline=None)

@@ -110,6 +110,23 @@ class TestSimulate:
         assert code == 2
         assert err == "error: --tq is required for --algo rr\n"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--algo", "ctq", "--tq", "5"), "--tq applies only to --algo rr"),
+            (("--algo", "fcfs", "--tq", "5"), "--tq applies only to --algo rr"),
+            (("--algo", "rr", "--tq", "4", "--first-tq", "2"),
+             "--first-tq applies only to --algo ctq"),
+            (("--algo", "fcfs", "--first-tq", "2"), "--first-tq applies only to --algo ctq"),
+        ],
+        ids=["tq-with-ctq", "tq-with-fcfs", "first-tq-with-rr", "first-tq-with-fcfs"],
+    )
+    def test_quantum_flag_of_another_algorithm_is_usage_error(
+        self, capsys, long_then_short, flags, message
+    ):
+        code, out, err = run_cli(capsys, "simulate", "--tasks", long_then_short, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_broken_schedule_is_invariant_violation(self, monkeypatch, capsys, long_then_short):
         def fcfs_without_last_slice(tasks):
             whole = simulate_fcfs(tasks)
@@ -509,11 +526,13 @@ def test_best_tq_survives_hostile_task_files(text):
     text=HOSTILE_TEXT,
     algo=st.sampled_from(["rr", "fcfs", "ctq"]),
     # Each quantum either keeps the slice count small for every burst above
-    # or pushes it past the slice limit, so no example builds millions.
+    # or pushes it past the slice limit, so no example builds millions. Only
+    # rr takes it: fcfs and ctq refuse --tq as a usage error.
     tq=st.sampled_from([1, 1000, 10**6, 10**20]),
 )
 def test_simulate_survives_hostile_task_files(text, algo, tq):
-    assert_survives(["simulate", "--algo", algo, "--tq", str(tq)], text)
+    quantum = ["--tq", str(tq)] if algo == "rr" else []
+    assert_survives(["simulate", "--algo", algo, *quantum], text)
 
 
 # Hostile workload flags: negative, zero, past the scan's task limit, past

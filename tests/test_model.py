@@ -81,8 +81,7 @@ class TestTaskSet:
 
     def test_rows_are_named_tuples_over_the_columns(self):
         ts = TaskSet((7, 3), (2, 9))
-        assert ts[1] == Task(id=3, burst=9) == (3, 9)
-        assert list(ts) == [Task(7, 2), Task(3, 9)]
+        assert list(ts) == [Task(7, 2), Task(id=3, burst=9)] == [(7, 2), (3, 9)]
         assert (ts.ids, ts.bursts(), len(ts)) == ((7, 3), (2, 9), 2)
         assert ts == TaskSet([7, 3], iter([2, 9])) != TaskSet((3, 7), (9, 2))
 

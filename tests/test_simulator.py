@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import task_sets
 from ctqsched import (
     TaskSet,
-    full_quanta,
     metrics_from_schedule,
     simulate_fcfs,
     simulate_fixed_rr,
@@ -156,7 +155,7 @@ def test_schedule_invariants(tasks, quantum, policy):
     for task in tasks:
         own = task_slices(schedule, task.id)
         assert sum(s.length for s in own) == task.burst
-        assert len(own) == full_quanta(task.burst, share(task)) + 1
+        assert len(own) == (task.burst - 1) // share(task) + 1
         # Every survivor runs once per round, so the round number is also
         # the task's dispatch count.
         assert [s.round for s in own] == list(range(1, len(own) + 1))
