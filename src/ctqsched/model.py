@@ -7,16 +7,19 @@ depend on float rounding.
 
 A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
 :class:`Task` and :class:`TaskMetrics` are named-tuple rows. A
-:class:`Schedule` stores its slices as int64 columns (queue slot, start,
-end, round) and nothing else, so :func:`metrics_from_schedule` runs over
-whole columns instead of walking one slice at a time. int64 times are exact
-while the total burst stays below 2**63 tu; both the schedule builder in
-:mod:`ctqsched.simulate` and the metrics reject larger task sets with
-``ValueError`` before they allocate.
+:class:`Schedule` stores its slices as int64 columns (queue slot, end,
+round) and nothing else: each slice starts where the one before it ended,
+so starts and the makespan follow from the ends, and no schedule can hold
+a gap. :func:`metrics_from_schedule` runs over whole columns instead of
+walking one slice at a time. int64 times are exact while the total burst
+stays below 2**63 tu; both the schedule builder in :mod:`ctqsched.simulate`
+and the metrics reject larger task sets with ``ValueError`` before they
+allocate.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, NoReturn
@@ -55,13 +58,15 @@ class TaskSet:
     Queue order is significant: a task's waiting time depends on who sits
     ahead of it, so every operation in this package preserves it. A set holds
     at least one task, no negative id, no burst below 1 tu and no id twice,
-    checked here and nowhere else.
+    checked here and nowhere else. Both columns hold Python ints: a numpy
+    integer is converted, and a float or a str raises ``TypeError``, so a sum
+    over a column never wraps around.
     """
 
     __slots__ = ("ids", "_bursts")
 
     def __init__(self, ids: Iterable[int], bursts: Iterable[int]) -> None:
-        ids, bursts = tuple(ids), tuple(bursts)
+        ids, bursts = tuple(map(operator.index, ids)), tuple(map(operator.index, bursts))
         # One pass of C builtins; only columns that fail it are walked.
         n = len(ids)
         valid = n == len(bursts) and n and min(ids) >= 0 and min(bursts) >= 1
@@ -117,8 +122,10 @@ class Schedule:
     """The full Gantt chart: back-to-back slices from time 0 to the makespan,
     stored as int64 columns with one row per slice, in dispatch order.
 
-    Row ``i`` runs task ``ids[slot[i]]`` from ``start[i]`` to ``end[i]`` in
-    round ``round[i]``. Task ids stay Python ints in ``ids``, so they may be
+    Row ``i`` runs task ``ids[slot[i]]`` until ``end[i]`` in round
+    ``round[i]``; it starts where row ``i - 1`` ended, or at 0, so ``start``
+    and ``makespan`` (the last end, or 0 with no rows) are read off ``end``
+    and not stored. Task ids stay Python ints in ``ids``, so they may be
     any size; the times are exact while they stay below 2**63 tu, which the
     schedule builder checks through the total burst before it allocates
     anything.
@@ -126,27 +133,26 @@ class Schedule:
     how many times its task has been dispatched, this row included.
 
     Iterating yields the rows as plain ``(task_id, start, end, round)``
-    tuples. Two schedules are equal when their ids, columns and makespans
-    are.
+    tuples. Two schedules are equal when their ids and columns are.
     """
 
-    __slots__ = ("ids", "slot", "start", "end", "round", "makespan")
+    __slots__ = ("ids", "slot", "end", "round")
 
     def __init__(
-        self,
-        ids: Iterable[int],
-        slot: np.ndarray,
-        start: np.ndarray,
-        end: np.ndarray,
-        round: np.ndarray,
-        makespan: int,
+        self, ids: Iterable[int], slot: np.ndarray, end: np.ndarray, round: np.ndarray
     ) -> None:
-        self.ids = tuple(ids)
-        self.slot = slot
-        self.start = start
-        self.end = end
-        self.round = round
-        self.makespan = makespan
+        self.ids, self.slot, self.end, self.round = tuple(ids), slot, end, round
+
+    @property
+    def start(self) -> np.ndarray:
+        """Each row's start: 0, then the end of the row before it."""
+        start = np.zeros_like(self.end)
+        start[1:] = self.end[:-1]
+        return start
+
+    @property
+    def makespan(self) -> int:
+        return int(self.end[-1]) if len(self.end) else 0
 
     @property
     def slices(self) -> "Schedule":
@@ -161,16 +167,15 @@ class Schedule:
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
         ids = self.ids
         task_ids = [ids[k] for k in self.slot.tolist()]
-        return zip(task_ids, self.start.tolist(), self.end.tolist(), self.round.tolist())
+        end = self.end.tolist()
+        return zip(task_ids, [0, *end], end, self.round.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
             return NotImplemented
         return (
             self.ids == other.ids
-            and self.makespan == other.makespan
             and np.array_equal(self.slot, other.slot)
-            and np.array_equal(self.start, other.start)
             and np.array_equal(self.end, other.end)
             and np.array_equal(self.round, other.round)
         )
@@ -214,9 +219,9 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
 
     Raises :class:`InvariantViolation` if the schedule does not actually
     execute ``tasks``: columns of different lengths, slots outside
-    ``schedule.ids``, unknown ids, gaps in the timeline, slices of zero or
-    negative length, per-task totals that do not add up to the bursts, or a
-    makespan other than the timeline's end.
+    ``schedule.ids``, unknown ids, slices of zero or negative length (a
+    slice's length is its end less the previous end), or per-task totals
+    that do not add up to the bursts (an over-run or an under-run).
     Raises ``ValueError`` when the total burst is 2**63 tu or more, which no
     schedule can hold.
 
@@ -228,12 +233,12 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     ids, bursts = tasks.ids, tasks.bursts()
     n = len(ids)
     check_total_burst(sum(bursts))
-    start, end = schedule.start, schedule.end
+    end = schedule.end
     # Queue position of every slice's task, -1 for an id not in ``tasks``.
     # Every column holds one value per slice, and every slot must index
     # ``schedule.ids``; no rows fail the totals below.
     queue = schedule.slot
-    valid = len(queue) == len(start) == len(end) == len(schedule.round) and (
+    valid = len(queue) == len(end) == len(schedule.round) and (
         not queue.size or (queue.min() >= 0 and queue.max() < len(schedule.ids))
     )
     if valid and schedule.ids != ids:
@@ -241,18 +246,15 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
         queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
         valid = (queue >= 0).all()
     if valid:
+        length = end.copy()
+        length[1:] -= end[:-1]
         executed = np.zeros(n, dtype=np.int64)
-        np.add.at(executed, queue, end - start)
+        np.add.at(executed, queue, length)
         # Every burst is at least 1 tu, so matching totals mean a slice exists.
-        valid = (
-            tuple(executed.tolist()) == bursts
-            and start[0] == 0
-            and (start[1:] == end[:-1]).all()
-            and (end > start).all()
-            and schedule.makespan == int(end[-1])
-        )
+        valid = tuple(executed.tolist()) == bursts and (length > 0).all()
     if not valid:
         _raise_first_violation(schedule, tasks)
+    makespan = int(end[-1])
 
     # Every task ends on its last slice, and ends only grow along the timeline.
     completion = np.zeros(n, dtype=np.int64)
@@ -263,7 +265,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     # has such a last slice.
     before = queue[:-1]
     changes = np.bincount(before[queue[1:] != before], minlength=n).tolist()
-    switches = [changed - (done < schedule.makespan) for changed, done in zip(changes, completion)]
+    switches = [changed - (done < makespan) for changed, done in zip(changes, completion)]
     waiting = [done - burst for done, burst in zip(completion, bursts)]
     slice_counts = np.bincount(queue, minlength=n).tolist()
     # TaskMetrics(task_id, completion, turnaround, waiting, context_switches, slice_count)
@@ -278,7 +280,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
         avg_waiting=Fraction(total_waiting, n),
         avg_turnaround=Fraction(total_turnaround, n),
         total_context_switches=sum(switches),
-        makespan=schedule.makespan,
+        makespan=makespan,
     )
 
 
@@ -286,40 +288,34 @@ def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
     """Walk a schedule that failed the validity test and raise its first
     fault. The column lengths are checked first. Then each slice, in order,
     is checked for a slot outside ``schedule.ids``, then an unknown id, then
-    a gap after the previous slice, then a length that is not positive, then
-    an over-run of its task's burst; then every task's total, in queue
-    order; then the makespan."""
-    columns = {name: len(getattr(schedule, name)) for name in ("slot", "start", "end", "round")}
+    a length that is not positive, then an over-run of its task's burst;
+    then every task's total, in queue order."""
+    columns = {name: len(getattr(schedule, name)) for name in ("slot", "end", "round")}
     if len(set(columns.values())) > 1:
         lengths = ", ".join(f"{name} {length}" for name, length in columns.items())
         raise InvariantViolation(f"schedule columns differ in length: {lengths}")
     bursts = dict(zip(tasks.ids, tasks.bursts()))
     executed = dict.fromkeys(bursts, 0)
     ids = schedule.ids
-    clock = 0
-    rows = zip(schedule.slot.tolist(), schedule.start.tolist(), schedule.end.tolist())
-    for i, (k, start, end) in enumerate(rows):
+    start = 0
+    for i, (k, end) in enumerate(zip(schedule.slot.tolist(), schedule.end.tolist())):
         if not 0 <= k < len(ids):
             raise InvariantViolation(f"slice {i} has slot {k}, outside 0..{len(ids) - 1}")
         task_id = ids[k]
         if task_id not in bursts:
             raise InvariantViolation(f"slice references unknown task id {task_id}")
-        if start != clock:
-            raise InvariantViolation(f"timeline gap: slice {i} starts at {start}, expected {clock}")
         if end <= start:
             raise InvariantViolation(f"slice {i} has non-positive length: [{start}, {end})")
-        clock = end
         executed[task_id] += end - start
         if executed[task_id] > bursts[task_id]:
             raise InvariantViolation(
                 f"task {task_id} executes {executed[task_id]} tu, burst is {bursts[task_id]}"
             )
-    for task_id, burst in bursts.items():
-        if executed[task_id] != burst:
-            raise InvariantViolation(
-                f"task {task_id} executes {executed[task_id]} tu, burst is {burst}"
-            )
-    raise InvariantViolation(f"makespan {schedule.makespan} does not match timeline end {clock}")
+        start = end
+    task_id = next(task_id for task_id, burst in bursts.items() if executed[task_id] != burst)
+    raise InvariantViolation(
+        f"task {task_id} executes {executed[task_id]} tu, burst is {bursts[task_id]}"
+    )
 
 
 def format_fraction(value: Fraction | int) -> str:

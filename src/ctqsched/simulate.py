@@ -47,7 +47,7 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     W is below its burst: those of the sequence, then ceil(rest / last
     quantum) more. Its slices are laid out task by task: each runs its
     round's full offer but the last, which runs what is left. They are then
-    stably sorted by dispatch index into round order, and the times come
+    stably sorted by dispatch index into round order, and the ends come
     from one cumulative sum over the whole schedule.
 
     No quantum, a quantum below 1 tu, a total burst of 2**63 tu or more, or
@@ -77,7 +77,7 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     order = dispatch.argsort(kind="stable")
     who, dispatch, length = who[order], dispatch[order], length[order]
     end = np.add.accumulate(length)
-    return Schedule(ids, who, end - length, end, dispatch + 1, total)
+    return Schedule(ids, who, end, dispatch + 1)
 
 
 def _check_slice_count(count: int) -> None:

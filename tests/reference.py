@@ -74,13 +74,18 @@ class Slice(NamedTuple):
 
 def schedule_from_slices(rows) -> Schedule:
     """The columnar schedule of ``rows`` (anything with ``task_id``,
-    ``start``, ``end`` and ``round``), its makespan the last row's end.
-    Slots number the task ids in order of first appearance."""
+    ``start``, ``end`` and ``round``). A schedule stores only the ends, so
+    the rows must be gapless from 0, each starting where the one before it
+    ended; the assertion keeps a test from building a timeline other than
+    the one it wrote. Slots number the task ids in order of first
+    appearance."""
     rows = tuple(rows)
+    ends = [s.end for s in rows]
+    assert [s.start for s in rows] == [0, *ends][: len(rows)], "rows are not gapless from 0"
     index: dict[int, int] = {}
-    quads = [(index.setdefault(s.task_id, len(index)), s.start, s.end, s.round) for s in rows]
-    slot, start, end, rounds = np.array(quads, dtype=np.int64).reshape(-1, 4).T
-    return Schedule(index, slot, start, end, rounds, rows[-1].end if rows else 0)
+    triples = [(index.setdefault(s.task_id, len(index)), s.end, s.round) for s in rows]
+    slot, end, rounds = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return Schedule(index, slot, end, rounds)
 
 
 def slices(schedule: Schedule) -> tuple[Slice, ...]:
@@ -324,16 +329,15 @@ def optimal_total_waiting(bursts):
     return completions(tuple(bursts)) - sum(bursts)
 
 
-def reference_metrics(slices, makespan, tasks):
-    """Walk the slices in order; raise on the first slice that breaks the
-    timeline, has no positive length or over-runs a task's burst, then on
-    per-task totals, then on the makespan. A slice is anything with
-    ``task_id``, ``start`` and ``end``."""
+def reference_metrics(slices, tasks):
+    """Walk the slices in order; raise on the first slice that has no
+    positive length or over-runs a task's burst, then on per-task totals.
+    A slice is anything with ``task_id``, ``start`` and ``end``; the
+    makespan is the last slice's end."""
     if tasks.n == 0:
         raise InvariantViolation("empty task set")
     bursts = {task.id: task.burst for task in tasks}
 
-    clock = 0
     executed = {task.id: 0 for task in tasks}
     completion = {}
     switches = {task.id: 0 for task in tasks}
@@ -342,13 +346,8 @@ def reference_metrics(slices, makespan, tasks):
     for i, s in enumerate(slices):
         if s.task_id not in bursts:
             raise InvariantViolation(f"slice references unknown task id {s.task_id}")
-        if s.start != clock:
-            raise InvariantViolation(
-                f"timeline gap: slice {i} starts at {s.start}, expected {clock}"
-            )
         if s.end <= s.start:
             raise InvariantViolation(f"slice {i} has non-positive length: [{s.start}, {s.end})")
-        clock = s.end
         executed[s.task_id] += s.end - s.start
         slice_counts[s.task_id] += 1
         if executed[s.task_id] > bursts[s.task_id]:
@@ -365,8 +364,6 @@ def reference_metrics(slices, makespan, tasks):
             raise InvariantViolation(
                 f"task {task.id} executes {executed[task.id]} tu, burst is {task.burst}"
             )
-    if makespan != clock:
-        raise InvariantViolation(f"makespan {makespan} does not match timeline end {clock}")
 
     per_task = tuple(
         TaskMetrics(
@@ -386,7 +383,7 @@ def reference_metrics(slices, makespan, tasks):
         avg_waiting=Fraction(total_waiting, tasks.n),
         avg_turnaround=Fraction(sum(m.turnaround for m in per_task), tasks.n),
         total_context_switches=sum(m.context_switches for m in per_task),
-        makespan=makespan,
+        makespan=slices[-1].end,
     )
 
 
@@ -395,10 +392,9 @@ def reference_compare_workload(tasks, workload_id="0"):
     measured on its own: RR at CTQ's first quantum, CTQ, then FCFS."""
     records, rounds = reference_ctq(tasks)
     quanta = tuple(r.quantum for r in records)
-    makespan = sum(tasks.bursts())
 
     def row(algorithm, tq_policy, slices, rounds=None, tq_sequence=None):
-        metrics = reference_metrics(slices, makespan, tasks)
+        metrics = reference_metrics(slices, tasks)
         return ExperimentRow(
             workload_id, tasks.n, algorithm, tq_policy, metrics.avg_waiting,
             metrics.avg_turnaround, Fraction(metrics.total_context_switches),
