@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
@@ -268,10 +269,10 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     switches = [changed - (done < makespan) for changed, done in zip(changes, completion)]
     waiting = [done - burst for done, burst in zip(completion, bursts)]
     slice_counts = np.bincount(queue, minlength=n).tolist()
-    # TaskMetrics(task_id, completion, turnaround, waiting, context_switches, slice_count)
-    per_task = tuple(
-        map(TaskMetrics, ids, completion, completion, waiting, switches, slice_counts)
-    )
+    # TaskMetrics(task_id, completion, turnaround, waiting, context_switches, slice_count),
+    # each row made by tuple.__new__ directly, skipping the named tuple's Python __new__.
+    rows = zip(ids, completion, completion, waiting, switches, slice_counts)
+    per_task = tuple(map(tuple.__new__, repeat(TaskMetrics), rows))
     total_turnaround = sum(completion)
     total_waiting = total_turnaround - sum(bursts)
     return MetricsReport(

@@ -4,9 +4,12 @@ Every task arrives at time 0, so each of these policies, and CTQ in
 :mod:`ctqsched.ctq`, runs every survivor once per round, in queue order, for
 min(quantum, residual) tu. A schedule is then fixed by its sequence of
 per-round quanta, and :func:`run_rounds` builds it from that sequence in one
-vectorized pass. Fixed RR offers one quantum that holds until every task has
-finished, FCFS offers the largest burst, and CTQ passes the quanta its own
-round loop chose. The executors emit the full timeline as a columnar
+vectorized pass. Its one sort puts the slices in round order: a radix sort on
+a one-byte key while every round index fits in a byte, otherwise a timsort
+over the per-task runs (a two-byte radix key loses to it). Fixed RR offers
+one quantum that holds until every task has finished, FCFS offers the
+largest burst, and CTQ passes the quanta its own round loop chose. The
+executors emit the full timeline as a columnar
 :class:`~ctqsched.model.Schedule`; they are the baseline arms of every
 experiment and the ground truth the closed-form math in
 :mod:`ctqsched.analytic` is checked against.
@@ -50,6 +53,17 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     stably sorted by dispatch index into round order, and the ends come
     from one cumulative sum over the whole schedule.
 
+    The sort key depends on the round count. While no task runs more than
+    256 rounds, every index fits in a byte, and numpy's stable sort on a
+    type of 16 bits or less is an O(S) radix sort, one pass over the byte
+    key. Past 256 rounds the int64 index is sorted as it is: a timsort that
+    merges the n ascending per-task runs. A two-byte key is not used: its
+    radix sort takes two passes, and past 256 rounds it lost to the timsort
+    on most shapes measured (the sort alone, on a 2-vCPU 2.1 GHz Xeon VM),
+    taking 1.05 to 5.2 times as long, the worst with 5 tasks of up to
+    60,000 rounds; it won only with many tasks of few rounds (0.8 times as
+    long with 300 tasks of up to 300 rounds).
+
     No quantum, a quantum below 1 tu, a total burst of 2**63 tu or more, or
     more than ``_SLICE_LIMIT`` slices raises ``ValueError``, checked in that
     order; an empty task set never gets here, since ``TaskSet`` refuses one.
@@ -70,14 +84,19 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
 
     ends = np.add.accumulate(taken)
     who = np.arange(tasks.n).repeat(taken)
-    dispatch = np.arange(count) - (ends - taken)[who]
+    dispatch = np.arange(count)
+    dispatch -= (ends - taken)[who]
     length = np.array(offers, dtype=np.int64)[np.minimum(dispatch, listed - 1)]
     final = np.minimum(taken - 1, listed)
     length[ends - 1] = burst - offered[final] - (taken - 1 - final) * last
-    order = dispatch.argsort(kind="stable")
+    # A byte key holds every dispatch index when no task runs past round 256.
+    key = dispatch.astype(np.uint8) if taken.max() <= 256 else dispatch
+    order = key.argsort(kind="stable")
+    # The rounds come from the int64 indices: the byte key wraps 255 + 1 to 0.
     who, dispatch, length = who[order], dispatch[order], length[order]
-    end = np.add.accumulate(length)
-    return Schedule(ids, who, end, dispatch + 1)
+    dispatch += 1
+    np.add.accumulate(length, out=length)
+    return Schedule(ids, who, length, dispatch)
 
 
 def _check_slice_count(count: int) -> None:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import repeat
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,14 @@ class TestRunRounds:
         rounds = schedule_rounds(tasks, run_rounds(tasks, [100]))
         assert rounds == [(1, ((3, 7),), (3,), (Slice(3, 0, 7, 1),))]
 
+    @pytest.mark.parametrize("bursts", [[256, 3, 255], [257, 3, 256]])
+    def test_int64_columns_either_side_of_the_byte_key(self, bursts):
+        # Up to 256 rounds the slices are sorted on a one-byte key, which
+        # wraps 255 + 1 to 0; the round column must not come from it.
+        schedule = run_rounds(TaskSet.from_bursts(bursts), [1])
+        assert [c.dtype for c in (schedule.slot, schedule.end, schedule.round)] == [np.int64] * 3
+        assert schedule.round.max() == bursts[0]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             run_rounds(TaskSet((), ()), [2])
@@ -116,8 +125,8 @@ class TestRunRounds:
 )
 # Heads whose offers pass every burst before the sequence ends, a last
 # quantum held for three more rounds, one quantum, and quanta past 2**63 tu.
-# The last example's offers add up past 2**63 even once each is clamped at
-# the total burst, so the work offered is clamped too.
+# The last of these has offers that add up past 2**63 even once each is
+# clamped at the total burst, so the work offered is clamped too.
 @example(tasks=MIXED_FIVE, quanta=[1, 2, 2, 15, 3, 9, 2**64])
 @example(tasks=MIXED_FIVE, quanta=[20, 1, 1])
 @example(tasks=TaskSet.from_bursts([6, 1, 3]), quanta=[1, 2])
@@ -125,6 +134,11 @@ class TestRunRounds:
 @example(tasks=MIXED_FIVE, quanta=[2**63])
 @example(tasks=MIXED_FIVE, quanta=[1, 2**63 + 5, 4])
 @example(tasks=TaskSet.from_bursts([2**62, 2**62 - 1]), quanta=[2**62, 2**63, 5])
+# Round counts either side of 256, where the round order's sort key switches
+# from one byte to int64: 256 rounds, 257 rounds, and 598 after a head quantum.
+@example(tasks=TaskSet.from_bursts([256, 3, 255]), quanta=[1])
+@example(tasks=TaskSet.from_bursts([257, 3, 256]), quanta=[1])
+@example(tasks=TaskSet.from_bursts([600, 2]), quanta=[3, 1])
 def test_run_rounds_equals_the_reference_round_loop(tasks, quanta):
     # The reference offers round r quanta[r - 1], and the last quantum after.
     rounds = reference_rounds(
