@@ -22,7 +22,7 @@ print("  " + " | ".join(f"T{task_id} {start}-{end}" for task_id, start, end, _ i
 print(f"  makespan = {schedule.makespan} tu\n")
 
 profile = waiting_profile(tasks, quantum)
-report = metrics_from_schedule(schedule, tasks)
+report = metrics_from_schedule(schedule)
 
 print("task  full_quanta  last_slice_start  waiting(analytic)  waiting(simulated)")
 for row, metrics in zip(profile.per_task, report.per_task):

@@ -36,7 +36,7 @@ print(f"avg waiting     : {format_fraction(m.avg_waiting)} tu")
 print(f"avg turnaround  : {format_fraction(m.avg_turnaround)} tu")
 print(f"context switches: {m.total_context_switches}")
 
-fixed = metrics_from_schedule(simulate_fixed_rr(tasks, 1), tasks)
+fixed = metrics_from_schedule(simulate_fixed_rr(tasks, 1))
 print("\nfixed quantum of 1 tu on the same queue, for contrast:")
 print(f"avg waiting     : {format_fraction(fixed.avg_waiting)} tu")
 print(f"avg turnaround  : {format_fraction(fixed.avg_turnaround)} tu")

@@ -94,7 +94,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = run_ctq(tasks, args.first_tq)
         schedule = trace.schedule
 
-    metrics = trace.metrics if trace is not None else metrics_from_schedule(schedule, tasks)
+    metrics = trace.metrics if trace is not None else metrics_from_schedule(schedule)
     lines = []
     if args.gantt:
         lines.extend(_gantt_lines(schedule))

@@ -97,4 +97,4 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
         for number, quantum in enumerate(quanta, start=1)
     )
     schedule = run_rounds(tasks, quanta)
-    return CtqTrace(rounds, schedule, metrics_from_schedule(schedule, tasks))
+    return CtqTrace(rounds, schedule, metrics_from_schedule(schedule))

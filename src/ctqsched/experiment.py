@@ -77,8 +77,8 @@ def compare_workload(
     if len(trace.rounds) == 1:
         rr_metrics = fcfs_metrics = trace.metrics
     else:
-        rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, quantum), tasks)
-        fcfs_metrics = metrics_from_schedule(simulate_fcfs(tasks), tasks)
+        rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, quantum))
+        fcfs_metrics = metrics_from_schedule(simulate_fcfs(tasks))
     return (
         _row(workload_id, tasks, "rr", str(quantum), rr_metrics),
         _row(

@@ -7,14 +7,14 @@ depend on float rounding.
 
 A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
 :class:`Task` and :class:`TaskMetrics` are named-tuple rows. A
-:class:`Schedule` stores its slices as int64 columns (queue slot, end,
-round) and nothing else: each slice starts where the one before it ended,
-so starts and the makespan follow from the ends, and no schedule can hold
-a gap. :func:`metrics_from_schedule` runs over whole columns instead of
-walking one slice at a time. int64 times are exact while the total burst
-stays below 2**63 tu; both the schedule builder in :mod:`ctqsched.simulate`
-and the metrics reject larger task sets with ``ValueError`` before they
-allocate.
+:class:`Schedule` holds its task set and its slices as int64 columns (queue
+slot, end, round), and nothing else: each slice starts where the one before
+it ended, so no schedule can hold a gap, and names its task by queue slot,
+so none can name a task outside its set. :func:`metrics_from_schedule` runs
+over whole columns instead of walking one slice at a time. int64 times are
+exact while the total burst stays below 2**63 tu; both the schedule builder
+in :mod:`ctqsched.simulate` and the metrics reject larger task sets with
+``ValueError`` before they allocate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _INT64_LIMIT = 1 << 63
 
 
 class InvariantViolation(ValueError):
-    """A schedule does not describe the task set it claims to."""
+    """A schedule does not execute the task set it holds."""
 
 
 def check_total_burst(total: int) -> None:
@@ -120,29 +120,31 @@ def _raise_first_task_fault(ids: tuple[int, ...], bursts: tuple[int, ...]) -> No
 
 
 class Schedule:
-    """The full Gantt chart: back-to-back slices from time 0 to the makespan,
-    stored as int64 columns with one row per slice, in dispatch order.
+    """The full Gantt chart of the task set ``tasks``: back-to-back slices
+    from time 0 to the makespan, stored as int64 columns with one row per
+    slice, in dispatch order.
 
-    Row ``i`` runs task ``ids[slot[i]]`` until ``end[i]`` in round
-    ``round[i]``; it starts where row ``i - 1`` ended, or at 0, so ``start``
-    and ``makespan`` (the last end, or 0 with no rows) are read off ``end``
-    and not stored. Task ids stay Python ints in ``ids``, so they may be
-    any size; the times are exact while they stay below 2**63 tu, which the
-    schedule builder checks through the total burst before it allocates
-    anything.
+    Row ``i`` runs the task in queue slot ``slot[i]`` of ``tasks`` until
+    ``end[i]`` in round ``round[i]``; it starts where row ``i - 1`` ended,
+    or at 0, so ``start`` and ``makespan`` (the last end, or 0 with no rows)
+    are read off ``end`` and not stored. The times are exact while they
+    stay below 2**63 tu, which the schedule builder checks through the
+    total burst before it allocates anything. A row names its task only
+    through ``tasks``, so no schedule can name an unknown task; the faults
+    it can still hold are those :func:`metrics_from_schedule` reports.
     Every survivor runs once per round, so a row's round number also counts
     how many times its task has been dispatched, this row included.
 
     Iterating yields the rows as plain ``(task_id, start, end, round)``
-    tuples. Two schedules are equal when their ids and columns are.
+    tuples. Two schedules are equal when their task sets and columns are.
     """
 
-    __slots__ = ("ids", "slot", "end", "round")
+    __slots__ = ("tasks", "slot", "end", "round")
 
     def __init__(
-        self, ids: Iterable[int], slot: np.ndarray, end: np.ndarray, round: np.ndarray
+        self, tasks: TaskSet, slot: np.ndarray, end: np.ndarray, round: np.ndarray
     ) -> None:
-        self.ids, self.slot, self.end, self.round = tuple(ids), slot, end, round
+        self.tasks, self.slot, self.end, self.round = tasks, slot, end, round
 
     @property
     def start(self) -> np.ndarray:
@@ -166,7 +168,7 @@ class Schedule:
         return len(self.slot)
 
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        ids = self.ids
+        ids = self.tasks.ids
         task_ids = [ids[k] for k in self.slot.tolist()]
         end = self.end.tolist()
         return zip(task_ids, [0, *end], end, self.round.tolist())
@@ -175,7 +177,7 @@ class Schedule:
         if not isinstance(other, Schedule):
             return NotImplemented
         return (
-            self.ids == other.ids
+            self.tasks == other.tasks
             and np.array_equal(self.slot, other.slot)
             and np.array_equal(self.end, other.end)
             and np.array_equal(self.round, other.round)
@@ -210,7 +212,7 @@ class MetricsReport:
     makespan: int
 
 
-def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
+def metrics_from_schedule(schedule: Schedule) -> MetricsReport:
     """Compute waiting, turnaround, and context-switch counts from a schedule.
 
     A context switch is charged to a task for each of its slices that ends
@@ -219,10 +221,10 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     costs nothing, and back-to-back slices of the same task cost nothing.
 
     Raises :class:`InvariantViolation` if the schedule does not actually
-    execute ``tasks``: columns of different lengths, slots outside
-    ``schedule.ids``, unknown ids, slices of zero or negative length (a
-    slice's length is its end less the previous end), or per-task totals
-    that do not add up to the bursts (an over-run or an under-run).
+    execute ``schedule.tasks``: columns of different lengths, slots outside
+    ``0..n-1``, slices of zero or negative length (a slice's length is its
+    end less the previous end), or per-task totals that do not add up to the
+    bursts (an over-run or an under-run).
     Raises ``ValueError`` when the total burst is 2**63 tu or more, which no
     schedule can hold.
 
@@ -231,21 +233,16 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     slice end, and switches from a shifted compare of neighbouring slices.
     Only a schedule that fails the test is walked, to find its first fault.
     """
-    ids, bursts = tasks.ids, tasks.bursts()
+    ids, bursts = schedule.tasks.ids, schedule.tasks.bursts()
     n = len(ids)
     check_total_burst(sum(bursts))
     end = schedule.end
-    # Queue position of every slice's task, -1 for an id not in ``tasks``.
-    # Every column holds one value per slice, and every slot must index
-    # ``schedule.ids``; no rows fail the totals below.
+    # Every slice's queue slot. Every column holds one value per slice, and
+    # every slot must be in 0..n-1; no rows fail the totals below.
     queue = schedule.slot
     valid = len(queue) == len(end) == len(schedule.round) and (
-        not queue.size or (queue.min() >= 0 and queue.max() < len(schedule.ids))
+        not queue.size or (queue.min() >= 0 and queue.max() < n)
     )
-    if valid and schedule.ids != ids:
-        position = {task_id: k for k, task_id in enumerate(ids)}
-        queue = np.array([position.get(i, -1) for i in schedule.ids], dtype=np.int64)[queue]
-        valid = (queue >= 0).all()
     if valid:
         length = end.copy()
         length[1:] -= end[:-1]
@@ -254,7 +251,7 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
         # Every burst is at least 1 tu, so matching totals mean a slice exists.
         valid = tuple(executed.tolist()) == bursts and (length > 0).all()
     if not valid:
-        _raise_first_violation(schedule, tasks)
+        _raise_first_violation(schedule)
     makespan = int(end[-1])
 
     # Every task ends on its last slice, and ends only grow along the timeline.
@@ -285,38 +282,32 @@ def metrics_from_schedule(schedule: Schedule, tasks: TaskSet) -> MetricsReport:
     )
 
 
-def _raise_first_violation(schedule: Schedule, tasks: TaskSet) -> NoReturn:
+def _raise_first_violation(schedule: Schedule) -> NoReturn:
     """Walk a schedule that failed the validity test and raise its first
     fault. The column lengths are checked first. Then each slice, in order,
-    is checked for a slot outside ``schedule.ids``, then an unknown id, then
-    a length that is not positive, then an over-run of its task's burst;
-    then every task's total, in queue order."""
+    is checked for a slot outside ``0..n-1``, then a length that is not
+    positive, then an over-run of its task's burst; then every task's total,
+    in queue order."""
     columns = {name: len(getattr(schedule, name)) for name in ("slot", "end", "round")}
     if len(set(columns.values())) > 1:
         lengths = ", ".join(f"{name} {length}" for name, length in columns.items())
         raise InvariantViolation(f"schedule columns differ in length: {lengths}")
-    bursts = dict(zip(tasks.ids, tasks.bursts()))
-    executed = dict.fromkeys(bursts, 0)
-    ids = schedule.ids
+    ids, bursts = schedule.tasks.ids, schedule.tasks.bursts()
+    n = len(ids)
+    executed = [0] * n
     start = 0
     for i, (k, end) in enumerate(zip(schedule.slot.tolist(), schedule.end.tolist())):
-        if not 0 <= k < len(ids):
-            raise InvariantViolation(f"slice {i} has slot {k}, outside 0..{len(ids) - 1}")
-        task_id = ids[k]
-        if task_id not in bursts:
-            raise InvariantViolation(f"slice references unknown task id {task_id}")
+        if not 0 <= k < n:
+            raise InvariantViolation(f"slice {i} has slot {k}, outside 0..{n - 1}")
         if end <= start:
             raise InvariantViolation(f"slice {i} has non-positive length: [{start}, {end})")
-        executed[task_id] += end - start
-        if executed[task_id] > bursts[task_id]:
-            raise InvariantViolation(
-                f"task {task_id} executes {executed[task_id]} tu, burst is {bursts[task_id]}"
-            )
+        executed[k] += end - start
+        if executed[k] > bursts[k]:
+            break  # an over-run
         start = end
-    task_id = next(task_id for task_id, burst in bursts.items() if executed[task_id] != burst)
-    raise InvariantViolation(
-        f"task {task_id} executes {executed[task_id]} tu, burst is {bursts[task_id]}"
-    )
+    else:  # no over-run: the first under-run in queue order
+        k = next(k for k in range(n) if executed[k] != bursts[k])
+    raise InvariantViolation(f"task {ids[k]} executes {executed[k]} tu, burst is {bursts[k]}")
 
 
 def format_fraction(value: Fraction | int) -> str:

@@ -70,7 +70,7 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     """
     if (least := min(quanta)) < 1:
         raise ValueError(f"quantum must be at least 1 tu, got {least}")
-    ids, bursts = tasks.ids, tasks.bursts()
+    bursts = tasks.bursts()
     total = sum(bursts)
     check_total_burst(total)
     offers = [*map(min, quanta, repeat(total))]
@@ -86,7 +86,8 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     who = np.arange(tasks.n).repeat(taken)
     dispatch = np.arange(count)
     dispatch -= (ends - taken)[who]
-    length = np.array(offers, dtype=np.int64)[np.minimum(dispatch, listed - 1)]
+    # A slice runs its round's offer; "clip" gives rounds past the list the last.
+    length = np.array(offers, dtype=np.int64).take(dispatch, mode="clip")
     final = np.minimum(taken - 1, listed)
     length[ends - 1] = burst - offered[final] - (taken - 1 - final) * last
     # A byte key holds every dispatch index when no task runs past round 256.
@@ -96,7 +97,7 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     who, dispatch, length = who[order], dispatch[order], length[order]
     dispatch += 1
     np.add.accumulate(length, out=length)
-    return Schedule(ids, who, length, dispatch)
+    return Schedule(tasks, who, length, dispatch)
 
 
 def _check_slice_count(count: int) -> None:

@@ -72,20 +72,20 @@ class Slice(NamedTuple):
         return self.end - self.start
 
 
-def schedule_from_slices(rows) -> Schedule:
-    """The columnar schedule of ``rows`` (anything with ``task_id``,
-    ``start``, ``end`` and ``round``). A schedule stores only the ends, so
-    the rows must be gapless from 0, each starting where the one before it
-    ended; the assertion keeps a test from building a timeline other than
-    the one it wrote. Slots number the task ids in order of first
-    appearance."""
+def schedule_from_slices(rows, tasks: TaskSet) -> Schedule:
+    """The columnar schedule of ``tasks`` that ``rows`` (anything with
+    ``task_id``, ``start``, ``end`` and ``round``) describe. A schedule
+    stores only the ends, so the rows must be gapless from 0, each starting
+    where the one before it ended; the assertion keeps a test from building
+    a timeline other than the one it wrote. Each row's slot is its task's
+    queue position in ``tasks``."""
     rows = tuple(rows)
     ends = [s.end for s in rows]
     assert [s.start for s in rows] == [0, *ends][: len(rows)], "rows are not gapless from 0"
-    index: dict[int, int] = {}
-    triples = [(index.setdefault(s.task_id, len(index)), s.end, s.round) for s in rows]
+    position = {task_id: k for k, task_id in enumerate(tasks.ids)}
+    triples = [(position[s.task_id], s.end, s.round) for s in rows]
     slot, end, rounds = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    return Schedule(index, slot, end, rounds)
+    return Schedule(tasks, slot, end, rounds)
 
 
 def slices(schedule: Schedule) -> tuple[Slice, ...]:
@@ -96,9 +96,10 @@ def slices(schedule: Schedule) -> tuple[Slice, ...]:
 def task_slices(schedule: Schedule, task_id: int) -> tuple[Slice, ...]:
     """The rows of one task, in dispatch order, read off the columns where
     ``schedule.slot`` is the task's slot; no other row is touched."""
-    if task_id not in schedule.ids:
+    ids = schedule.tasks.ids
+    if task_id not in ids:
         return ()
-    rows = schedule.slot == schedule.ids.index(task_id)
+    rows = schedule.slot == ids.index(task_id)
     return tuple(
         map(
             Slice,

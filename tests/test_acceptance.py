@@ -56,7 +56,7 @@ def benchmark_sweep():
         n = rng.randint(5, 50)
         tasks = generate(WorkloadSpec(n=n, burst_min=1, burst_max=500, seed=9000 + i))
         choice = best_quantum(tasks)
-        rr = metrics_from_schedule(simulate_fixed_rr(tasks, choice.quantum), tasks)
+        rr = metrics_from_schedule(simulate_fixed_rr(tasks, choice.quantum))
         trace = run_ctq(tasks)
         results.append((tasks, rr, trace))
     elapsed = time.perf_counter() - start
@@ -71,7 +71,7 @@ def test_criterion_1_reference_timeline():
         t0 = time.perf_counter()
         schedule = simulate_fixed_rr(tasks, 4)
         profile = waiting_profile(tasks, 4)
-        report = metrics_from_schedule(schedule, tasks)
+        report = metrics_from_schedule(schedule)
         return time.perf_counter() - t0, schedule, profile, report
 
     elapsed, schedule, profile, report = min(run_once() for _ in range(3))
@@ -86,7 +86,7 @@ def test_criterion_1_reference_timeline():
 @announce(2, "fixed RR, quantum 1, on 20/20/5/3/1: avg wait 17, turnaround 26.8, 44 switches")
 def test_criterion_2_fixed_rr_baseline():
     tasks = TaskSet.from_bursts([20, 20, 5, 3, 1])
-    report = metrics_from_schedule(simulate_fixed_rr(tasks, 1), tasks)
+    report = metrics_from_schedule(simulate_fixed_rr(tasks, 1))
     assert report.avg_waiting == Fraction(17)
     assert report.avg_turnaround == Fraction(134, 5)
     assert report.total_context_switches == 44
@@ -118,7 +118,7 @@ def test_criterion_4_oracle_equivalence():
         )
         for quantum in range(1, max(tasks.bursts()) + 1):
             schedule = simulate_fixed_rr(tasks, quantum)
-            report = metrics_from_schedule(schedule, tasks)
+            report = metrics_from_schedule(schedule)
             profile = waiting_profile(tasks, quantum)
             for task, metrics, row in zip(tasks, report.per_task, profile.per_task):
                 slices = task_slices(schedule, task.id)

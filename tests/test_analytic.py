@@ -85,7 +85,7 @@ class TestWaitingProfile:
     def test_two_long_two_short(self):
         # Frozen from the simulator: completions 43, 44, 14, 8 under quantum 2.
         tasks = TaskSet.from_bursts([19, 19, 4, 2])
-        report = metrics_from_schedule(simulate_fixed_rr(tasks, 2), tasks)
+        report = metrics_from_schedule(simulate_fixed_rr(tasks, 2))
         assert [m.completion for m in report.per_task] == [43, 44, 14, 8]
         profile = waiting_profile(tasks, 2)
         assert profile.total_waiting == report.total_waiting == 65
@@ -148,9 +148,7 @@ class TestBestQuantum:
             for burst in (1, 2, 7, 30):
                 tasks = TaskSet.from_bursts([burst] * n)
                 totals = {
-                    tq: metrics_from_schedule(
-                        simulate_fixed_rr(tasks, tq), tasks
-                    ).total_waiting
+                    tq: metrics_from_schedule(simulate_fixed_rr(tasks, tq)).total_waiting
                     for tq in range(1, burst + 1)
                 }
                 best_by_simulation = max(
@@ -166,7 +164,7 @@ def test_closed_form_matches_simulation_for_every_quantum(tasks):
     """The analytic route and the dispatch loop must agree exactly."""
     for quantum in range(1, max(tasks.bursts()) + 1):
         schedule = simulate_fixed_rr(tasks, quantum)
-        report = metrics_from_schedule(schedule, tasks)
+        report = metrics_from_schedule(schedule)
         profile = waiting_profile(tasks, quantum)
         for task, metrics, row in zip(tasks, report.per_task, profile.per_task):
             slices = task_slices(schedule, task.id)
@@ -184,7 +182,7 @@ def test_closed_form_matches_simulation_for_every_quantum(tasks):
     quanta=st.lists(st.one_of(st.integers(1, 12), st.integers(1, 400)), min_size=1, max_size=6),
 )
 def test_sequence_rule_matches_dispatch(tasks, quanta):
-    report = metrics_from_schedule(run_rounds(tasks, quanta), tasks)
+    report = metrics_from_schedule(run_rounds(tasks, quanta))
     waits = reference_sequence_waits(tasks.bursts(), quanta)
     assert waits == [metrics.waiting for metrics in report.per_task]
 

@@ -91,7 +91,7 @@ class TestSimulate:
             task_id, start, end, rnd = map(int, line.split(","))
             slices.append(Slice(task_id, start, end, rnd))
         tasks = TaskSet.from_bursts([20, 20, 5, 3, 1])
-        report = metrics_from_schedule(schedule_from_slices(slices), tasks)
+        report = metrics_from_schedule(schedule_from_slices(slices, tasks))
         assert f"total_waiting: {report.total_waiting}" in out
         assert f"context_switches: {report.total_context_switches}" in out
 
@@ -130,7 +130,7 @@ class TestSimulate:
     def test_broken_schedule_is_invariant_violation(self, monkeypatch, capsys, long_then_short):
         def fcfs_without_last_slice(tasks):
             whole = simulate_fcfs(tasks)
-            return Schedule(whole.ids, whole.slot[:-1], whole.end[:-1], whole.round[:-1])
+            return Schedule(whole.tasks, whole.slot[:-1], whole.end[:-1], whole.round[:-1])
 
         monkeypatch.setattr("ctqsched.cli.simulate_fcfs", fcfs_without_last_slice)
         code, out, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", "fcfs")

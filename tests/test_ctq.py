@@ -144,7 +144,7 @@ def test_ctq_never_waits_longer_than_rr_at_its_first_quantum(tasks, first):
     quantum (by induction on the rounds), which waits at most as long as
     RR(q). That holds whether q is optimized or given."""
     trace = run_ctq(tasks, first)
-    rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]), tasks)
+    rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
     assert trace.metrics.total_waiting <= rr.total_waiting
 
 
@@ -153,7 +153,7 @@ def test_ctq_can_trade_switches_for_wait():
     less in total than RR at its first quantum, and switches 3 times more."""
     tasks = TaskSet.from_bursts([4, 20, 3, 14, 2, 10])
     trace = run_ctq(tasks)
-    rr = metrics_from_schedule(simulate_fixed_rr(tasks, 5), tasks)
+    rr = metrics_from_schedule(simulate_fixed_rr(tasks, 5))
     assert trace.quantum_sequence == (5, 1, 4, 4, 6)
     assert (trace.metrics.total_waiting, trace.metrics.total_context_switches) == (121, 9)
     assert (rr.total_waiting, rr.total_context_switches) == (122, 6)
@@ -165,7 +165,7 @@ def test_optimal_sequence_bounds_ctq_which_bounds_rr(tasks):
     """CTQ picks each round's quantum greedily, so some sequence of quanta
     may wait less; none waits less than the optimum."""
     trace = run_ctq(tasks)
-    rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]), tasks)
+    rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
     optimal = optimal_total_waiting([task.burst for task in tasks])
     assert optimal <= trace.metrics.total_waiting <= rr.total_waiting
 
@@ -187,7 +187,7 @@ def test_ctq_matters_on_bimodal_bursts(bimodal_workloads):
     multi_round = strictly_less = 0
     for tasks in bimodal_workloads:
         trace = run_ctq(tasks)
-        rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]), tasks)
+        rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
         assert trace.metrics.total_waiting <= rr.total_waiting
         multi_round += len(trace.rounds) > 1
         strictly_less += trace.metrics.total_waiting < rr.total_waiting

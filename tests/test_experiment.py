@@ -60,9 +60,9 @@ def extra_arms(monkeypatch):
     measured = []
     measure = experiment.metrics_from_schedule
 
-    def counting(schedule, tasks):
+    def counting(schedule):
         measured.append(schedule)
-        return measure(schedule, tasks)
+        return measure(schedule)
 
     monkeypatch.setattr(experiment, "metrics_from_schedule", counting)
     return measured

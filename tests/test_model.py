@@ -20,8 +20,8 @@ from ctqsched import (
 from reference import Slice, schedule_from_slices, slices
 
 
-def gantt(*quads) -> Schedule:
-    return schedule_from_slices(Slice(*q) for q in quads)
+def gantt(tasks, *quads) -> Schedule:
+    return schedule_from_slices((Slice(*q) for q in quads), tasks)
 
 
 LONG_THEN_TWO_SHORT = TaskSet.from_bursts([24, 3, 3])
@@ -29,12 +29,14 @@ MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
 # Fixed RR, quantum 4, on bursts 24/3/3.
 RR4_GANTT = gantt(
+    LONG_THEN_TWO_SHORT,
     (1, 0, 4, 1), (2, 4, 7, 1), (3, 7, 10, 1),
     (1, 10, 14, 2), (1, 14, 18, 3), (1, 18, 22, 4), (1, 22, 26, 5), (1, 26, 30, 6),
 )
 
 # Per-round quanta 1, 2, 2, 15 on bursts 20/20/5/3/1.
 CTQ_GANTT = gantt(
+    MIXED_FIVE,
     (1, 0, 1, 1), (2, 1, 2, 1), (3, 2, 3, 1), (4, 3, 4, 1), (5, 4, 5, 1),
     (1, 5, 7, 2), (2, 7, 9, 2), (3, 9, 11, 2), (4, 11, 13, 2),
     (1, 13, 15, 3), (2, 15, 17, 3), (3, 17, 19, 3),
@@ -119,18 +121,21 @@ class TestTaskSet:
 
 
 def edited(schedule, change):
-    """A copy of ``schedule`` with one field changed."""
-    ids = list(schedule.ids)
+    """A copy of ``schedule`` with one field changed; an ``"id"`` change
+    gives it a task set with another id in queue slot 1."""
+    tasks = schedule.tasks
     slot, end, rounds = (c.copy() for c in (schedule.slot, schedule.end, schedule.round))
     if change == "id":
+        ids = list(tasks.ids)
         ids[1] = 99
+        tasks = TaskSet(ids, tasks.bursts())
     elif change == "slot":
         slot[1] = slot[0]
     elif change == "end":
         end[1] += 1
     elif change == "round":
         rounds[1] += 1
-    return Schedule(ids, slot, end, rounds)
+    return Schedule(tasks, slot, end, rounds)
 
 
 class TestSchedule:
@@ -152,17 +157,17 @@ class TestSchedule:
         assert schedule != edited(schedule, change)
 
     def test_start_and_makespan_follow_from_end(self):
-        assert Schedule.__slots__ == ("ids", "slot", "end", "round")
+        assert Schedule.__slots__ == ("tasks", "slot", "end", "round")
         assert RR4_GANTT.start.tolist() == [0, 4, 7, 10, 14, 18, 22, 26]
         assert (RR4_GANTT.start.dtype, RR4_GANTT.makespan) == (np.int64, 30)
         # With no rows there is no start and the makespan is 0; the metrics
         # still report the task that never ran.
         empty = np.array([], dtype=np.int64)
-        schedule = Schedule((1,), empty, empty, empty)
+        schedule = Schedule(TaskSet.from_bursts([3]), empty, empty, empty)
         assert (schedule.start.size, schedule.makespan) == (0, 0)
         assert repr(schedule) == "Schedule(0 slices, makespan=0)"
         with pytest.raises(InvariantViolation) as info:
-            metrics_from_schedule(schedule, TaskSet.from_bursts([3]))
+            metrics_from_schedule(schedule)
         assert str(info.value) == "task 1 executes 0 tu, burst is 3"
 
 
@@ -170,7 +175,7 @@ class TestMetricsFromSchedule:
     def test_quantum_expiry_then_other_task_is_one_switch(self):
         # Only the long task's first slice ends unfinished with someone else
         # next; its later back-to-back slices cost nothing.
-        report = metrics_from_schedule(RR4_GANTT, LONG_THEN_TWO_SHORT)
+        report = metrics_from_schedule(RR4_GANTT)
         assert [m.context_switches for m in report.per_task] == [1, 0, 0]
         assert [m.waiting for m in report.per_task] == [6, 4, 7]
         assert [m.completion for m in report.per_task] == [30, 7, 10]
@@ -178,47 +183,42 @@ class TestMetricsFromSchedule:
         assert report.makespan == 30
 
     def test_per_round_quanta_reference_counts(self):
-        report = metrics_from_schedule(CTQ_GANTT, MIXED_FIVE)
+        report = metrics_from_schedule(CTQ_GANTT)
         assert [m.context_switches for m in report.per_task] == [3, 3, 2, 1, 0]
         assert report.total_context_switches == 9
         assert report.avg_waiting == Fraction(71, 5)
         assert report.avg_turnaround == Fraction(24)
 
     def test_single_task_never_waits(self):
-        ts = TaskSet.from_bursts([9])
-        report = metrics_from_schedule(gantt((1, 0, 9, 1)), ts)
+        report = metrics_from_schedule(gantt(TaskSet.from_bursts([9]), (1, 0, 9, 1)))
         assert report.per_task[0].waiting == 0
         assert report.per_task[0].context_switches == 0
         assert report.avg_waiting == 0
 
     def test_unit_quantum_round_robin_counts(self):
-        report = metrics_from_schedule(simulate_fixed_rr(MIXED_FIVE, 1), MIXED_FIVE)
+        report = metrics_from_schedule(simulate_fixed_rr(MIXED_FIVE, 1))
         assert report.avg_waiting == Fraction(17)
         assert report.avg_turnaround == Fraction(134, 5)
         assert report.total_context_switches == 44
 
     def test_turnaround_equals_completion(self):
-        report = metrics_from_schedule(RR4_GANTT, LONG_THEN_TWO_SHORT)
+        report = metrics_from_schedule(RR4_GANTT)
         for m in report.per_task:
             assert m.turnaround == m.completion
 
 
 class TestScheduleMismatch:
-    def test_unknown_task_id(self):
-        with pytest.raises(InvariantViolation, match="unknown"):
-            metrics_from_schedule(gantt((7, 0, 9, 1)), TaskSet.from_bursts([9]))
-
     @pytest.mark.parametrize("slot", [[0, 5], [0, -1]])
     def test_slot_out_of_range(self, slot):
-        # -1 would wrap onto task 2 and match its total; 5 is past the ids.
+        # -1 would wrap onto task 2 and match its total; 5 is past the queue.
         bad = Schedule(
-            (1, 2),
+            TaskSet.from_bursts([2, 3]),
             slot=np.array(slot, dtype=np.int64),
             end=np.array([2, 5], dtype=np.int64),
             round=np.array([1, 1], dtype=np.int64),
         )
         with pytest.raises(InvariantViolation, match=f"slice 1 has slot {slot[1]}"):
-            metrics_from_schedule(bad, TaskSet.from_bursts([2, 3]))
+            metrics_from_schedule(bad)
 
     @pytest.mark.parametrize(
         "slot,rounds,lengths",
@@ -229,29 +229,29 @@ class TestScheduleMismatch:
     )
     def test_columns_of_different_lengths(self, slot, rounds, lengths):
         bad = Schedule(
-            (1, 2),
+            TaskSet.from_bursts([2, 3]),
             slot=np.array(slot, dtype=np.int64),
             end=np.array([2, 5], dtype=np.int64),
             round=np.array(rounds, dtype=np.int64),
         )
         with pytest.raises(InvariantViolation, match=f"columns differ in length: {lengths}$"):
-            metrics_from_schedule(bad, TaskSet.from_bursts([2, 3]))
+            metrics_from_schedule(bad)
 
     def test_underrun_burst(self):
-        bad = gantt((1, 0, 3, 1), (2, 3, 6, 1))
+        bad = gantt(TaskSet.from_bursts([4, 3]), (1, 0, 3, 1), (2, 3, 6, 1))
         with pytest.raises(InvariantViolation, match="executes"):
-            metrics_from_schedule(bad, TaskSet.from_bursts([4, 3]))
+            metrics_from_schedule(bad)
 
     def test_overrun_burst(self):
-        bad = gantt((1, 0, 5, 1), (2, 5, 8, 1))
+        bad = gantt(TaskSet.from_bursts([4, 3]), (1, 0, 5, 1), (2, 5, 8, 1))
         with pytest.raises(InvariantViolation, match="executes"):
-            metrics_from_schedule(bad, TaskSet.from_bursts([4, 3]))
+            metrics_from_schedule(bad)
 
 
 @given(tasks=task_sets(), quantum=st.integers(min_value=1, max_value=70))
 def test_metrics_invariants_on_simulated_schedules(tasks, quantum):
     schedule = simulate_fixed_rr(tasks, quantum)
-    report = metrics_from_schedule(schedule, tasks)
+    report = metrics_from_schedule(schedule)
 
     assert report.makespan == sum(tasks.bursts())
     assert report.total_waiting == sum(m.completion for m in report.per_task) - sum(tasks.bursts())
@@ -267,7 +267,7 @@ def test_metrics_invariants_on_simulated_schedules(tasks, quantum):
         assert m.waiting == others == m.completion - task.burst
 
     # Pure function: same inputs, same report.
-    assert metrics_from_schedule(schedule, tasks) == report
+    assert metrics_from_schedule(schedule) == report
 
 
 class TestFormatFraction:

@@ -24,7 +24,7 @@ from ctqsched.workload import WorkloadSpec, generate
 def against_rr(tasks):
     """CTQ's trace on ``tasks`` and the metrics of fixed RR at its first quantum."""
     trace = run_ctq(tasks)
-    return trace, metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]), tasks)
+    return trace, metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
 
 
 def test_ctq_switches_less_on_bimodal_bursts(bimodal_workloads):

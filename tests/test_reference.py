@@ -87,7 +87,7 @@ def assert_ctq_trace_equals_the_reference_loop(tasks, first):
 def test_metrics_equal_the_reference_report(tasks, quantum):
     for schedule in (simulate_fixed_rr(tasks, quantum), simulate_fcfs(tasks)):
         expected = reference_metrics(slices(schedule), tasks)
-        assert metrics_from_schedule(schedule, tasks) == expected
+        assert metrics_from_schedule(schedule) == expected
 
 
 def outcome(run):
@@ -102,9 +102,7 @@ def broken(rows, mutation, i, j, delta):
     """``rows`` with one hand-made fault; ``i`` and ``j`` index them."""
     rows = list(rows)
     s = rows[i]
-    if mutation == "unknown id":
-        rows[i] = s._replace(task_id=99)
-    elif mutation == "shift":
+    if mutation == "shift":
         rows[i] = s._replace(start=s.start + delta, end=s.end + delta)
     elif mutation == "stretch":
         rows[i] = s._replace(end=s.end + delta)
@@ -134,8 +132,7 @@ def gapless(rows):
 
 
 MUTATIONS = [
-    "unknown id", "shift", "stretch", "shrink", "empty", "reverse", "drop", "duplicate",
-    "swap ids", "move",
+    "shift", "stretch", "shrink", "empty", "reverse", "drop", "duplicate", "swap ids", "move",
 ]
 
 
@@ -161,10 +158,10 @@ def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults):
     for mutation, i, j, delta in faults:
         if rows:
             rows = gapless(broken(rows, mutation, i % len(rows), j % len(rows), delta))
-    schedule = schedule_from_slices(rows)
+    schedule = schedule_from_slices(rows, tasks)
     read_back = slices(schedule)
     expected = outcome(lambda: reference_metrics(read_back, tasks))
-    assert outcome(lambda: metrics_from_schedule(schedule, tasks)) == expected
+    assert outcome(lambda: metrics_from_schedule(schedule)) == expected
 
 
 @pytest.mark.parametrize(
@@ -174,8 +171,8 @@ def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults):
         ([(1, 0, 5, 1), (2, 5, 8, 1)], 8, [4, 2]),
         # An over-run comes before an earlier task's under-run.
         ([(1, 0, 1, 1), (2, 1, 9, 1)], 9, [2, 1]),
-        # An unknown id comes before a later over-run.
-        ([(1, 0, 2, 1), (7, 2, 3, 1), (1, 3, 9, 2)], 9, [2]),
+        # An empty slice comes before a later over-run.
+        ([(1, 0, 2, 1), (2, 2, 2, 1), (1, 2, 9, 2)], 9, [2, 1]),
         # The second task's over-run comes first in slice order.
         ([(1, 0, 1, 1), (2, 1, 4, 1), (1, 4, 9, 2)], 9, [2, 2]),
         # Under-runs are reported in queue order.
@@ -192,9 +189,9 @@ def test_broken_schedules_raise_the_reference_message(tasks, quantum, faults):
 def test_hand_broken_schedules(quads, makespan, bursts):
     # ``makespan`` is the last end, which the schedule reports as its own.
     rows = [Slice(*q) for q in quads]
-    schedule = schedule_from_slices(rows)
-    assert schedule.makespan == makespan
     tasks = TaskSet.from_bursts(bursts)
+    schedule = schedule_from_slices(rows, tasks)
+    assert schedule.makespan == makespan
     expected = outcome(lambda: reference_metrics(rows, tasks))
     assert expected.startswith("InvariantViolation")
-    assert outcome(lambda: metrics_from_schedule(schedule, tasks)) == expected
+    assert outcome(lambda: metrics_from_schedule(schedule)) == expected

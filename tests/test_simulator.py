@@ -12,6 +12,7 @@ from conftest import task_sets
 from ctqsched import (
     TaskSet,
     metrics_from_schedule,
+    run_ctq,
     simulate_fcfs,
     simulate_fixed_rr,
 )
@@ -19,6 +20,21 @@ from ctqsched.simulate import run_rounds
 from reference import Slice, reference_rounds, schedule_rounds, slices, task_slices
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
+
+
+def test_every_builder_returns_a_schedule_of_its_own_task_set():
+    # Ids neither in numeric order nor numbered from 1: a row's slot is its
+    # task's queue position, and the set it holds turns it back into the id.
+    tasks = TaskSet((7, 3, 12), (5, 2, 4))
+    rr, fcfs, ctq = run_rounds(tasks, [2]), simulate_fcfs(tasks), run_ctq(tasks).schedule
+    assert rr.tasks is fcfs.tasks is ctq.tasks is tasks
+    assert list(rr) == [
+        (7, 0, 2, 1), (3, 2, 4, 1), (12, 4, 6, 1), (7, 6, 8, 2), (12, 8, 10, 2), (7, 10, 11, 3),
+    ]
+    assert list(fcfs) == [(7, 0, 5, 1), (3, 5, 7, 1), (12, 7, 11, 1)]
+    assert [task_id for task_id, *_ in ctq][:3] == [7, 3, 12]
+    for schedule in (rr, fcfs, ctq):
+        assert [m.task_id for m in metrics_from_schedule(schedule).per_task] == [7, 3, 12]
 
 
 class TestFixedRR:
@@ -31,7 +47,7 @@ class TestFixedRR:
 
     def test_unit_quantum_metrics(self):
         tasks = TaskSet.from_bursts([20, 20, 5, 3, 1])
-        report = metrics_from_schedule(simulate_fixed_rr(tasks, 1), tasks)
+        report = metrics_from_schedule(simulate_fixed_rr(tasks, 1))
         assert report.avg_waiting == Fraction(17)
         assert report.avg_turnaround == Fraction(134, 5)
         assert report.total_context_switches == 44
@@ -58,7 +74,7 @@ class TestFixedRR:
 class TestFCFS:
     def test_cumulative_completions(self):
         tasks = TaskSet.from_bursts([20, 20, 5, 3, 1])
-        report = metrics_from_schedule(simulate_fcfs(tasks), tasks)
+        report = metrics_from_schedule(simulate_fcfs(tasks))
         assert [m.completion for m in report.per_task] == [20, 40, 45, 48, 49]
         assert report.avg_waiting == Fraction(153, 5)
 
