@@ -7,14 +7,15 @@ depend on float rounding.
 
 A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
 :class:`Task` and :class:`TaskMetrics` are named-tuple rows. A
-:class:`Schedule` holds its task set and its slices as int64 columns (queue
-slot, end, round), and nothing else: each slice starts where the one before
-it ended, so no schedule can hold a gap, and names its task by queue slot,
-so none can name a task outside its set. :func:`metrics_from_schedule` runs
-over whole columns instead of walking one slice at a time. int64 times are
-exact while the total burst stays below 2**63 tu; both the schedule builder
-in :mod:`ctqsched.simulate` and the metrics reject larger task sets with
-``ValueError`` before they allocate.
+:class:`Schedule` holds its task set and its slices as two int64 columns
+(queue slot and end), and nothing else: each slice starts where the one
+before it ended, so no schedule can hold a gap; it names its task by queue
+slot, so none can name a task outside its set; and its rounds are read off
+the slots, so none can hold a round its slots contradict.
+:func:`metrics_from_schedule` runs over whole columns instead of walking one
+slice at a time. int64 times are exact while the total burst stays below
+2**63 tu; both the schedule builder in :mod:`ctqsched.simulate` and the
+metrics reject larger task sets with ``ValueError`` before they allocate.
 """
 
 from __future__ import annotations
@@ -125,26 +126,29 @@ class Schedule:
     slice, in dispatch order.
 
     Row ``i`` runs the task in queue slot ``slot[i]`` of ``tasks`` until
-    ``end[i]`` in round ``round[i]``; it starts where row ``i - 1`` ended,
-    or at 0, so ``start`` and ``makespan`` (the last end, or 0 with no rows)
-    are read off ``end`` and not stored. The times are exact while they
-    stay below 2**63 tu, which the schedule builder checks through the
-    total burst before it allocates anything. A row names its task only
-    through ``tasks``, so no schedule can name an unknown task; the faults
-    it can still hold are those :func:`metrics_from_schedule` reports.
-    Every survivor runs once per round, so a row's round number also counts
-    how many times its task has been dispatched, this row included.
+    ``end[i]``; it starts where row ``i - 1`` ended, or at 0, so ``start``
+    and ``makespan`` (the last end, or 0 with no rows) are read off ``end``
+    and not stored. The times are exact while they stay below 2**63 tu,
+    which the schedule builder checks through the total burst before it
+    allocates anything. A row names its task only through ``tasks``, so no
+    schedule can name an unknown task; the faults it can still hold are
+    those :func:`metrics_from_schedule` reports.
+
+    ``round`` is read off ``slot``: a round begins at row 0 and at every row
+    whose slot is not above the slot before it. Every schedule is built in
+    rounds that run each survivor once, in queue order, so the slots rise
+    within a round and the next round starts at a survivor no later in the
+    queue. A row's round is therefore also how many times its task has been
+    dispatched, this row included.
 
     Iterating yields the rows as plain ``(task_id, start, end, round)``
     tuples. Two schedules are equal when their task sets and columns are.
     """
 
-    __slots__ = ("tasks", "slot", "end", "round")
+    __slots__ = ("tasks", "slot", "end")
 
-    def __init__(
-        self, tasks: TaskSet, slot: np.ndarray, end: np.ndarray, round: np.ndarray
-    ) -> None:
-        self.tasks, self.slot, self.end, self.round = tasks, slot, end, round
+    def __init__(self, tasks: TaskSet, slot: np.ndarray, end: np.ndarray) -> None:
+        self.tasks, self.slot, self.end = tasks, slot, end
 
     @property
     def start(self) -> np.ndarray:
@@ -152,6 +156,13 @@ class Schedule:
         start = np.zeros_like(self.end)
         start[1:] = self.end[:-1]
         return start
+
+    @property
+    def round(self) -> np.ndarray:
+        """Each row's round: 1, plus one per later row whose slot does not rise."""
+        rounds = np.ones(len(self.slot), dtype=np.int64)
+        rounds[1:] = self.slot[1:] <= self.slot[:-1]
+        return np.add.accumulate(rounds, out=rounds)
 
     @property
     def makespan(self) -> int:
@@ -180,7 +191,6 @@ class Schedule:
             self.tasks == other.tasks
             and np.array_equal(self.slot, other.slot)
             and np.array_equal(self.end, other.end)
-            and np.array_equal(self.round, other.round)
         )
 
     def __repr__(self) -> str:
@@ -237,10 +247,10 @@ def metrics_from_schedule(schedule: Schedule) -> MetricsReport:
     n = len(ids)
     check_total_burst(sum(bursts))
     end = schedule.end
-    # Every slice's queue slot. Every column holds one value per slice, and
+    # Every slice's queue slot. Both columns hold one value per slice, and
     # every slot must be in 0..n-1; no rows fail the totals below.
     queue = schedule.slot
-    valid = len(queue) == len(end) == len(schedule.round) and (
+    valid = len(queue) == len(end) and (
         not queue.size or (queue.min() >= 0 and queue.max() < n)
     )
     if valid:
@@ -288,10 +298,8 @@ def _raise_first_violation(schedule: Schedule) -> NoReturn:
     is checked for a slot outside ``0..n-1``, then a length that is not
     positive, then an over-run of its task's burst; then every task's total,
     in queue order."""
-    columns = {name: len(getattr(schedule, name)) for name in ("slot", "end", "round")}
-    if len(set(columns.values())) > 1:
-        lengths = ", ".join(f"{name} {length}" for name, length in columns.items())
-        raise InvariantViolation(f"schedule columns differ in length: {lengths}")
+    if (slots := len(schedule.slot)) != (ends := len(schedule.end)):
+        raise InvariantViolation(f"schedule columns differ in length: slot {slots}, end {ends}")
     ids, bursts = schedule.tasks.ids, schedule.tasks.bursts()
     n = len(ids)
     executed = [0] * n

@@ -10,7 +10,8 @@ over the per-task runs (a two-byte radix key loses to it). Fixed RR offers
 one quantum that holds until every task has finished, FCFS offers the
 largest burst, and CTQ passes the quanta its own round loop chose. The
 executors emit the full timeline as a columnar
-:class:`~ctqsched.model.Schedule`; they are the baseline arms of every
+:class:`~ctqsched.model.Schedule` of slots and ends, from which its starts
+and rounds are read; they are the baseline arms of every
 experiment and the ground truth the closed-form math in
 :mod:`ctqsched.analytic` is checked against.
 
@@ -51,7 +52,9 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     quantum) more. Its slices are laid out task by task: each runs its
     round's full offer but the last, which runs what is left. They are then
     stably sorted by dispatch index into round order, and the ends come
-    from one cumulative sum over the whole schedule.
+    from one cumulative sum over the whole schedule. The sort is used only
+    for that order: the schedule keeps each slice's slot and end, and reads
+    its round off the slot order (see :class:`~ctqsched.model.Schedule`).
 
     The sort key depends on the round count. While no task runs more than
     256 rounds, every index fits in a byte, and numpy's stable sort on a
@@ -93,11 +96,9 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     # A byte key holds every dispatch index when no task runs past round 256.
     key = dispatch.astype(np.uint8) if taken.max() <= 256 else dispatch
     order = key.argsort(kind="stable")
-    # The rounds come from the int64 indices: the byte key wraps 255 + 1 to 0.
-    who, dispatch, length = who[order], dispatch[order], length[order]
-    dispatch += 1
+    who, length = who[order], length[order]
     np.add.accumulate(length, out=length)
-    return Schedule(tasks, who, length, dispatch)
+    return Schedule(tasks, who, length)
 
 
 def _check_slice_count(count: int) -> None:

@@ -74,18 +74,19 @@ class Slice(NamedTuple):
 
 def schedule_from_slices(rows, tasks: TaskSet) -> Schedule:
     """The columnar schedule of ``tasks`` that ``rows`` (anything with
-    ``task_id``, ``start``, ``end`` and ``round``) describe. A schedule
-    stores only the ends, so the rows must be gapless from 0, each starting
-    where the one before it ended; the assertion keeps a test from building
-    a timeline other than the one it wrote. Each row's slot is its task's
-    queue position in ``tasks``."""
+    ``task_id``, ``start`` and ``end``) describe. A schedule stores only the
+    ends, so the rows must be gapless from 0, each starting where the one
+    before it ended; the assertion keeps a test from building a timeline
+    other than the one it wrote. Each row's slot is its task's queue
+    position in ``tasks``. A row's ``round`` is not read: the schedule reads
+    its rounds off the slots."""
     rows = tuple(rows)
     ends = [s.end for s in rows]
     assert [s.start for s in rows] == [0, *ends][: len(rows)], "rows are not gapless from 0"
     position = {task_id: k for k, task_id in enumerate(tasks.ids)}
-    triples = [(position[s.task_id], s.end, s.round) for s in rows]
-    slot, end, rounds = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    return Schedule(tasks, slot, end, rounds)
+    pairs = [(position[s.task_id], s.end) for s in rows]
+    slot, end = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return Schedule(tasks, slot, end)
 
 
 def slices(schedule: Schedule) -> tuple[Slice, ...]:
@@ -246,8 +247,6 @@ def reference_rounds(tasks, share_for_round):
     min(share, residual); ``share_for_round(number, survivors)`` returns one
     share per survivor. Yields each round's number, the survivors entering
     it as ``(task_id, residual)`` pairs, and its slices."""
-    if tasks.n == 0:
-        raise ValueError("cannot schedule an empty task set")
     survivors = tuple((task.id, task.burst) for task in tasks)
     clock = 0
     number = 1
@@ -335,8 +334,6 @@ def reference_metrics(slices, tasks):
     positive length or over-runs a task's burst, then on per-task totals.
     A slice is anything with ``task_id``, ``start`` and ``end``; the
     makespan is the last slice's end."""
-    if tasks.n == 0:
-        raise InvariantViolation("empty task set")
     bursts = {task.id: task.burst for task in tasks}
 
     executed = {task.id: 0 for task in tasks}
@@ -345,8 +342,6 @@ def reference_metrics(slices, tasks):
     slice_counts = {task.id: 0 for task in tasks}
 
     for i, s in enumerate(slices):
-        if s.task_id not in bursts:
-            raise InvariantViolation(f"slice references unknown task id {s.task_id}")
         if s.end <= s.start:
             raise InvariantViolation(f"slice {i} has non-positive length: [{s.start}, {s.end})")
         executed[s.task_id] += s.end - s.start

@@ -141,6 +141,27 @@ class TestBestQuantum:
         with pytest.raises(ValueError):
             best_quantum(TaskSet((), ()))
 
+    def test_scan_of_4096_tasks_is_accepted(self):
+        # n * n is exactly the scan's cell limit, which the bound admits.
+        choice = best_quantum(TaskSet.from_bursts([5] * 4096))
+        assert (choice.quantum, choice.candidates_evaluated) == (5, 4)
+
+    @pytest.mark.parametrize(
+        "n,burst",
+        [(4096, 2**39), (3000, 2**40)],
+        ids=["exactly-2-to-the-63", "refused-by-n-squared"],
+    )
+    def test_scan_past_exact_int64_totals_is_refused(self, n, burst):
+        # 4096 * 4096 * 2**39 is exactly 2**63. 3000 bursts of 2**40 give
+        # about 3.1e6 candidate quanta, inside the candidate limit, and the
+        # burst alone is far below 2**63: only the n * n factor refuses them.
+        with pytest.raises(ValueError) as info:
+            best_quantum(TaskSet.from_bursts([burst] * n))
+        assert str(info.value) == (
+            f"cannot scan {n} tasks with a largest burst of {burst} tu: "
+            "n * n * largest burst must stay below 2**63"
+        )
+
     def test_identical_bursts_pick_the_burst(self):
         # Brute force over the full candidate range via the simulator, then
         # check the scan agrees, for a spread of (n, burst) pairs.

@@ -130,7 +130,7 @@ class TestSimulate:
     def test_broken_schedule_is_invariant_violation(self, monkeypatch, capsys, long_then_short):
         def fcfs_without_last_slice(tasks):
             whole = simulate_fcfs(tasks)
-            return Schedule(whole.tasks, whole.slot[:-1], whole.end[:-1], whole.round[:-1])
+            return Schedule(whole.tasks, whole.slot[:-1], whole.end[:-1])
 
         monkeypatch.setattr("ctqsched.cli.simulate_fcfs", fcfs_without_last_slice)
         code, out, err = run_cli(capsys, "simulate", "--tasks", long_then_short, "--algo", "fcfs")

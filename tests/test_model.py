@@ -70,9 +70,11 @@ class TestTaskSet:
             ((3, 1, 1, 3), (1, 1, 1, 1), "duplicate task id 1"),
             ((), (), "a task set needs at least one task"),
             ((1, 2), (5,), "task set columns differ in length: 2 ids, 1 bursts"),
+            ((0,), (0,), "task 0: burst must be at least 1 tu, got 0"),
+            ((0, 0), (3, 2), "duplicate task id 0"),
         ],
         ids=["burst-before-duplicate", "id-before-burst", "row-order", "first-duplicate",
-             "empty", "unequal-columns"],
+             "empty", "unequal-columns", "zero-id-burst", "zero-id-duplicate"],
     )
     def test_first_fault_is_reported(self, ids, bursts, message):
         # Unequal columns and an empty set come first, then each row in queue
@@ -80,6 +82,11 @@ class TestTaskSet:
         with pytest.raises(ValueError) as info:
             TaskSet(ids, bursts)
         assert str(info.value) == message
+
+    def test_id_zero_is_accepted(self):
+        # Ids are non-negative, so 0 is the smallest valid one.
+        ts = TaskSet((0, 1), (3, 2))
+        assert (ts.ids, ts.bursts()) == ((0, 1), (3, 2))
 
     def test_rows_are_named_tuples_over_the_columns(self):
         ts = TaskSet((7, 3), (2, 9))
@@ -124,7 +131,7 @@ def edited(schedule, change):
     """A copy of ``schedule`` with one field changed; an ``"id"`` change
     gives it a task set with another id in queue slot 1."""
     tasks = schedule.tasks
-    slot, end, rounds = (c.copy() for c in (schedule.slot, schedule.end, schedule.round))
+    slot, end = schedule.slot.copy(), schedule.end.copy()
     if change == "id":
         ids = list(tasks.ids)
         ids[1] = 99
@@ -133,9 +140,7 @@ def edited(schedule, change):
         slot[1] = slot[0]
     elif change == "end":
         end[1] += 1
-    elif change == "round":
-        rounds[1] += 1
-    return Schedule(tasks, slot, end, rounds)
+    return Schedule(tasks, slot, end)
 
 
 class TestSchedule:
@@ -150,21 +155,27 @@ class TestSchedule:
         assert simulate_fixed_rr(MIXED_FIVE, 2) == simulate_fixed_rr(MIXED_FIVE, 2)
         assert edited(CTQ_GANTT, None) == CTQ_GANTT
 
-    @pytest.mark.parametrize("change", ["id", "slot", "end", "round"])
+    @pytest.mark.parametrize("change", ["id", "slot", "end"])
     def test_one_changed_field_compares_unequal(self, change):
         schedule = simulate_fixed_rr(MIXED_FIVE, 2)
         assert edited(schedule, change) != schedule
         assert schedule != edited(schedule, change)
 
     def test_start_and_makespan_follow_from_end(self):
-        assert Schedule.__slots__ == ("tasks", "slot", "end", "round")
+        assert Schedule.__slots__ == ("tasks", "slot", "end")
         assert RR4_GANTT.start.tolist() == [0, 4, 7, 10, 14, 18, 22, 26]
         assert (RR4_GANTT.start.dtype, RR4_GANTT.makespan) == (np.int64, 30)
-        # With no rows there is no start and the makespan is 0; the metrics
-        # still report the task that never ran.
+        # A round begins at row 0 and wherever the slot does not rise.
+        assert RR4_GANTT.round.tolist() == [1, 1, 1, 2, 3, 4, 5, 6]
+        assert CTQ_GANTT.round.tolist() == [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
+        with pytest.raises(AttributeError):
+            RR4_GANTT.round = RR4_GANTT.round
+        # With no rows there is no start or round and the makespan is 0; the
+        # metrics still report the task that never ran.
         empty = np.array([], dtype=np.int64)
-        schedule = Schedule(TaskSet.from_bursts([3]), empty, empty, empty)
-        assert (schedule.start.size, schedule.makespan) == (0, 0)
+        schedule = Schedule(TaskSet.from_bursts([3]), empty, empty)
+        assert (schedule.start.size, schedule.round.size, schedule.makespan) == (0, 0, 0)
+        assert schedule.round.dtype == np.int64
         assert repr(schedule) == "Schedule(0 slices, makespan=0)"
         with pytest.raises(InvariantViolation) as info:
             metrics_from_schedule(schedule)
@@ -208,34 +219,33 @@ class TestMetricsFromSchedule:
 
 
 class TestScheduleMismatch:
-    @pytest.mark.parametrize("slot", [[0, 5], [0, -1]])
+    @pytest.mark.parametrize("slot", [[0, 5], [0, -1], [0, 2]])
     def test_slot_out_of_range(self, slot):
-        # -1 would wrap onto task 2 and match its total; 5 is past the queue.
+        # -1 would wrap onto task 2 and match its total; 5 is past the queue,
+        # and 2, the queue's length, is its first slot past the end.
         bad = Schedule(
             TaskSet.from_bursts([2, 3]),
             slot=np.array(slot, dtype=np.int64),
             end=np.array([2, 5], dtype=np.int64),
-            round=np.array([1, 1], dtype=np.int64),
         )
-        with pytest.raises(InvariantViolation, match=f"slice 1 has slot {slot[1]}"):
+        with pytest.raises(InvariantViolation) as info:
             metrics_from_schedule(bad)
+        assert str(info.value) == f"slice 1 has slot {slot[1]}, outside 0..1"
 
     @pytest.mark.parametrize(
-        "slot,rounds,lengths",
-        [
-            ([0, 1, 1], [1, 1], "slot 3, end 2, round 2"),  # a slot too many
-            ([0, 1], [1], "slot 2, end 2, round 1"),  # a round too few
-        ],
+        "slot,lengths",
+        [([0, 1, 1], "slot 3, end 2"), ([0], "slot 1, end 2")],
+        ids=["slot-too-many", "slot-too-few"],
     )
-    def test_columns_of_different_lengths(self, slot, rounds, lengths):
+    def test_columns_of_different_lengths(self, slot, lengths):
         bad = Schedule(
             TaskSet.from_bursts([2, 3]),
             slot=np.array(slot, dtype=np.int64),
             end=np.array([2, 5], dtype=np.int64),
-            round=np.array(rounds, dtype=np.int64),
         )
-        with pytest.raises(InvariantViolation, match=f"columns differ in length: {lengths}$"):
+        with pytest.raises(InvariantViolation) as info:
             metrics_from_schedule(bad)
+        assert str(info.value) == f"schedule columns differ in length: {lengths}"
 
     def test_underrun_burst(self):
         bad = gantt(TaskSet.from_bursts([4, 3]), (1, 0, 3, 1), (2, 3, 6, 1))

@@ -1,5 +1,6 @@
 """The schedule builder and its executors: fixed RR and FCFS."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
@@ -116,10 +117,10 @@ class TestRunRounds:
     @pytest.mark.parametrize("bursts", [[256, 3, 255], [257, 3, 256]])
     def test_int64_columns_either_side_of_the_byte_key(self, bursts):
         # Up to 256 rounds the slices are sorted on a one-byte key, which
-        # wraps 255 + 1 to 0; the round column must not come from it.
+        # wraps 255 + 1 to 0; the rounds, read off the slots, count on.
         schedule = run_rounds(TaskSet.from_bursts(bursts), [1])
         assert [c.dtype for c in (schedule.slot, schedule.end, schedule.round)] == [np.int64] * 3
-        assert schedule.round.max() == bursts[0]
+        assert schedule.round.max() == schedule.round[-1] == bursts[0]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -161,6 +162,39 @@ def test_run_rounds_equals_the_reference_round_loop(tasks, quanta):
         tasks, lambda number, survivors: repeat(quanta[min(number, len(quanta)) - 1])
     )
     assert slices(run_rounds(tasks, quanta)) == tuple(s for *_, own in rounds for s in own)
+
+
+def dispatch_counts(schedule):
+    """How many times each row's task has run, this row included, counted
+    row by row over the slots."""
+    seen = Counter()
+    counts = []
+    for k in schedule.slot.tolist():
+        seen[k] += 1
+        counts.append(seen[k])
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tasks=task_sets(),
+    quanta=st.lists(st.integers(1, 70), min_size=1, max_size=8),
+    first=st.one_of(st.none(), st.integers(1, 70)),
+)
+# 256 rounds, the most the one-byte sort key holds, and 257.
+@example(tasks=TaskSet.from_bursts([256, 3, 255]), quanta=[1], first=1)
+@example(tasks=TaskSet.from_bursts([257, 3, 256]), quanta=[1], first=None)
+def test_rounds_read_off_the_slots_count_dispatches(tasks, quanta, first):
+    # Every survivor runs once per round, so a row's round is its task's
+    # dispatch count, on every schedule the package builds.
+    for schedule in (
+        run_rounds(tasks, quanta),
+        simulate_fixed_rr(tasks, quanta[0]),
+        simulate_fcfs(tasks),
+        run_ctq(tasks, first).schedule,
+    ):
+        assert schedule.round.dtype == np.int64
+        assert schedule.round.tolist() == dispatch_counts(schedule)
 
 
 @settings(max_examples=300)

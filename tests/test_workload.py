@@ -81,6 +81,13 @@ class TestTaskFiles:
     def test_load_reference_queue(self):
         assert load_tasks("1,24\n2,3\n3,3") == TaskSet.from_bursts([24, 3, 3])
 
+    def test_id_zero_is_accepted(self):
+        assert load_tasks("0,3\n1,2\n") == TaskSet((0, 1), (3, 2))
+        # A faulty row with id 0 is reported for its fault, not for its id.
+        with pytest.raises(TaskFileError) as info:
+            load_tasks("1,4\n0,0\n")
+        assert str(info.value) == "line 2: task 0: burst must be at least 1 tu, got 0"
+
     def test_comments_blanks_and_crlf(self):
         text = "# fleet\r\n\r\n1,24\r\n2,3  # trailing note\r\n3,3\r\n"
         assert load_tasks(text) == TaskSet.from_bursts([24, 3, 3])
