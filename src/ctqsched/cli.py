@@ -60,21 +60,21 @@ def _gantt_lines(schedule: Schedule) -> list[str]:
     return [f"{task_id},{start},{end},{number}" for task_id, start, end, number in schedule]
 
 
+# One per-task line: a TaskMetrics row is a tuple, so it fills the template
+# as it is; ``%s`` renders each field as ``str`` does.
+_TASK_LINE = "task %s: completion=%s turnaround=%s waiting=%s switches=%s slices=%s"
+
+
 def _metrics_lines(tasks: TaskSet, metrics: MetricsReport) -> list[str]:
-    lines = [
+    return [
         f"tasks: {tasks.n}",
         f"makespan: {metrics.makespan}",
         f"total_waiting: {metrics.total_waiting}",
         f"avg_waiting: {format_fraction(metrics.avg_waiting)}",
         f"avg_turnaround: {format_fraction(metrics.avg_turnaround)}",
         f"context_switches: {metrics.total_context_switches}",
+        *map(_TASK_LINE.__mod__, metrics.per_task),
     ]
-    for task_id, completion, turnaround, waiting, switches, slices in metrics.per_task:
-        lines.append(
-            f"task {task_id}: completion={completion} turnaround={turnaround} "
-            f"waiting={waiting} switches={switches} slices={slices}"
-        )
-    return lines
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -96,10 +96,6 @@ class TestWaitingProfile:
         assert profile.per_task[0].waiting == 0
         assert profile.avg_waiting == 0
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            waiting_profile(TaskSet((), ()), 3)
-
     def test_queue_order_changes_per_task_waits(self):
         # Same multiset of bursts, different order: totals differ, so nothing
         # beyond makespan/total burst is order-insensitive.
@@ -136,10 +132,6 @@ class TestBestQuantum:
         choice = best_quantum(TaskSet.from_bursts(bursts))
         assert choice.quantum == expected
         assert choice.candidates_evaluated == self.CANDIDATES[tuple(bursts)]
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            best_quantum(TaskSet((), ()))
 
     def test_scan_of_4096_tasks_is_accepted(self):
         # n * n is exactly the scan's cell limit, which the bound admits.
@@ -392,6 +384,28 @@ def test_lower_bounds_are_exact_at_the_candidate_limit():
         _split_pairs((m + 2 * root + 4, *small))
     quanta = quanta_near_the_root(m)
     assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)
+
+
+# s = isqrt(b - 1) = 1398101 gives s + 1 + 2 * s = 2**22 candidates exactly.
+AT_THE_CANDIDATE_LIMIT = 1398101**2 + 1
+
+
+def test_a_burst_at_the_candidate_limit_is_split():
+    m = AT_THE_CANDIDATE_LIMIT - 1
+    assert 3 * isqrt(m) + 1 == analytic._CANDIDATE_LIMIT
+    pairs = _split_pairs((AT_THE_CANDIDATE_LIMIT,))
+    assert pairs.block_top.size == isqrt(m)
+
+
+def test_one_candidate_past_the_limit_is_refused():
+    # A burst of 2 adds isqrt(1) = 1 for each end of its one interval:
+    # 2**22 + 2 candidates in all.
+    with pytest.raises(ValueError) as error:
+        _split_pairs((AT_THE_CANDIDATE_LIMIT, 2))
+    assert str(error.value) == (
+        f"cannot scan bursts up to {AT_THE_CANDIDATE_LIMIT} tu: they give 4194306 candidate "
+        "quanta, more than the limit of 4194304"
+    )
 
 
 @pytest.mark.parametrize("top", [2**53 - 1, 2**53 - 3, 3**33])
