@@ -76,7 +76,6 @@ admits no b - 1 of 2**44 or more (its isqrt alone would pass the limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -105,8 +104,7 @@ _SCAN_CELL_LIMIT = 1 << 24
 _CANDIDATE_LIMIT = 1 << 22
 
 
-@dataclass(frozen=True)
-class TaskWait:
+class TaskWait(NamedTuple):
     """One task's row of :func:`waiting_profile`.
 
     ``full_quanta`` is the rule's nq = (b - 1) // tq, the whole quanta the
@@ -123,8 +121,7 @@ class TaskWait:
     waiting: int
 
 
-@dataclass(frozen=True)
-class RoundRobinProfile:
+class RoundRobinProfile(NamedTuple):
     """Closed-form per-task waiting times for one (task set, quantum) pair."""
 
     per_task: tuple[TaskWait, ...]
@@ -133,8 +130,7 @@ class RoundRobinProfile:
     quantum: int
 
 
-@dataclass(frozen=True)
-class QuantumChoice:
+class QuantumChoice(NamedTuple):
     """Result of the candidate-quantum scan. ``quantum`` lies in
     [1, largest burst]; ties on average waiting go to the largest quantum.
     ``candidates_evaluated`` is how many quanta the scan evaluated, at most

@@ -27,14 +27,14 @@ exactly the fresh candidates (:mod:`ctqsched.analytic`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import _scan, _split_pairs
 from .model import MetricsReport, Schedule, TaskSet, check_total_burst, metrics_from_schedule
 from .simulate import _check_slice_count, run_rounds
 
-@dataclass(frozen=True)
-class RoundRecord:
+
+class RoundRecord(NamedTuple):
     """How one round's quantum was chosen. The tasks entering round r, and
     those finishing in it, are the schedule's rows of round r."""
 
@@ -43,8 +43,7 @@ class RoundRecord:
     chosen_by: str  # "user_supplied" or "optimized"
 
 
-@dataclass(frozen=True)
-class CtqTrace:
+class CtqTrace(NamedTuple):
     rounds: tuple[RoundRecord, ...]
     schedule: Schedule
     metrics: MetricsReport

@@ -16,9 +16,8 @@ repeated invocations are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
+from typing import NamedTuple
 
 from .ctq import run_ctq
 from .model import TaskSet, format_fraction, metrics_from_schedule
@@ -28,8 +27,7 @@ from .workload import WorkloadSpec, generate
 ALGORITHM_ORDER = ("rr", "ctq", "fcfs")
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     """One (workload, algorithm) result. Mean rows use workload_id "mean" and
     may carry fractional context-switch and makespan values."""
 
@@ -45,7 +43,7 @@ class ExperimentRow:
     tq_sequence: tuple[int, ...] | None = None
 
 
-CSV_HEADER = ",".join(field.name for field in fields(ExperimentRow))
+CSV_HEADER = ",".join(ExperimentRow._fields)
 
 
 def _row(workload_id, tasks, algorithm, tq_policy, metrics, rounds=None, tq_sequence=None):
@@ -138,10 +136,7 @@ def _mean(values: list[Fraction]) -> Fraction:
 def _rendered(rows: list[ExperimentRow]) -> list[list[object]]:
     """Each row's values in field order, with every rational rendered by
     :func:`format_fraction`; the other values are left as they are."""
-    values_of = attrgetter(*[field.name for field in fields(ExperimentRow)])
-    return [
-        [format_fraction(v) if type(v) is Fraction else v for v in values_of(row)] for row in rows
-    ]
+    return [[format_fraction(v) if type(v) is Fraction else v for v in row] for row in rows]
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:

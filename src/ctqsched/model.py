@@ -6,7 +6,9 @@ at 0. Aggregate averages are exact ``Fraction``s so metric comparisons never
 depend on float rounding.
 
 A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
-:class:`Task` and :class:`TaskMetrics` are named-tuple rows. A
+:class:`Task`, :class:`TaskMetrics` and :class:`MetricsReport` are named
+tuples, as is every record type of the package (read-only, and cheap to
+define at import). A
 :class:`Schedule` holds its task set and its slices as two int64 columns
 (queue slot and end), and nothing else: each slice starts where the one
 before it ended, so no schedule can hold a gap; it names its task by queue
@@ -21,7 +23,6 @@ metrics reject larger task sets with ``ValueError`` before they allocate.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, NoReturn
@@ -206,8 +207,7 @@ class TaskMetrics(NamedTuple):
     slice_count: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Per-task and aggregate metrics for one schedule.
 
     ``avg_waiting`` and ``avg_turnaround`` are exact rationals; render them

@@ -23,7 +23,7 @@ first faulty line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,14 @@ from .model import _INT64_LIMIT, TaskSet
 from .simulate import _SLICE_LIMIT
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _WorkloadFields(NamedTuple):
+    n: int
+    burst_min: int
+    burst_max: int
+    seed: int
+
+
+class WorkloadSpec(_WorkloadFields):
     """Parameters for one random task set; ``seed`` fully determines it.
 
     ``n`` may not exceed ``_SLICE_LIMIT`` (2**22): every task takes at least
@@ -40,32 +46,34 @@ class WorkloadSpec:
     :func:`generate` from drawing it first. ``seed`` must be non-negative and
     ``burst_max`` below 2**63 tu, the bounds of the PCG64 seed and of the
     int64 draw; they are checked here, after the others, so the message
-    names the field rather than coming from numpy.
+    names the field rather than coming from numpy. Every way to build a spec
+    runs the checks: ``_make``, and so ``_replace``, goes through the
+    constructor.
     """
 
-    n: int
-    burst_min: int
-    burst_max: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"task count must be at least 1, got {self.n}")
-        if self.n > _SLICE_LIMIT:
+    def __new__(cls, n: int, burst_min: int, burst_max: int, seed: int) -> WorkloadSpec:
+        if n < 1:
+            raise ValueError(f"task count must be at least 1, got {n}")
+        if n > _SLICE_LIMIT:
             raise ValueError(
-                f"task count must be at most {_SLICE_LIMIT}, got {self.n}: "
+                f"task count must be at most {_SLICE_LIMIT}, got {n}: "
                 "a schedule holds at most that many slices"
             )
-        if self.burst_min < 1:
-            raise ValueError(f"burst_min must be at least 1 tu, got {self.burst_min}")
-        if self.burst_min > self.burst_max:
-            raise ValueError(
-                f"empty burst range [{self.burst_min}, {self.burst_max}]"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.burst_max >= _INT64_LIMIT:
-            raise ValueError(f"burst_max must be below 2**63 tu, got {self.burst_max}")
+        if burst_min < 1:
+            raise ValueError(f"burst_min must be at least 1 tu, got {burst_min}")
+        if burst_min > burst_max:
+            raise ValueError(f"empty burst range [{burst_min}, {burst_max}]")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        if burst_max >= _INT64_LIMIT:
+            raise ValueError(f"burst_max must be below 2**63 tu, got {burst_max}")
+        return super().__new__(cls, n, burst_min, burst_max, seed)
+
+    @classmethod
+    def _make(cls, iterable) -> WorkloadSpec:
+        return cls(*iterable)
 
 
 def generate(spec: WorkloadSpec) -> TaskSet:

@@ -242,38 +242,36 @@ def pair_split_totals(bursts, quanta):
     return totals
 
 
-def reference_rounds(tasks, share_for_round):
+def reference_rounds(tasks, quantum_for_round):
     """Run every survivor once per round, in queue order, for
-    min(share, residual); ``share_for_round(number, survivors)`` returns one
-    share per survivor. Yields each round's number, the survivors entering
+    min(quantum, residual); ``quantum_for_round(number, survivors)`` gives
+    the round's quantum. Yields each round's number, the survivors entering
     it as ``(task_id, residual)`` pairs, and its slices."""
     survivors = tuple((task.id, task.burst) for task in tasks)
     clock = 0
     number = 1
     while survivors:
+        quantum = quantum_for_round(number, survivors)
         slices = []
-        after = []
-        for (task_id, residual), share in zip(survivors, share_for_round(number, survivors)):
-            run = min(share, residual)
+        for task_id, residual in survivors:
+            run = min(quantum, residual)
             slices.append(Slice(task_id, clock, clock + run, number))
             clock += run
-            if residual > run:
-                after.append((task_id, residual - run))
         yield number, survivors, tuple(slices)
-        survivors = tuple(after)
+        survivors = tuple((i, r - quantum) for i, r in survivors if r > quantum)
         number += 1
 
 
-def _slices(tasks, share_for_round):
-    return tuple(s for _, _, slices in reference_rounds(tasks, share_for_round) for s in slices)
+def _slices(tasks, quantum_for_round):
+    return tuple(s for _, _, slices in reference_rounds(tasks, quantum_for_round) for s in slices)
 
 
 def reference_fixed_rr(tasks, quantum):
-    return _slices(tasks, lambda number, survivors: repeat(quantum))
+    return _slices(tasks, lambda number, survivors: quantum)
 
 
 def reference_fcfs(tasks):
-    return _slices(tasks, lambda number, survivors: [burst for _, burst in survivors])
+    return _slices(tasks, lambda number, survivors: max(tasks.bursts()))
 
 
 def reference_ctq(tasks, first_quantum=None):
@@ -282,16 +280,16 @@ def reference_ctq(tasks, first_quantum=None):
     carried them, and its completions where a slice ran a task's residual."""
     choices = []
 
-    def share_for_round(number, survivors):
+    def quantum_for_round(number, survivors):
         if number == 1 and first_quantum is not None:
             choices.append((first_quantum, "user_supplied"))
         else:
             residuals = TaskSet.from_bursts(residual for _, residual in survivors)
             choices.append((best_quantum(residuals).quantum, "optimized"))
-        return repeat(choices[-1][0])
+        return choices[-1][0]
 
     records, rounds = [], []
-    for number, before, round_slices in reference_rounds(tasks, share_for_round):
+    for number, before, round_slices in reference_rounds(tasks, quantum_for_round):
         records.append(RoundRecord(number, *choices[-1]))
         completed = tuple(
             s.task_id for s, (_, residual) in zip(round_slices, before) if s.length == residual

@@ -3,7 +3,6 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -174,7 +173,7 @@ class TestRunRounds:
 def test_run_rounds_equals_the_reference_round_loop(tasks, quanta):
     # The reference offers round r quanta[r - 1], and the last quantum after.
     rounds = reference_rounds(
-        tasks, lambda number, survivors: repeat(quanta[min(number, len(quanta)) - 1])
+        tasks, lambda number, survivors: quanta[min(number, len(quanta)) - 1]
     )
     assert slices(run_rounds(tasks, quanta)) == tuple(s for *_, own in rounds for s in own)
 

@@ -70,6 +70,41 @@ class TestGenerate:
             WorkloadSpec(*fields)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda fields: WorkloadSpec(*fields),
+            lambda fields: WorkloadSpec(**dict(zip(WorkloadSpec._fields, fields))),
+            WorkloadSpec._make,
+            lambda fields: WorkloadSpec(3, 1, 20, 5)._replace(
+                **dict(zip(WorkloadSpec._fields, fields))
+            ),
+        ],
+        ids=["positional", "keyword", "make", "replace"],
+    )
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 1, 20, 5), "task count must be at least 1, got 0"),
+            (
+                (2**22 + 1, 1, 20, 5),
+                "task count must be at most 4194304, got 4194305: "
+                "a schedule holds at most that many slices",
+            ),
+            ((3, 0, 20, 5), "burst_min must be at least 1 tu, got 0"),
+            ((3, 21, 20, 5), "empty burst range [21, 20]"),
+            ((3, 1, 20, -1), "seed must be non-negative, got -1"),
+            ((3, 1, 2**63, 5), f"burst_max must be below 2**63 tu, got {2**63}"),
+        ],
+        ids=["no-task", "past-slice-limit", "zero-burst", "empty-range", "negative-seed",
+             "burst-max-2-to-the-63"],
+    )
+    def test_every_way_to_build_a_spec_checks_it(self, build, fields, message):
+        # generate must never see a spec past its bounds, however it was made.
+        with pytest.raises(ValueError) as exc:
+            build(fields)
+        assert str(exc.value) == message
+
     def test_largest_burst_max_still_draws(self):
         # 2**63 - 1 is inside the int64 draw; the total-burst bound is the
         # schedule's to check, not the spec's.
