@@ -10,9 +10,9 @@ task's full_quanta changes.
 
 from fractions import Fraction
 
-from ctqsched import WorkloadSpec, best_quantum, generate, waiting_profile
+from ctqsched import best_quantum, generate, waiting_profile
 
-tasks = generate(WorkloadSpec(n=6, burst_min=1, burst_max=40, seed=404))
+tasks = generate(n=6, burst_min=1, burst_max=40, seed=404)
 print("queue:", ", ".join(f"T{t.id}={t.burst}tu" for t in tasks), "\n")
 
 largest = max(tasks.bursts())

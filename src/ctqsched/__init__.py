@@ -32,7 +32,7 @@ from .model import (
     metrics_from_schedule,
 )
 from .simulate import simulate_fcfs, simulate_fixed_rr
-from .workload import TaskFileError, WorkloadSpec, generate, load_tasks, save_tasks
+from .workload import TaskFileError, generate, load_tasks, save_tasks
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "simulate_fcfs",
     "simulate_fixed_rr",
     "TaskFileError",
-    "WorkloadSpec",
     "generate",
     "load_tasks",
     "save_tasks",

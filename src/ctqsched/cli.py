@@ -37,7 +37,7 @@ from .model import (
     metrics_from_schedule,
 )
 from .simulate import simulate_fcfs, simulate_fixed_rr
-from .workload import WorkloadSpec, generate, load_tasks, save_tasks
+from .workload import generate, load_tasks, save_tasks
 
 
 class UsageError(Exception):
@@ -128,10 +128,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = WorkloadSpec(
-        n=args.n, burst_min=args.burst_min, burst_max=args.burst_max, seed=args.seed
-    )
-    _emit(save_tasks(generate(spec)), args.out)
+    tasks = generate(args.n, args.burst_min, args.burst_max, args.seed)
+    _emit(save_tasks(tasks), args.out)
     return 0
 
 

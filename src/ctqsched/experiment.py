@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .ctq import run_ctq
 from .model import TaskSet, format_fraction, metrics_from_schedule
 from .simulate import simulate_fcfs, simulate_fixed_rr
-from .workload import WorkloadSpec, generate
+from .workload import generate
 
 ALGORITHM_ORDER = ("rr", "ctq", "fcfs")
 
@@ -105,9 +105,7 @@ def run_comparison(
         raise ValueError(f"runs must be at least 1, got {runs}")
     rows: list[ExperimentRow] = []
     for i in range(runs):
-        tasks = generate(
-            WorkloadSpec(n=n, burst_min=burst_min, burst_max=burst_max, seed=seed + i)
-        )
+        tasks = generate(n, burst_min, burst_max, seed + i)
         rows.extend(compare_workload(tasks, workload_id=str(i)))
 
     for algorithm in ALGORITHM_ORDER:

@@ -259,7 +259,14 @@ def metrics_from_schedule(schedule: Schedule) -> MetricsReport:
         executed = np.zeros(n, dtype=np.int64)
         np.add.at(executed, queue, length)
         # Every burst is at least 1 tu, so matching totals mean a slice exists.
-        valid = tuple(executed.tolist()) == bursts and (length > 0).all()
+        # The ends are compared, not the lengths: a difference of int64 ends
+        # can wrap to a positive length, and wrapped lengths can sum back to
+        # a burst. Strictly rising ends below 2**63 wrap neither.
+        valid = (
+            tuple(executed.tolist()) == bursts
+            and end[0] > 0
+            and (end[1:] > end[:-1]).all()
+        )
     if not valid:
         _raise_first_violation(schedule)
     makespan = int(end[-1])

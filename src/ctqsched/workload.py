@@ -2,7 +2,7 @@
 
 Generation is pinned to numpy's PCG64 bit generator (seeded through
 ``SeedSequence``) with ``Generator.integers`` for the bounded draw, so the
-same spec reproduces the same task set on any platform.
+same arguments reproduce the same task set on any platform.
 
 Task files are plain text, one task per line::
 
@@ -23,63 +23,41 @@ first faulty line.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .model import _INT64_LIMIT, TaskSet
 from .simulate import _SLICE_LIMIT
 
 
-class _WorkloadFields(NamedTuple):
-    n: int
-    burst_min: int
-    burst_max: int
-    seed: int
+def generate(n: int, burst_min: int, burst_max: int, seed: int) -> TaskSet:
+    """Draw ``n`` bursts uniformly from [burst_min, burst_max]; ``seed``
+    fully determines them.
 
-
-class WorkloadSpec(_WorkloadFields):
-    """Parameters for one random task set; ``seed`` fully determines it.
-
-    ``n`` may not exceed ``_SLICE_LIMIT`` (2**22): every task takes at least
-    one slice, so no larger set can be scheduled, and refusing it here keeps
-    :func:`generate` from drawing it first. ``seed`` must be non-negative and
-    ``burst_max`` below 2**63 tu, the bounds of the PCG64 seed and of the
-    int64 draw; they are checked here, after the others, so the message
-    names the field rather than coming from numpy. Every way to build a spec
-    runs the checks: ``_make``, and so ``_replace``, goes through the
-    constructor.
+    The arguments are checked before anything is drawn. ``n`` may not exceed
+    ``_SLICE_LIMIT`` (2**22): every task takes at least one slice, so no
+    larger set can be scheduled, and refusing it first keeps it from being
+    drawn. ``seed`` must be non-negative and ``burst_max`` below 2**63 tu,
+    the bounds of the PCG64 seed and of the int64 draw; they are checked
+    after the others, so the message names the argument rather than coming
+    from numpy.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, burst_min: int, burst_max: int, seed: int) -> WorkloadSpec:
-        if n < 1:
-            raise ValueError(f"task count must be at least 1, got {n}")
-        if n > _SLICE_LIMIT:
-            raise ValueError(
-                f"task count must be at most {_SLICE_LIMIT}, got {n}: "
-                "a schedule holds at most that many slices"
-            )
-        if burst_min < 1:
-            raise ValueError(f"burst_min must be at least 1 tu, got {burst_min}")
-        if burst_min > burst_max:
-            raise ValueError(f"empty burst range [{burst_min}, {burst_max}]")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        if burst_max >= _INT64_LIMIT:
-            raise ValueError(f"burst_max must be below 2**63 tu, got {burst_max}")
-        return super().__new__(cls, n, burst_min, burst_max, seed)
-
-    @classmethod
-    def _make(cls, iterable) -> WorkloadSpec:
-        return cls(*iterable)
-
-
-def generate(spec: WorkloadSpec) -> TaskSet:
-    """Draw ``spec.n`` bursts uniformly from [burst_min, burst_max]."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    bursts = rng.integers(spec.burst_min, spec.burst_max + 1, size=spec.n)
+    if n < 1:
+        raise ValueError(f"task count must be at least 1, got {n}")
+    if n > _SLICE_LIMIT:
+        raise ValueError(
+            f"task count must be at most {_SLICE_LIMIT}, got {n}: "
+            "a schedule holds at most that many slices"
+        )
+    if burst_min < 1:
+        raise ValueError(f"burst_min must be at least 1 tu, got {burst_min}")
+    if burst_min > burst_max:
+        raise ValueError(f"empty burst range [{burst_min}, {burst_max}]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if burst_max >= _INT64_LIMIT:
+        raise ValueError(f"burst_max must be below 2**63 tu, got {burst_max}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bursts = rng.integers(burst_min, burst_max + 1, size=n)
     return TaskSet.from_bursts(bursts.tolist())
 
 

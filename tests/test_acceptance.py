@@ -15,7 +15,6 @@ import pytest
 
 from ctqsched import (
     TaskSet,
-    WorkloadSpec,
     best_quantum,
     generate,
     metrics_from_schedule,
@@ -54,7 +53,7 @@ def benchmark_sweep():
     start = time.perf_counter()
     for i in range(30):
         n = rng.randint(5, 50)
-        tasks = generate(WorkloadSpec(n=n, burst_min=1, burst_max=500, seed=9000 + i))
+        tasks = generate(n=n, burst_min=1, burst_max=500, seed=9000 + i)
         choice = best_quantum(tasks)
         rr = metrics_from_schedule(simulate_fixed_rr(tasks, choice.quantum))
         trace = run_ctq(tasks)

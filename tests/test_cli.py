@@ -468,8 +468,7 @@ def test_large_burst_scans_only_its_breakpoints(tmp_path):
     # A full-axis scan would allocate 3 * 10**9 totals here.
     result = run_cli_process(tmp_path, "1,3000000000\n2,5\n", "best-tq")
     assert result.returncode == 0
-    assert "tq: 5\n" in result.stdout
-    assert "avg_waiting: 5\n" in result.stdout
+    assert result.stdout == "tq: 5\navg_waiting: 5\ncandidates_evaluated: 109544\n"
 
 
 def test_too_many_candidate_quanta_is_validation_error(tmp_path):
@@ -535,7 +534,7 @@ def test_simulate_survives_hostile_task_files(text, algo, tq):
 # Hostile workload flags: negative, zero, past the scan's task limit, past
 # the task-count bound, past int64 and past numpy's seed range. Every draw is
 # rejected or small: 5000 tasks are refused by the scan before it allocates,
-# more than 2**22 tasks by the workload spec before it draws them, and huge
+# more than 2**22 tasks by `generate` before it draws them, and huge
 # bursts by the int64 or candidate bounds.
 _FLAG_BURSTS = st.sampled_from([-1, 0, 1, 5000, 2**63 - 1, 10**20])
 

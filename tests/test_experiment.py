@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import drain_bursts, task_sets
 from ctqsched import (
     TaskSet,
-    WorkloadSpec,
     experiment,
     generate,
     run_ctq,
@@ -30,17 +29,17 @@ def test_one_round_ctq_is_the_rr_and_fcfs_schedule(tasks, first_quantum):
 
 
 @pytest.mark.parametrize(
-    "spec, quanta",
+    "args, quanta",
     [
-        (WorkloadSpec(12, 1, 5000, 1), (4753,)),
-        (WorkloadSpec(3, 1, 20, 6), (11,)),
-        (WorkloadSpec(3, 1, 20, 5), (1, 16)),
-        (WorkloadSpec(48, 1, 1000, 1), None),
+        ((12, 1, 5000, 1), (4753,)),
+        ((3, 1, 20, 6), (11,)),
+        ((3, 1, 20, 5), (1, 16)),
+        ((48, 1, 1000, 1), None),
     ],
     ids=["one-round-12", "one-round-3", "two-rounds", "one-round-48"],
 )
-def test_rows_equal_the_reference(spec, quanta):
-    tasks = generate(spec)
+def test_rows_equal_the_reference(args, quanta):
+    tasks = generate(*args)
     rows = compare_workload(tasks, "7")
     assert rows == reference_compare_workload(tasks, "7")
     if quanta is not None:
@@ -69,7 +68,7 @@ def extra_arms(monkeypatch):
 
 
 def test_one_round_workload_builds_no_extra_arm(extra_arms):
-    rows = compare_workload(generate(WorkloadSpec(12, 1, 5000, 1)))
+    rows = compare_workload(generate(12, 1, 5000, 1))
     assert rows[1].tq_sequence == (4753,)
     assert extra_arms == []
     measured = [(r.avg_wt, r.avg_tat, r.context_switches, r.makespan) for r in rows]
@@ -78,7 +77,7 @@ def test_one_round_workload_builds_no_extra_arm(extra_arms):
 
 def test_multi_round_workload_builds_both_arms(extra_arms):
     # Workload 0 of `compare --n 3 --burst-min 1 --burst-max 20 --seed 5`.
-    rows = compare_workload(generate(WorkloadSpec(3, 1, 20, 5)))
+    rows = compare_workload(generate(3, 1, 20, 5))
     assert rows[1].tq_sequence == (1, 16)
     assert len(extra_arms) == 2
 

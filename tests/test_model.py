@@ -161,6 +161,11 @@ class TestSchedule:
         assert edited(schedule, change) != schedule
         assert schedule != edited(schedule, change)
 
+    def test_a_non_schedule_compares_unequal(self):
+        assert RR4_GANTT.__eq__(object()) is NotImplemented
+        assert (RR4_GANTT == "x") is False
+        assert RR4_GANTT != "x"
+
     def test_start_and_makespan_follow_from_end(self):
         assert Schedule.__slots__ == ("tasks", "slot", "end")
         assert RR4_GANTT.start.tolist() == [0, 4, 7, 10, 14, 18, 22, 26]
@@ -256,6 +261,27 @@ class TestScheduleMismatch:
         bad = gantt(TaskSet.from_bursts([4, 3]), (1, 0, 5, 1), (2, 5, 8, 1))
         with pytest.raises(InvariantViolation, match="executes"):
             metrics_from_schedule(bad)
+
+    @pytest.mark.parametrize(
+        "slot,end",
+        [
+            ([0, 0, 0], [2**63 - 1, -2, 1]),
+            ([0, 1, 0, 1, 0, 1], [2**63 - 1, -2, 2**63 - 3, -4, -1, 2]),
+        ],
+        ids=["one-task", "two-tasks"],
+    )
+    def test_ends_that_wrap_around(self, slot, end):
+        # Each end less the previous one wraps to 2**63 - 1, 2**63 - 1 and 3,
+        # all positive, and each task's three lengths sum to 2**64 + 1, which
+        # wraps to its 1 tu burst. Only the falling ends show the fault.
+        bad = Schedule(
+            TaskSet.from_bursts([1] * (max(slot) + 1)),
+            slot=np.array(slot, dtype=np.int64),
+            end=np.array(end, dtype=np.int64),
+        )
+        with pytest.raises(InvariantViolation) as info:
+            metrics_from_schedule(bad)
+        assert str(info.value) == f"task 1 executes {2**63 - 1} tu, burst is 1"
 
 
 @given(tasks=task_sets(), quantum=st.integers(min_value=1, max_value=70))

@@ -18,7 +18,7 @@ import random
 
 from ctqsched import TaskSet, metrics_from_schedule, run_ctq, simulate_fixed_rr
 from ctqsched.cli import main
-from ctqsched.workload import WorkloadSpec, generate
+from ctqsched.workload import generate
 
 
 def against_rr(tasks):
@@ -75,7 +75,7 @@ def test_ctq_against_rr_over_the_compare_family():
     RR's wait and switches."""
     multi_round = strictly_less = more_switches = 0
     for seed in range(1, 2001):
-        tasks = generate(WorkloadSpec(n=12, burst_min=1, burst_max=5000, seed=seed))
+        tasks = generate(n=12, burst_min=1, burst_max=5000, seed=seed)
         trace, rr = against_rr(tasks)
         if len(trace.rounds) == 1:
             assert trace.metrics.total_waiting == rr.total_waiting
@@ -93,7 +93,7 @@ def test_ctq_is_fcfs_on_the_uniform_48_family():
     one_round = largest_first = same_waits = 0
     switches = set()
     for seed in range(1, 301):
-        tasks = generate(WorkloadSpec(n=48, burst_min=1, burst_max=1000, seed=seed))
+        tasks = generate(n=48, burst_min=1, burst_max=1000, seed=seed)
         trace, rr = against_rr(tasks)
         one_round += len(trace.rounds) == 1
         largest_first += trace.quantum_sequence[0] == max(tasks.bursts())
@@ -113,7 +113,7 @@ def test_ctq_against_rr_over_criterion_6s_generator():
     rng = random.Random(20260810)
     multi_round = less = longer = fewer = equal = more = rr_switches = ctq_switches = 0
     for i in range(300):
-        tasks = generate(WorkloadSpec(rng.randint(5, 50), 1, 500, 9000 + i))
+        tasks = generate(rng.randint(5, 50), 1, 500, 9000 + i)
         trace, rr = against_rr(tasks)
         multi_round += len(trace.rounds) > 1
         less += trace.metrics.total_waiting < rr.total_waiting

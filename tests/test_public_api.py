@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "TaskMetrics",
     "TaskSet",
     "TaskWait",
-    "WorkloadSpec",
     "best_quantum",
     "compare_workload",
     "format_fraction",
@@ -113,12 +112,6 @@ RECORDS = [
         "avg_wt=Fraction(2, 1), avg_tat=Fraction(11, 2), context_switches=Fraction(1, 1), "
         "makespan=Fraction(7, 1), rounds=2, tq_sequence=(2, 3))",
         id="ExperimentRow",
-    ),
-    pytest.param(
-        lambda: ctqsched.WorkloadSpec(3, 1, 20, 5),
-        ("n", "burst_min", "burst_max", "seed"),
-        "WorkloadSpec(n=3, burst_min=1, burst_max=20, seed=5)",
-        id="WorkloadSpec",
     ),
 ]
 

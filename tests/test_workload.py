@@ -10,7 +10,6 @@ from conftest import HOSTILE_TEXT
 from ctqsched import (
     TaskFileError,
     TaskSet,
-    WorkloadSpec,
     generate,
     load_tasks,
     model,
@@ -22,68 +21,29 @@ from reference import reference_load_tasks
 
 class TestGenerate:
     def test_same_spec_same_tasks(self):
-        spec = WorkloadSpec(n=10, burst_min=1, burst_max=500, seed=123)
-        assert generate(spec) == generate(spec)
+        assert generate(10, 1, 500, 123) == generate(10, 1, 500, 123)
 
     def test_bursts_stay_in_range(self):
-        tasks = generate(WorkloadSpec(n=50, burst_min=3, burst_max=9, seed=1))
+        tasks = generate(n=50, burst_min=3, burst_max=9, seed=1)
         assert tasks.n == 50
         assert all(3 <= t.burst <= 9 for t in tasks)
 
     def test_degenerate_range(self):
-        tasks = generate(WorkloadSpec(n=4, burst_min=7, burst_max=7, seed=99))
+        tasks = generate(n=4, burst_min=7, burst_max=7, seed=99)
         assert tasks.bursts() == (7, 7, 7, 7)
 
     def test_pinned_generator_stream(self):
         # PCG64(seed) + Generator.integers; these values must hold on any
         # platform, or reproducibility claims in the docs are void.
-        assert generate(WorkloadSpec(n=5, burst_min=1, burst_max=500, seed=42)).bursts() == (
+        assert generate(n=5, burst_min=1, burst_max=500, seed=42).bursts() == (
             45, 387, 328, 220, 217,
         )
-        assert generate(WorkloadSpec(n=8, burst_min=1, burst_max=60, seed=7)).bursts() == (
+        assert generate(n=8, burst_min=1, burst_max=60, seed=7).bursts() == (
             57, 38, 42, 54, 35, 47, 51, 14,
         )
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(n=0, burst_min=1, burst_max=10, seed=1)
-        with pytest.raises(ValueError):
-            WorkloadSpec(n=3, burst_min=5, burst_max=4, seed=1)
-        with pytest.raises(ValueError):
-            WorkloadSpec(n=3, burst_min=0, burst_max=4, seed=1)
-        with pytest.raises(ValueError, match="at most 4194304"):
-            WorkloadSpec(n=2**22 + 1, burst_min=1, burst_max=10, seed=1)
-
     @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ((3, 1, 20, -5), "seed must be non-negative, got -5"),
-            ((3, 1, 2**63, 1), f"burst_max must be below 2**63 tu, got {2**63}"),
-            ((3, 1, 10**20, 1), f"burst_max must be below 2**63 tu, got {10**20}"),
-            # The checks before these come first.
-            ((0, 1, 2**63, -5), "task count must be at least 1, got 0"),
-            ((3, 5, 4, -5), "empty burst range [5, 4]"),
-        ],
-    )
-    def test_seed_and_burst_max_bounds(self, fields, message):
-        with pytest.raises(ValueError) as exc:
-            WorkloadSpec(*fields)
-        assert str(exc.value) == message
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda fields: WorkloadSpec(*fields),
-            lambda fields: WorkloadSpec(**dict(zip(WorkloadSpec._fields, fields))),
-            WorkloadSpec._make,
-            lambda fields: WorkloadSpec(3, 1, 20, 5)._replace(
-                **dict(zip(WorkloadSpec._fields, fields))
-            ),
-        ],
-        ids=["positional", "keyword", "make", "replace"],
-    )
-    @pytest.mark.parametrize(
-        "fields, message",
+        "args, message",
         [
             ((0, 1, 20, 5), "task count must be at least 1, got 0"),
             (
@@ -99,17 +59,38 @@ class TestGenerate:
         ids=["no-task", "past-slice-limit", "zero-burst", "empty-range", "negative-seed",
              "burst-max-2-to-the-63"],
     )
-    def test_every_way_to_build_a_spec_checks_it(self, build, fields, message):
-        # generate must never see a spec past its bounds, however it was made.
+    def test_invalid_arguments_rejected(self, args, message):
+        # Each refusal is generate's own message; none of these reaches numpy.
         with pytest.raises(ValueError) as exc:
-            build(fields)
+            generate(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((3, 1, 20, -5), "seed must be non-negative, got -5"),
+            ((3, 1, 2**63, 1), f"burst_max must be below 2**63 tu, got {2**63}"),
+            ((3, 1, 10**20, 1), f"burst_max must be below 2**63 tu, got {10**20}"),
+            # The checks before these come first.
+            ((0, 1, 2**63, -5), "task count must be at least 1, got 0"),
+            ((3, 5, 4, -5), "empty burst range [5, 4]"),
+        ],
+    )
+    def test_seed_and_burst_max_bounds(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            generate(*fields)
         assert str(exc.value) == message
 
     def test_largest_burst_max_still_draws(self):
         # 2**63 - 1 is inside the int64 draw; the total-burst bound is the
-        # schedule's to check, not the spec's.
-        tasks = generate(WorkloadSpec(n=3, burst_min=1, burst_max=2**63 - 1, seed=1))
+        # schedule's to check, not the generator's.
+        tasks = generate(n=3, burst_min=1, burst_max=2**63 - 1, seed=1)
         assert max(tasks.bursts()) < 2**63
+
+    def test_largest_task_count_still_draws(self):
+        # 2**22 tasks, one slice each, fill a schedule exactly.
+        tasks = generate(n=2**22, burst_min=1, burst_max=1, seed=0)
+        assert (tasks.n, tasks.ids[-1], max(tasks.bursts())) == (2**22, 2**22, 1)
 
 
 class TestTaskFiles:
@@ -128,7 +109,7 @@ class TestTaskFiles:
         assert load_tasks(text) == TaskSet.from_bursts([24, 3, 3])
 
     def test_save_load_identity(self):
-        ts = generate(WorkloadSpec(n=20, burst_min=1, burst_max=100, seed=5))
+        ts = generate(n=20, burst_min=1, burst_max=100, seed=5)
         assert load_tasks(save_tasks(ts)) == ts
 
     def test_save_normalizes(self):
