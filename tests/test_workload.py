@@ -42,6 +42,16 @@ class TestGenerate:
             57, 38, 42, 54, 35, 47, 51, 14,
         )
 
+    def test_invalid_specs_rejected(self):
+        with pytest.raises(ValueError):
+            generate(n=0, burst_min=1, burst_max=10, seed=1)
+        with pytest.raises(ValueError):
+            generate(n=3, burst_min=5, burst_max=4, seed=1)
+        with pytest.raises(ValueError):
+            generate(n=3, burst_min=0, burst_max=4, seed=1)
+        with pytest.raises(ValueError, match="at most 4194304"):
+            generate(n=2**22 + 1, burst_min=1, burst_max=10, seed=1)
+
     @pytest.mark.parametrize(
         "args, message",
         [
