@@ -53,8 +53,7 @@ of the intervals give the largest minimizing quantum exactly. A burst b has
 O(sqrt(b)) intervals, so the scan takes O(sum of sqrt(b_i)) candidates
 instead of the largest burst. :func:`best_quantum` computes L at all of
 them and T only where L says the minimum can still be. CTQ carries the
-split and its candidate blocks from round to round; the blocks give exactly
-each later round's left ends.
+split and its candidate blocks from round to round (:func:`_scan_rounds`).
 
 All arithmetic is exact integer arithmetic, vectorized with numpy int64. Each
 pair adds less than 2 * largest burst, so T stays below n * n * largest
@@ -74,8 +73,7 @@ is less than 1 / tq. The candidate limit, which the split checks first,
 admits no b - 1 of 2**44 or more (its isqrt alone would pass the limit).
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -160,7 +158,7 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
     return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n), quantum)
 
 
-def _candidate_quanta(pairs: _PairSplit) -> np.ndarray:
+def _candidate_quanta(pairs: "_PairSplit") -> np.ndarray:
     """The left end of every interval on which each (b - 1) // tq is
     constant, for the tasks that ``pairs`` splits.
 
@@ -194,8 +192,8 @@ class _PairSplit(NamedTuple):
     block_top: np.ndarray  # m of each (m, v) of the candidate blocks, ascending
     block_v: np.ndarray  # v = 1..isqrt(m) within each distinct m's block
 
-    def after_round(self, quantum: int) -> _PairSplit:
-        """The split after a round of ``quantum``: its survivors' suffix (:mod:`ctqsched.ctq`)."""
+    def after_round(self, quantum: int) -> "_PairSplit":
+        """The split after a round of ``quantum``: its survivors' suffix (:func:`_scan_rounds`)."""
         k, j = self.top.searchsorted(quantum), self.block_top.searchsorted(quantum)
         kept = self.low >= quantum
         return _PairSplit(
@@ -315,13 +313,35 @@ def _scan(pairs: _PairSplit) -> tuple[int, int, int]:
     reach = pairs.low[: gap.size] % tq
     reach += gap
     ceiling = int(bounds[guess]) + int(np.add.reduce(tq - gap, where=reach >= tq))
-    (alive,) = (bounds <= ceiling).nonzero()
+    keep = bounds < ceiling
+    keep[guess:] |= bounds[guess:] == ceiling  # a smaller one can only tie
+    (alive,) = keep.nonzero()
     if alive.size == 1:  # only the guess can reach its own T
         return tq, ceiling, quanta.size
     totals = bounds[alive]
     totals += _corrections(pairs, quanta[alive])
     best = totals.size - 1 - int(totals[::-1].argmin())
     return int(quanta[alive[best]]), int(totals[best]), quanta.size
+
+
+def _scan_rounds(bursts: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Each round of a CTQ run over ``bursts``, while a task is left: its
+    quantum, the largest minimizing quantum of the survivors' residuals, and
+    its survivor count. The pairs are split once (:func:`_split_pairs` checks
+    first) and sliced only when the caller asks for the next round.
+
+    After quanta summing to Q the survivors are the tasks with b > Q, with
+    residuals b - Q: a suffix of the split's ascending b - 1, in a fresh
+    split's order, so the scan reads each w off its position. An inverted
+    pair survives exactly when its smaller task does and keeps its gap, so
+    the pairs stay sorted by gap; the carried candidate blocks give exactly
+    the fresh candidates (:func:`_candidate_quanta`).
+    """
+    pairs = _split_pairs(bursts)
+    while pairs.top.size:
+        quantum = _scan(pairs)[0]
+        yield quantum, pairs.top.size
+        pairs = pairs.after_round(quantum)
 
 
 def best_quantum(tasks: TaskSet) -> QuantumChoice:
@@ -339,11 +359,14 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
 
     1. the lower bound L at every candidate, O(n) each;
     2. the total T at the largest candidate minimizing L;
-    3. T at every candidate whose L is at most that T, unless the candidate
-       of step 2 is the only one: then it is the answer.
+    3. T at every candidate whose L is below that T, or equal to it at or
+       above the candidate of step 2, unless that candidate is the only
+       one: then it is the answer.
 
-    Every minimizer q has L(q) <= T(q) <= the T of step 2, so it reaches
-    step 3, and the largest quantum minimizing T there is the answer.
+    Every minimizer q has L(q) <= T(q) <= the T of step 2; a smaller
+    candidate with L equal to that T can at best tie, and ties go to the
+    larger quantum. So the answer reaches step 3, and it is the largest
+    quantum minimizing T there.
 
     Raises ``ValueError`` where :func:`_split_pairs` does, before it allocates.
     """

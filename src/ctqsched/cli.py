@@ -18,8 +18,6 @@ scan over more than 4096 tasks, a scan too large for exact int64 totals or
 with more than 2**22 candidate quanta), 4 internal invariant violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys

@@ -12,24 +12,15 @@ The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
 scan because it offsets every candidate equally.
 
-The scan's pair split is made once per run and then sliced; it is the only
-survivor state the round loop keeps, and a round's record holds just the
-decision. With Q the sum of the quanta so far, the survivors are the tasks
-with b > Q, each with residual b - Q; the split holds the b - 1 ascending,
-so they are a suffix of it, in a fresh split's order, and the scan reads
-each survivor's w off its position there. An inverted pair survives exactly
-when its smaller task does, and keeps its gap, so the pairs stay sorted by
-gap. A survivor's candidate block, v = 1..isqrt(b - 1), holds every v its
-residual r needs. A v past isqrt(r - 1) gives a left end of at most
-isqrt(r - 1) + 1, which the scan takes anyway, so the carried blocks give
-exactly the fresh candidates (:mod:`ctqsched.analytic`).
+The scan's pair split is made once per run and then carried from round to
+round (:func:`ctqsched.analytic._scan_rounds`); the loop sees only each
+round's quantum and survivor count, and a round's record holds just the
+decision.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analytic import _scan, _split_pairs
+from .analytic import _scan_rounds
 from .model import MetricsReport, Schedule, TaskSet, check_total_burst, metrics_from_schedule
 from .simulate import _check_slice_count, run_rounds
 
@@ -58,15 +49,13 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
 
     Round 1 uses ``first_quantum`` when supplied; otherwise it, like every
     later round, uses the quantum that minimizes the closed-form average
-    waiting time of the current residual set. The loop keeps its survivors
-    only as the pair split of their residuals, made once and sliced after
-    each round (module docstring); it stops when the split holds no task.
-    The chosen quanta then build the schedule in one call of
+    waiting time of the current residual set, until no task is left. The
+    chosen quanta then build the schedule in one call of
     :func:`~ctqsched.simulate.run_rounds`.
 
-    The total burst is checked before the split, which checks the scan's
-    bounds, and the slice bound after each round's quantum is chosen, on the
-    survivors dispatched so far.
+    The total burst is checked before the pair split, which checks the
+    scan's bounds, and the slice bound after each round's quantum is chosen,
+    on the survivors dispatched so far.
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
@@ -82,13 +71,10 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
         _check_slice_count(dispatched)
         residuals = tuple(burst - first_quantum for burst in bursts if burst > first_quantum)
     if residuals:
-        pairs = _split_pairs(residuals)
-        while pairs.top.size:
-            quantum = _scan(pairs)[0]
-            dispatched += pairs.top.size
+        for quantum, survivors in _scan_rounds(residuals):
+            dispatched += survivors
             _check_slice_count(dispatched)
             quanta.append(quantum)
-            pairs = pairs.after_round(quantum)
 
     first = "optimized" if first_quantum is None else "user_supplied"
     rounds = tuple(

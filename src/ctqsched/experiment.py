@@ -13,8 +13,6 @@ boundary) and the whole run is a pure function of its arguments, so
 repeated invocations are byte-identical.
 """
 
-from __future__ import annotations
-
 import json
 from fractions import Fraction
 from typing import NamedTuple

@@ -20,8 +20,6 @@ slice at a time. int64 times are exact while the total burst stays below
 metrics reject larger task sets with ``ValueError`` before they allocate.
 """
 
-from __future__ import annotations
-
 import operator
 from fractions import Fraction
 from itertools import repeat

@@ -21,8 +21,6 @@ are int64), and the schedule may hold at most ``_SLICE_LIMIT`` slices. Past
 either, :func:`run_rounds` raises ``ValueError``.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from itertools import accumulate, repeat
 

@@ -21,8 +21,6 @@ to check; only a file that fails is read again, line by line, to find its
 first faulty line.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .model import _INT64_LIMIT, TaskSet

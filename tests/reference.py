@@ -242,6 +242,14 @@ def pair_split_totals(bursts, quanta):
     return totals
 
 
+def sjf_total_waiting(bursts):
+    """Total waiting time of non-preemptive shortest-job-first when every task
+    arrives at 0: in each queue pair the shorter task runs first and adds its
+    burst to the longer one's wait, so the total is the sum over pairs of
+    min(b_k, b_i)."""
+    return sum(min(b, c) for k, b in enumerate(bursts) for c in bursts[k + 1 :])
+
+
 def reference_rounds(tasks, quantum_for_round):
     """Run every survivor once per round, in queue order, for
     min(quantum, residual); ``quantum_for_round(number, survivors)`` gives

@@ -321,23 +321,29 @@ def test_pruned_scan_at_the_drain_shape(bursts):
     "bursts,survivors",
     [
         ([24, 3, 3], 1),  # only the guess: its T is the answer, no exact pass
-        ([19, 19, 4, 2], 2),  # quanta 1 and 2 tie on L; the exact pass splits them
-        ([7], 5),  # no pairs: every candidate ties at 0 and the largest wins
+        # Quanta 1 and 2 tie on L and on T. The guess is 2, and 1, whose L is
+        # the guess's T, can only tie with it and is pruned.
+        ([19, 19, 4, 2], 1),
+        ([7], 1),  # no pairs: every candidate ties at 0; only the largest is kept
         # The guess, 5, loses to quantum 1. Its T counts the pair 21, 19,
         # whose (b_i - 1) % tq + g is exactly tq; without it 1 is pruned.
         ([21, 19, 5], 3),
+        # The guess, 10, has L 47 and T 48. Quantum 19 has L and T 48: it is
+        # larger, so it is kept, and wins the tie.
+        ([19, 10, 8], 2),
     ],
 )
 def test_both_scan_exits(bursts, survivors):
     """The scan returns the cell kernel's largest minimizer and total both
     when the guess alone survives the prune and when others do; only the
-    second runs the exact pass over the survivors."""
+    second runs the exact pass over the survivors. A candidate survives when
+    its L is below the guess's T, or equal to it at or above the guess."""
     pairs = _split_pairs(tuple(bursts))
     quanta = _candidate_quanta(pairs)
     bounds = _lower_bounds(pairs, quanta)
     guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
     ceiling = int(pair_split_totals(bursts, quanta)[guess])
-    assert int((bounds <= ceiling).sum()) == survivors
+    assert int((bounds < ceiling).sum() + (bounds[guess:] == ceiling).sum()) == survivors
     with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
         quantum, total, count = analytic._scan(pairs)
     assert exact.call_count == (survivors > 1)
@@ -395,6 +401,15 @@ def test_a_burst_at_the_candidate_limit_is_split():
     assert 3 * isqrt(m) + 1 == analytic._CANDIDATE_LIMIT
     pairs = _split_pairs((AT_THE_CANDIDATE_LIMIT,))
     assert pairs.block_top.size == isqrt(m)
+
+
+def test_one_task_at_the_candidate_limit_skips_the_exact_pass():
+    """One task waits 0 at every quantum, so all 2,796,202 candidates tie on
+    L and T. The largest is the guess, and none smaller can beat it."""
+    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
+        choice = best_quantum(TaskSet.from_bursts([AT_THE_CANDIDATE_LIMIT]))
+    assert choice == (AT_THE_CANDIDATE_LIMIT, 0, 2 * isqrt(AT_THE_CANDIDATE_LIMIT - 1))
+    assert exact.call_count == 0
 
 
 def test_one_candidate_past_the_limit_is_refused():
@@ -465,13 +480,14 @@ def test_scan_of_300_tasks_stays_small():
 
 
 def test_scan_calls_no_python_level_numpy_wrapper():
-    """On a 48-task drain split, ``_scan`` and ``_PairSplit.after_round`` call
-    numpy's C entry points (ndarray methods, ufuncs) and never the Python
-    wrappers of ``fromnumeric.py`` (``numpy/_core/`` or ``numpy/core/``), in
-    every round and through both exits of the scan."""
+    """On a 48-task drain split, and on 21, 19, 5, ``_scan`` and
+    ``_PairSplit.after_round`` call numpy's C entry points (ndarray methods,
+    ufuncs) and never the Python wrappers of ``fromnumeric.py``
+    (``numpy/_core/`` or ``numpy/core/``), in every round and through both
+    exits of the scan: the drain set's scans never reach the exact pass,
+    and the first scan of 21, 19, 5 does."""
     rng = np.random.default_rng(48)
-    bursts = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
-    pairs = _split_pairs(tuple(bursts))
+    drain = np.exp(rng.uniform(0, np.log(1000), 48)).astype(np.int64).tolist()
     calls, rounds = Counter(), 0
 
     def count(frame, event, arg):
@@ -479,16 +495,18 @@ def test_scan_calls_no_python_level_numpy_wrapper():
             calls[os.path.basename(frame.f_code.co_filename)] += 1
 
     with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
-        sys.setprofile(count)
-        try:
-            while True:
-                rounds += 1
-                quantum = analytic._scan(pairs)[0]
-                if quantum > pairs.top[-1]:
-                    break
-                pairs = pairs.after_round(quantum)
-        finally:
-            sys.setprofile(None)
+        for bursts in (drain, [21, 19, 5]):
+            pairs = _split_pairs(tuple(bursts))
+            sys.setprofile(count)
+            try:
+                while True:
+                    rounds += 1
+                    quantum = analytic._scan(pairs)[0]
+                    if quantum > pairs.top[-1]:
+                        break
+                    pairs = pairs.after_round(quantum)
+            finally:
+                sys.setprofile(None)
     assert 0 < exact.call_count < rounds
     assert calls["fromnumeric.py"] == 0
 

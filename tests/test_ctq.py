@@ -1,7 +1,7 @@
 """Per-round quantum re-optimization."""
 
 from fractions import Fraction
-from unittest.mock import Mock, patch
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,14 +13,20 @@ from ctqsched import (
     TaskSet,
     analytic,
     best_quantum,
-    ctq,
     metrics_from_schedule,
     run_ctq,
     simulate,
     simulate_fcfs,
     simulate_fixed_rr,
+    waiting_profile,
 )
-from reference import optimal_total_waiting, reference_candidate_quanta, schedule_rounds, slices
+from reference import (
+    optimal_total_waiting,
+    reference_candidate_quanta,
+    schedule_rounds,
+    sjf_total_waiting,
+    slices,
+)
 
 MIXED_FIVE = TaskSet.from_bursts([20, 20, 5, 3, 1])
 
@@ -64,7 +70,7 @@ class TestRunCtq:
         # The scan would refuse these bursts too (n * n * largest burst past
         # 2**63), but the total-burst bound is checked first.
         tasks = TaskSet.from_bursts([5 * 10**18, 5 * 10**18])
-        with patch.object(ctq, "_split_pairs") as split, pytest.raises(ValueError) as error:
+        with patch.object(analytic, "_split_pairs") as split, pytest.raises(ValueError) as error:
             run_ctq(tasks, first)
         assert str(error.value) == (
             "total burst 10000000000000000000 tu is too large: schedules hold times below 2**63 tu"
@@ -76,7 +82,7 @@ class TestRunCtq:
         # run stops there, before it splits the survivors' pairs.
         with (
             patch.object(simulate, "_SLICE_LIMIT", 4),
-            patch.object(ctq, "_split_pairs") as split,
+            patch.object(analytic, "_split_pairs") as split,
             pytest.raises(ValueError) as error,
         ):
             run_ctq(MIXED_FIVE, first_quantum=1)
@@ -92,7 +98,7 @@ class TestRunCtq:
         tasks = TaskSet.from_bursts([30944, 27499, 14803, 13056, 10038, 2892])
         with (
             patch.object(simulate, "_SLICE_LIMIT", 60),
-            patch.object(ctq, "_scan", wraps=analytic._scan) as scan,
+            patch.object(analytic, "_scan", wraps=analytic._scan) as scan,
             pytest.raises(ValueError) as error,
         ):
             run_ctq(tasks)
@@ -146,6 +152,42 @@ def test_ctq_never_waits_longer_than_rr_at_its_first_quantum(tasks, first):
     assert trace.metrics.total_waiting <= rr.total_waiting
 
 
+@settings(max_examples=200, deadline=None)
+@given(tasks=st.one_of(task_sets(12, 1000), drain_bursts().map(TaskSet.from_bursts)))
+def test_ctq_never_waits_more_than_twice_sjf(tasks):
+    """CTQ waits at most as long as RR at its first quantum, which minimizes
+    fixed RR's wait over every quantum, so at most as long as RR(1). At
+    quantum 1 a queue pair k < i adds min(b_k, b_i) + min(b_i, b_k - 1) to
+    the total, at most twice the min(b_k, b_i) it adds under SJF."""
+    rr1 = waiting_profile(tasks, 1).total_waiting
+    assert run_ctq(tasks).metrics.total_waiting <= rr1 <= 2 * sjf_total_waiting(tasks.bursts())
+
+
+@settings(max_examples=200, deadline=None)
+@given(bursts=st.sets(st.integers(1, 10**6), min_size=1, max_size=12))
+def test_rr_at_quantum_1_waits_twice_sjf_on_decreasing_queues(bursts):
+    """With b_k > b_i in every pair k < i, min(b_i, b_k - 1) is b_i: RR(1)
+    adds exactly 2 * min(b_k, b_i) per pair."""
+    queue = sorted(bursts, reverse=True)
+    rr1 = waiting_profile(TaskSet.from_bursts(queue), 1).total_waiting
+    assert rr1 == 2 * sjf_total_waiting(queue)
+
+
+@pytest.mark.parametrize(
+    "bursts,ctq_total,sjf_total",
+    [
+        ([2, 1], 2, 1),  # twice SJF exactly
+        # B, 1, B - 1 runs FCFS and waits 2B + 1 against SJF's B + 1.
+        ([10, 1, 9], 21, 11),
+        ([1000, 1, 999], 2001, 1001),
+    ],
+)
+def test_ctq_against_sjf_where_the_bound_is_tight(bursts, ctq_total, sjf_total):
+    trace = run_ctq(TaskSet.from_bursts(bursts))
+    assert trace.quantum_sequence == (max(bursts),)
+    assert (trace.metrics.total_waiting, sjf_total_waiting(bursts)) == (ctq_total, sjf_total)
+
+
 def test_ctq_can_trade_switches_for_wait():
     """There is no such guarantee for context switches: here CTQ waits 1 tu
     less in total than RR at its first quantum, and switches 3 times more."""
@@ -196,11 +238,9 @@ def carried_splits(tasks, first=None):
     """The pair split each scanning round of ``run_ctq(tasks, first)`` scanned,
     with that round's number and residuals, and how often the pairs were
     split afresh."""
-    split = Mock(wraps=analytic._split_pairs)
     with (
-        patch.object(ctq, "_scan", wraps=analytic._scan) as scan,
-        patch.object(ctq, "_split_pairs", split),
-        patch.object(analytic, "_split_pairs", split),
+        patch.object(analytic, "_scan", wraps=analytic._scan) as scan,
+        patch.object(analytic, "_split_pairs", wraps=analytic._split_pairs) as split,
     ):
         trace = run_ctq(tasks, first)
     optimized = [
@@ -289,6 +329,28 @@ class TestCarriedSplit:
     def test_a_supplied_first_quantum_splits_at_round_two(self, bursts):
         splits = assert_carried_splits_are_fresh(TaskSet.from_bursts(bursts), 1)
         assert min(splits) == 2
+
+
+def assert_scan_rounds_are_ctqs_rounds(bursts):
+    """``_scan_rounds`` yields CTQ's quanta, each with the number of rows of
+    that round in CTQ's schedule."""
+    tasks = TaskSet.from_bursts(bursts)
+    trace = run_ctq(tasks)
+    yields = list(analytic._scan_rounds(tuple(bursts)))
+    assert [quantum for quantum, _ in yields] == list(trace.quantum_sequence)
+    rows = [len(round_.slices) for round_ in schedule_rounds(tasks, trace.schedule)]
+    assert [survivors for _, survivors in yields] == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(bursts=drain_bursts())
+def test_scan_rounds_are_ctqs_rounds(bursts):
+    assert_scan_rounds_are_ctqs_rounds(bursts)
+
+
+@pytest.mark.parametrize("bursts", [[13], [500] * 12, [20, 20, 5, 3, 1]])
+def test_scan_rounds_are_ctqs_rounds_explicit(bursts):
+    assert_scan_rounds_are_ctqs_rounds(bursts)
 
 
 def test_a_ctq_run_splits_once_and_builds_no_task_set():
