@@ -70,7 +70,8 @@ quotient truncated to int64. It is exact while every b - 1 stays below
 2**53: a quotient that is not an integer lies at least 1 / tq below the next
 integer, and IEEE division rounds it by at most (b - 1) / tq * 2**-53, which
 is less than 1 / tq. The candidate limit, which the split checks first,
-admits no b - 1 of 2**44 or more (its isqrt alone would pass the limit).
+admits no b - 1 of 2**42 or more: its isqrt s would be at least 2**21, and
+the s_max + 1 + sum(s) candidates more than 2**22.
 """
 
 from collections.abc import Iterator
@@ -94,10 +95,9 @@ _PAIR_CHUNK_CELLS = 1 << 14
 _SCAN_CELL_LIMIT = 1 << 24
 
 # Bound on a scan's candidate quanta, checked before any allocation: with
-# s = isqrt(b - 1) over the distinct bursts, s_max + 1 + 2 * sum(s), both
-# ends of every interval. The scan takes only the left ends, at most
-# s_max + 1 + sum(s), but the bound keeps counting both, so that it refuses
-# the same inputs. It admits a single burst up to about 2e12 tu; larger
+# s = isqrt(b - 1) over the distinct bursts, s_max + 1 + sum(s), the length
+# of the array _candidate_quanta concatenates, so a scan evaluates at most
+# this many. It admits a single burst up to 2**42 (about 4.4e12) tu; larger
 # inputs are rejected with ValueError.
 _CANDIDATE_LIMIT = 1 << 22
 
@@ -132,7 +132,7 @@ class QuantumChoice(NamedTuple):
     """Result of the candidate-quantum scan. ``quantum`` lies in
     [1, largest burst]; ties on average waiting go to the largest quantum.
     ``candidates_evaluated`` is how many quanta the scan evaluated, at most
-    the largest burst."""
+    the largest burst and at most 2**22, the candidate limit."""
 
     quantum: int
     avg_waiting: Fraction
@@ -221,7 +221,7 @@ def _split_pairs(bursts: tuple[int, ...]) -> _PairSplit:
         )
     m = sorted({burst - 1 for burst in bursts})
     s = [isqrt(x) for x in m]
-    if (count := s[-1] + 1 + 2 * sum(s)) > _CANDIDATE_LIMIT:
+    if (count := s[-1] + 1 + sum(s)) > _CANDIDATE_LIMIT:
         raise ValueError(
             f"cannot scan bursts up to {largest} tu: they give {count} candidate "
             f"quanta, more than the limit of {_CANDIDATE_LIMIT}"
@@ -251,7 +251,7 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
 
     nq = (b - 1) // tq is the float64 quotient truncated to int64. That is
     exact while every b - 1 stays below 2**53 (see the module docstring);
-    :func:`_split_pairs` refuses any b - 1 of 2**44 or more."""
+    :func:`_split_pairs` refuses any b - 1 of 2**42 or more."""
     bounds = np.empty(quanta.size, dtype=np.int64)
     weight = np.arange(pairs.top.size - 1, -1, -1, dtype=np.int64)
     pair_count = pairs.gap.size
@@ -274,7 +274,7 @@ def _lower_bounds(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
 def _corrections(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     """T(tq) - L(tq) for each quantum in ``quanta``, which must ascend: the
     sum of tq - g over the inverted pairs with g < tq whose full_quanta
-    differ, which for g < tq is when (b_i - 1) % tq + g >= tq.
+    differ, which for g < tq is when (b_i - 1) % tq >= tq - g.
 
     The pairs ascend in g, so those with g < tq are a prefix of them.
     Candidates are taken in chunks of about ``_PAIR_CHUNK_CELLS`` cells of
@@ -285,13 +285,11 @@ def _corrections(pairs: _PairSplit, quanta: np.ndarray) -> np.ndarray:
     step = max(1, _PAIR_CHUNK_CELLS // max(1, int(short[-1])))
     for lo in range(0, quanta.size, step):
         tq = quanta[lo : lo + step, None]
-        gap = pairs.gap[: short[lo + tq.size - 1]]
-        reach = pairs.low[: gap.size] % tq
-        reach += gap
+        rest = tq - pairs.gap[: short[lo + tq.size - 1]]
         # Smaller quanta of the chunk also see pairs with g >= tq: they add 0.
-        rest = tq - gap
         np.maximum(rest, 0, out=rest)
-        np.add.reduce(rest, axis=1, where=reach >= tq, out=corrections[lo : lo + tq.size])
+        differ = pairs.low[: rest.shape[1]] % tq >= rest
+        np.add.reduce(rest, axis=1, where=differ, out=corrections[lo : lo + tq.size])
     return corrections
 
 
@@ -304,20 +302,12 @@ def _scan(pairs: _PairSplit) -> tuple[int, int, int]:
     # argmin takes the first minimum; scanning a reversed array makes that
     # the largest minimizing quantum.
     guess = bounds.size - 1 - int(bounds[::-1].argmin())
-    # T at the guess, inline: the correction of _corrections at one quantum.
-    # Calling _corrections(pairs, quanta[guess:guess + 1]) gives the same T
-    # but costs about 3 us more a scan (its chunking and 2-D arrays), and
-    # CTQ runs this once per round; keep the duplicate.
-    tq = int(quanta[guess])
-    gap = pairs.gap[: pairs.gap.searchsorted(tq)]
-    reach = pairs.low[: gap.size] % tq
-    reach += gap
-    ceiling = int(bounds[guess]) + int(np.add.reduce(tq - gap, where=reach >= tq))
+    ceiling = int(bounds[guess] + _corrections(pairs, quanta[guess : guess + 1])[0])
     keep = bounds < ceiling
     keep[guess:] |= bounds[guess:] == ceiling  # a smaller one can only tie
     (alive,) = keep.nonzero()
     if alive.size == 1:  # only the guess can reach its own T
-        return tq, ceiling, quanta.size
+        return int(quanta[guess]), ceiling, quanta.size
     totals = bounds[alive]
     totals += _corrections(pairs, quanta[alive])
     best = totals.size - 1 - int(totals[::-1].argmin())

@@ -12,6 +12,10 @@ report for report and error message for error message. The optimal search
 over quantum sequences is a bound, not an equal: no schedule that CTQ or
 fixed RR makes can wait less.
 
+``reference_generate`` draws ``generate``'s bursts from PCG64's raw words,
+so the task sets rest on numpy's stable bit stream, not on the algorithm of
+``Generator.integers``.
+
 ``reference_sequence_waits`` states the waiting rule of
 ``ctqsched.analytic`` for any sequence of per-round quanta, in plain
 integers: the rule that fixed RR (one quantum), FCFS (the largest burst)
@@ -185,6 +189,34 @@ def reference_int_field(line_number: int, raw: str, field: str) -> int:
         raise TaskFileError(
             line_number, f"integer field of {len(digits[1])} digits is too large"
         ) from None
+
+
+def reference_generate(n, burst_min, burst_max, seed):
+    """The bursts of ``generate(n, burst_min, burst_max, seed)`` from PCG64's
+    raw 64-bit words alone, by Lemire's multiply-and-reject. For a span s =
+    burst_max - burst_min + 1 of at most 2**32, each word gives two 32-bit
+    draws, low half first; a larger span takes a whole word per draw. A draw
+    x of k bits is kept when x * s mod 2**k is at least 2**k mod s, and
+    gives burst_min + (x * s >> k)."""
+    words = np.random.PCG64(seed)
+    span = burst_max - burst_min + 1
+    bits = 32 if span <= 1 << 32 else 64
+
+    def draws():
+        while True:
+            word = int(words.random_raw())
+            if bits == 64:
+                yield word
+            else:
+                yield word & 0xFFFFFFFF
+                yield word >> 32
+
+    stream, bursts = draws(), []
+    while len(bursts) < n:
+        product = next(stream) * span
+        if product % (1 << bits) >= (1 << bits) % span:
+            bursts.append(burst_min + (product >> bits))
+    return tuple(bursts)
 
 
 def reference_total_waiting(bursts, quanta):

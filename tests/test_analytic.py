@@ -145,7 +145,7 @@ class TestBestQuantum:
     )
     def test_scan_past_exact_int64_totals_is_refused(self, n, burst):
         # 4096 * 4096 * 2**39 is exactly 2**63. 3000 bursts of 2**40 give
-        # about 3.1e6 candidate quanta, inside the candidate limit, and the
+        # about 2.1e6 candidate quanta, inside the candidate limit, and the
         # burst alone is far below 2**63: only the n * n factor refuses them.
         with pytest.raises(ValueError) as info:
             best_quantum(TaskSet.from_bursts([burst] * n))
@@ -317,6 +317,12 @@ def test_pruned_scan_at_the_drain_shape(bursts):
     assert exact.tolist() == reference_total_waiting(bursts, quanta).tolist()
 
 
+def exact_passes(corrections):
+    """The calls of a wrapped ``_corrections`` that ran the scan's exact pass:
+    those over more quanta than the guess alone."""
+    return sum(call.args[1].size > 1 for call in corrections.call_args_list)
+
+
 @pytest.mark.parametrize(
     "bursts,survivors",
     [
@@ -344,9 +350,9 @@ def test_both_scan_exits(bursts, survivors):
     guess = bounds.size - 1 - int(np.argmin(bounds[::-1]))
     ceiling = int(pair_split_totals(bursts, quanta)[guess])
     assert int((bounds < ceiling).sum() + (bounds[guess:] == ceiling).sum()) == survivors
-    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
+    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as corrections:
         quantum, total, count = analytic._scan(pairs)
-    assert exact.call_count == (survivors > 1)
+    assert exact_passes(corrections) == (survivors > 1)
     assert (quantum, total, count) == (*largest_minimizer(bursts, quanta), quanta.size)
     assert (quantum, total) == largest_minimizer(bursts, every_quantum(TaskSet.from_bursts(bursts)))
 
@@ -379,46 +385,59 @@ def test_lower_bounds_are_exact_at_the_candidate_limit():
     burst adds its nq to L only through a later equal burst (its w), so it
     comes twice; one distinct burst brings its candidates once."""
     small = [5, 17, 3]
-    spare = analytic._CANDIDATE_LIMIT - 1 - 2 * sum(isqrt(b - 1) for b in small)
-    root = spare // 3  # a burst with isqrt(m) = root brings 3 * root + 1 candidates
+    spare = analytic._CANDIDATE_LIMIT - 1 - sum(isqrt(b - 1) for b in small)
+    root = spare // 2  # a burst with isqrt(m) = root brings 2 * root + 1 candidates
     m = (root + 1) ** 2 - 1  # the largest m with that isqrt
-    assert 1.9e12 < m < 2**44
+    assert 4.39e12 < m < 2**42
     pairs = _split_pairs((m + 1, *small, m + 1))
     assert pairs.top.size - 1 - np.flatnonzero(pairs.top == m)[0] == 1  # the first m's w
     assert _candidate_quanta(pairs).size <= analytic._CANDIDATE_LIMIT
     with pytest.raises(ValueError, match="candidate quanta"):
-        _split_pairs((m + 2 * root + 4, *small))
+        _split_pairs((m + 2, *small))  # b - 1 = (root + 1) ** 2
     quanta = quanta_near_the_root(m)
     assert _lower_bounds(pairs, quanta).tolist() == python_lower_bounds(pairs, quanta)
 
 
-# s = isqrt(b - 1) = 1398101 gives s + 1 + 2 * s = 2**22 candidates exactly.
-AT_THE_CANDIDATE_LIMIT = 1398101**2 + 1
+# s = isqrt(b - 1) = 2**21 - 1 gives s + 1 + s = 2**22 - 1 candidates, the
+# most one burst can bring; a burst of 2 adds isqrt(1) = 1, up to 2**22 exactly.
+AT_THE_CANDIDATE_LIMIT = 2**42
 
 
 def test_a_burst_at_the_candidate_limit_is_split():
     m = AT_THE_CANDIDATE_LIMIT - 1
-    assert 3 * isqrt(m) + 1 == analytic._CANDIDATE_LIMIT
-    pairs = _split_pairs((AT_THE_CANDIDATE_LIMIT,))
-    assert pairs.block_top.size == isqrt(m)
+    assert 2 * isqrt(m) + 1 + isqrt(1) == analytic._CANDIDATE_LIMIT
+    pairs = _split_pairs((AT_THE_CANDIDATE_LIMIT, 2))
+    assert pairs.block_top.size == isqrt(m) + 1
 
 
 def test_one_task_at_the_candidate_limit_skips_the_exact_pass():
-    """One task waits 0 at every quantum, so all 2,796,202 candidates tie on
-    L and T. The largest is the guess, and none smaller can beat it."""
-    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
+    """One burst of 2**42 tu scans: it waits 0 at every quantum, so all
+    4,194,303 candidates tie on L and T. The largest is the guess, and none
+    smaller can beat it."""
+    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as corrections:
         choice = best_quantum(TaskSet.from_bursts([AT_THE_CANDIDATE_LIMIT]))
-    assert choice == (AT_THE_CANDIDATE_LIMIT, 0, 2 * isqrt(AT_THE_CANDIDATE_LIMIT - 1))
-    assert exact.call_count == 0
+    assert choice == (2**42, 0, 4194303)
+    assert exact_passes(corrections) == 0
 
 
 def test_one_candidate_past_the_limit_is_refused():
-    # A burst of 2 adds isqrt(1) = 1 for each end of its one interval:
-    # 2**22 + 2 candidates in all.
+    # A burst of 5 adds isqrt(4) = 2 left ends: 2**22 + 1 candidates in all.
     with pytest.raises(ValueError) as error:
-        _split_pairs((AT_THE_CANDIDATE_LIMIT, 2))
+        _split_pairs((AT_THE_CANDIDATE_LIMIT, 5))
     assert str(error.value) == (
-        f"cannot scan bursts up to {AT_THE_CANDIDATE_LIMIT} tu: they give 4194306 candidate "
+        f"cannot scan bursts up to {AT_THE_CANDIDATE_LIMIT} tu: they give 4194305 candidate "
+        "quanta, more than the limit of 4194304"
+    )
+
+
+def test_one_burst_past_2_to_the_42_is_refused_before_allocating():
+    """One tu past the burst that scans above, isqrt(2**42) = 2**21 gives
+    2**22 + 1 left ends."""
+    with patch.object(np, "asarray", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError) as error:
+            best_quantum(TaskSet.from_bursts([2**42 + 1]))
+    assert str(error.value) == (
+        f"cannot scan bursts up to {2**42 + 1} tu: they give 4194305 candidate "
         "quanta, more than the limit of 4194304"
     )
 
@@ -494,7 +513,7 @@ def test_scan_calls_no_python_level_numpy_wrapper():
         if event == "call":
             calls[os.path.basename(frame.f_code.co_filename)] += 1
 
-    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as exact:
+    with patch.object(analytic, "_corrections", wraps=analytic._corrections) as corrections:
         for bursts in (drain, [21, 19, 5]):
             pairs = _split_pairs(tuple(bursts))
             sys.setprofile(count)
@@ -507,7 +526,7 @@ def test_scan_calls_no_python_level_numpy_wrapper():
                     pairs = pairs.after_round(quantum)
             finally:
                 sys.setprofile(None)
-    assert 0 < exact.call_count < rounds
+    assert 0 < exact_passes(corrections) < rounds
     assert calls["fromnumeric.py"] == 0
 
 

@@ -472,7 +472,7 @@ def test_large_burst_scans_only_its_breakpoints(tmp_path):
 
 
 def test_too_many_candidate_quanta_is_validation_error(tmp_path):
-    # n * n * largest burst fits in int64, but the bursts give about 2 * 10**9
+    # n * n * largest burst fits in int64, but the bursts give about 1.3 * 10**9
     # candidate quanta; the scan must refuse before allocating them.
     text = "1,100000000000000000\n2,99999999999999999\n3,99999999999999998\n"
     result = run_cli_process(tmp_path, text, "best-tq")

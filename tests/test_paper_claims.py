@@ -8,17 +8,20 @@ set; over the ``compare`` family, where CTQ runs more than one round on about
 a tenth of the sets; over 48 uniform bursts, where CTQ is FCFS on every set;
 over criterion 6's generator, where it runs more than one round on 9 of 300
 sets; and on one ``compare`` seed, where CTQ trades thousands of switches for a
-shorter wait.
+shorter wait. Each family also pins its worst ratio of CTQ's total wait to
+non-preemptive shortest-job-first's, exactly; the README proves it below 2.
 """
 
 import csv
 import io
 import math
 import random
+from fractions import Fraction
 
 from ctqsched import TaskSet, metrics_from_schedule, run_ctq, simulate_fixed_rr
 from ctqsched.cli import main
 from ctqsched.workload import generate
+from reference import sjf_total_waiting
 
 
 def against_rr(tasks):
@@ -27,10 +30,17 @@ def against_rr(tasks):
     return trace, metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
 
 
+def over_sjf(trace, tasks):
+    """CTQ's total wait on ``tasks`` over non-preemptive SJF's, exactly."""
+    return Fraction(trace.metrics.total_waiting, sjf_total_waiting(tasks.bursts()))
+
+
 def test_ctq_switches_less_on_bimodal_bursts(bimodal_workloads):
     fewer = equal = more = rr_switches = ctq_switches = 0
+    worst = Fraction(0)
     for tasks in bimodal_workloads:
         trace, rr = against_rr(tasks)
+        worst = max(worst, over_sjf(trace, tasks))
         ctq = trace.metrics.total_context_switches
         fewer += ctq < rr.total_context_switches
         equal += ctq == rr.total_context_switches
@@ -39,6 +49,7 @@ def test_ctq_switches_less_on_bimodal_bursts(bimodal_workloads):
         ctq_switches += ctq
     assert (fewer, equal, more) == (285, 15, 0)
     assert (rr_switches, ctq_switches) == (148386, 4334)
+    assert worst == Fraction(1147, 584)  # seed 89
 
 
 def test_ctq_switches_less_on_drain_bursts():
@@ -49,12 +60,14 @@ def test_ctq_switches_less_on_drain_bursts():
     RR's 397."""
     multi_round = strictly_less = fewer = rr_switches = ctq_switches = 0
     more = []
+    worst = Fraction(0)
     for seed in range(300):
         rng = random.Random(seed)
         tasks = TaskSet.from_bursts(
             max(1, round(math.exp(rng.uniform(0, math.log(1000))))) for _ in range(48)
         )
         trace, rr = against_rr(tasks)
+        worst = max(worst, over_sjf(trace, tasks))
         multi_round += len(trace.rounds) > 1
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
         ctq = trace.metrics.total_context_switches
@@ -66,6 +79,7 @@ def test_ctq_switches_less_on_drain_bursts():
     assert (multi_round, strictly_less) == (300, 300)
     assert (fewer, more) == (299, [(192, 428, 397, 22)])
     assert (rr_switches, ctq_switches) == (878160, 40033)
+    assert worst == Fraction(93607, 47437)  # seed 13
 
 
 def test_ctq_against_rr_over_the_compare_family():
@@ -74,9 +88,11 @@ def test_ctq_against_rr_over_the_compare_family():
     and switches more on 15. On every other set it runs RR's one round, with
     RR's wait and switches."""
     multi_round = strictly_less = more_switches = 0
+    worst = Fraction(0)
     for seed in range(1, 2001):
         tasks = generate(n=12, burst_min=1, burst_max=5000, seed=seed)
         trace, rr = against_rr(tasks)
+        worst = max(worst, over_sjf(trace, tasks))
         if len(trace.rounds) == 1:
             assert trace.metrics.total_waiting == rr.total_waiting
             assert trace.metrics.total_context_switches == rr.total_context_switches
@@ -84,6 +100,7 @@ def test_ctq_against_rr_over_the_compare_family():
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
         more_switches += trace.metrics.total_context_switches > rr.total_context_switches
     assert (multi_round, strictly_less, more_switches) == (221, 169, 15)
+    assert worst == Fraction(196039, 98666)  # seed 951
 
 
 def test_ctq_is_fcfs_on_the_uniform_48_family():
@@ -92,9 +109,11 @@ def test_ctq_is_fcfs_on_the_uniform_48_family():
     round, waits what RR waits, task for task, and neither arm switches."""
     one_round = largest_first = same_waits = 0
     switches = set()
+    worst = Fraction(0)
     for seed in range(1, 301):
         tasks = generate(n=48, burst_min=1, burst_max=1000, seed=seed)
         trace, rr = against_rr(tasks)
+        worst = max(worst, over_sjf(trace, tasks))
         one_round += len(trace.rounds) == 1
         largest_first += trace.quantum_sequence[0] == max(tasks.bursts())
         same_waits += [m.waiting for m in trace.metrics.per_task] == [
@@ -102,6 +121,7 @@ def test_ctq_is_fcfs_on_the_uniform_48_family():
         ]
         switches |= {trace.metrics.total_context_switches, rr.total_context_switches}
     assert (one_round, largest_first, same_waits, switches) == (300, 300, 300, {0})
+    assert worst == Fraction(575519, 309129)  # seed 287
 
 
 def test_ctq_against_rr_over_criterion_6s_generator():
@@ -112,9 +132,11 @@ def test_ctq_against_rr_over_criterion_6s_generator():
     So criterion 6's strict "<" rests on the few multi-round sets."""
     rng = random.Random(20260810)
     multi_round = less = longer = fewer = equal = more = rr_switches = ctq_switches = 0
+    worst = Fraction(0)
     for i in range(300):
         tasks = generate(rng.randint(5, 50), 1, 500, 9000 + i)
         trace, rr = against_rr(tasks)
+        worst = max(worst, over_sjf(trace, tasks))
         multi_round += len(trace.rounds) > 1
         less += trace.metrics.total_waiting < rr.total_waiting
         longer += trace.metrics.total_waiting > rr.total_waiting
@@ -127,6 +149,7 @@ def test_ctq_against_rr_over_criterion_6s_generator():
     assert (multi_round, less, longer) == (9, 7, 0)
     assert (fewer, equal, more) == (7, 293, 0)
     assert (rr_switches, ctq_switches) == (228, 70)
+    assert worst == Fraction(22636, 11659)  # seed 9043
 
 
 def test_ctq_trades_switches_for_wait_at_compare_seed_917(capsys):

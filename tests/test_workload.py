@@ -16,7 +16,7 @@ from ctqsched import (
     save_tasks,
     workload,
 )
-from reference import reference_load_tasks
+from reference import reference_generate, reference_load_tasks
 
 
 class TestGenerate:
@@ -40,6 +40,25 @@ class TestGenerate:
         )
         assert generate(n=8, burst_min=1, burst_max=60, seed=7).bursts() == (
             57, 38, 42, 54, 35, 47, 51, 14,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        burst_min=st.integers(1, 2**62),
+        span=st.one_of(
+            st.integers(1, 2**62),
+            st.integers(1, 1000),
+            st.sampled_from([2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 13 * 2**58 + 1, 2**62]),
+        ),
+        seed=st.integers(0, 2**64),
+    )
+    def test_generate_is_lemires_rule_over_the_raw_stream(self, n, burst_min, span, seed):
+        """Spans up to 2**32 take two 32-bit draws a word, larger ones 64 bits;
+        2**31 + 1 rejects nearly half its draws, and 13 * 2**58 + 1 nearly a fifth."""
+        burst_max = burst_min + span - 1
+        assert generate(n, burst_min, burst_max, seed).bursts() == reference_generate(
+            n, burst_min, burst_max, seed
         )
 
     def test_invalid_specs_rejected(self):
