@@ -314,11 +314,13 @@ def _scan(pairs: _PairSplit) -> tuple[int, int, int]:
     return int(quanta[alive[best]]), int(totals[best]), quanta.size
 
 
-def _scan_rounds(bursts: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+def _scan_rounds(bursts: tuple[int, ...], first: int | None = None) -> Iterator[tuple[int, int]]:
     """Each round of a CTQ run over ``bursts``, while a task is left: its
-    quantum, the largest minimizing quantum of the survivors' residuals, and
-    its survivor count. The pairs are split once (:func:`_split_pairs` checks
-    first) and sliced only when the caller asks for the next round.
+    quantum (``first`` in round 1 when given, else the largest minimizing
+    quantum of the survivors' residuals) and its survivor count. A given
+    ``first`` is yielded before any split, and ends the run if it finishes
+    every task. The pairs are split once (:func:`_split_pairs` checks first)
+    and sliced only when the caller asks for the next round.
 
     After quanta summing to Q the survivors are the tasks with b > Q, with
     residuals b - Q: a suffix of the split's ascending b - 1, in a fresh
@@ -327,6 +329,11 @@ def _scan_rounds(bursts: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     the pairs stay sorted by gap; the carried candidate blocks give exactly
     the fresh candidates (:func:`_candidate_quanta`).
     """
+    if first is not None:
+        yield first, len(bursts)
+        bursts = tuple(burst - first for burst in bursts if burst > first)
+        if not bursts:
+            return
     pairs = _split_pairs(bursts)
     while pairs.top.size:
         quantum = _scan(pairs)[0]

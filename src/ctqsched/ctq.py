@@ -1,8 +1,8 @@
 """Changeable Time Quantum (CTQ): round robin with a per-round quantum.
 
 Each round every surviving task runs once, in FIFO order, for at most the
-round's quantum. Before every round, :func:`run_ctq`'s own loop re-chooses
-the quantum by running the closed-form candidate scan of
+round's quantum. Round 1's quantum may be supplied; before every other
+round the quantum is re-chosen by the closed-form candidate scan of
 :func:`ctqsched.analytic.best_quantum` over the survivors' residual work, so
 short stragglers get flushed out early while a tail of long tasks
 degenerates into cheap FCFS-sized slices. The quanta fix the schedule, which
@@ -12,10 +12,9 @@ The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
 scan because it offsets every candidate equally.
 
-The scan's pair split is made once per run and then carried from round to
-round (:func:`ctqsched.analytic._scan_rounds`); the loop sees only each
-round's quantum and survivor count, and a round's record holds just the
-decision.
+:func:`ctqsched.analytic._scan_rounds` yields every round, a supplied
+round 1 first, and carries the scan's pair split from round to round;
+:func:`run_ctq`'s one loop sees only each round's quantum and survivors.
 """
 
 from typing import NamedTuple
@@ -53,9 +52,9 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     chosen quanta then build the schedule in one call of
     :func:`~ctqsched.simulate.run_rounds`.
 
-    The total burst is checked before the pair split, which checks the
-    scan's bounds, and the slice bound after each round's quantum is chosen,
-    on the survivors dispatched so far.
+    The total burst is checked first; then, after each round, the slice
+    bound on the survivors dispatched so far. Round 1 is checked before the
+    pair split, which checks the scan's bounds on what round 1 leaves.
     """
     if first_quantum is not None and first_quantum < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
@@ -63,18 +62,11 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     check_total_burst(sum(bursts))
 
     quanta: list[int] = []
-    residuals = bursts
     dispatched = 0
-    if first_quantum is not None:
-        quanta.append(first_quantum)
-        dispatched = tasks.n
+    for quantum, survivors in _scan_rounds(bursts, first_quantum):
+        dispatched += survivors
         _check_slice_count(dispatched)
-        residuals = tuple(burst - first_quantum for burst in bursts if burst > first_quantum)
-    if residuals:
-        for quantum, survivors in _scan_rounds(residuals):
-            dispatched += survivors
-            _check_slice_count(dispatched)
-            quanta.append(quantum)
+        quanta.append(quantum)
 
     first = "optimized" if first_quantum is None else "user_supplied"
     rounds = tuple(

@@ -9,7 +9,8 @@ They are slow and obviously correct, so the code in ``ctqsched.analytic``,
 ``ctqsched.simulate``, ``ctqsched.ctq``, ``ctqsched.model`` and
 ``ctqsched.workload`` must equal them total for total, slice for slice,
 report for report and error message for error message. The optimal search
-over quantum sequences is a bound, not an equal: no schedule that CTQ or
+over quantum sequences and ``best_quantum_sequence``, its shortest path
+over the burst levels, are a bound, not an equal: no schedule that CTQ or
 fixed RR makes can wait less.
 
 ``reference_generate`` draws ``generate``'s bursts from PCG64's raw words,
@@ -365,6 +366,38 @@ def optimal_total_waiting(bursts):
         return best
 
     return completions(tuple(bursts)) - sum(bursts)
+
+
+def best_quantum_sequence(bursts):
+    """The least total waiting time of any sequence of per-round quanta, and
+    one sequence that reaches it, as ``(total, quanta)``.
+
+    With W_r the work offered through round r, lowering a W_r that lies
+    strictly between two bursts to the largest burst below it moves no task
+    to another round and weakly lowers every wait (see
+    ``reference_sequence_waits``); a W_r no longer above W_{r-1} drops its
+    round. So some best sequence puts every W_r on a distinct burst, and it
+    is a shortest path from 0 to the largest burst over 0 and the distinct
+    bursts. The edge (lo, hi] is a round offering hi - lo after lo; each
+    task i finishing in it waits sum over k <= i of min(b_k, hi) plus sum
+    over k > i of min(b_k, lo), less b_i. One running sum over the queue
+    gives an edge's cost, O(d * d * n) in all for d distinct bursts."""
+    levels = [0, *sorted(set(bursts))]
+    capped = [[min(b, level) for b in bursts] for level in levels]
+    best = [(0, ())]  # the least total wait up to each level, and its quanta
+    for j, hi in enumerate(levels[1:], start=1):
+        paths = []
+        for i, lo in enumerate(levels[:j]):
+            ahead, behind, cost = 0, sum(capped[i]), 0
+            for b, up, down in zip(bursts, capped[j], capped[i]):
+                ahead += up
+                behind -= down
+                if lo < b <= hi:
+                    cost += ahead + behind - b
+            total, quanta = best[i]
+            paths.append((total + cost, (*quanta, hi - lo)))
+        best.append(min(paths, key=lambda path: path[0]))
+    return best[-1]
 
 
 def reference_metrics(slices, tasks):

@@ -21,6 +21,7 @@ from ctqsched import (
     waiting_profile,
 )
 from reference import (
+    best_quantum_sequence,
     optimal_total_waiting,
     reference_candidate_quanta,
     schedule_rounds,
@@ -210,6 +211,20 @@ def test_optimal_sequence_bounds_ctq_which_bounds_rr(tasks):
     assert optimal <= trace.metrics.total_waiting <= rr.total_waiting
 
 
+@settings(max_examples=200, deadline=None)
+@given(tasks=task_sets(max_n=5, max_burst=12))
+def test_best_quantum_sequence_is_the_optimum(tasks):
+    """The shortest path over the burst levels waits what the exhaustive
+    search waits, and its quanta, each round ending on a burst, give a
+    schedule that waits exactly that."""
+    bursts = tasks.bursts()
+    total, quanta = best_quantum_sequence(bursts)
+    assert total == optimal_total_waiting(bursts)
+    offered = [sum(quanta[:r]) for r in range(1, len(quanta) + 1)]
+    assert set(offered) <= set(bursts) and offered[-1] == max(bursts)
+    assert metrics_from_schedule(simulate.run_rounds(tasks, quanta)).total_waiting == total
+
+
 def test_greedy_is_not_optimal():
     """CTQ's first scan picks 6 (FCFS) and waits 17 tu in total; quantum 2,
     then 4, waits 16."""
@@ -331,26 +346,29 @@ class TestCarriedSplit:
         assert min(splits) == 2
 
 
-def assert_scan_rounds_are_ctqs_rounds(bursts):
-    """``_scan_rounds`` yields CTQ's quanta, each with the number of rows of
-    that round in CTQ's schedule."""
+def assert_scan_rounds_are_ctqs_rounds(bursts, first=None):
+    """``_scan_rounds`` yields CTQ's quanta, a supplied first one included,
+    each with the number of rows of that round in CTQ's schedule."""
     tasks = TaskSet.from_bursts(bursts)
-    trace = run_ctq(tasks)
-    yields = list(analytic._scan_rounds(tuple(bursts)))
+    trace = run_ctq(tasks, first)
+    yields = list(analytic._scan_rounds(tuple(bursts), first))
     assert [quantum for quantum, _ in yields] == list(trace.quantum_sequence)
     rows = [len(round_.slices) for round_ in schedule_rounds(tasks, trace.schedule)]
     assert [survivors for _, survivors in yields] == rows
 
 
 @settings(max_examples=100, deadline=None)
-@given(bursts=drain_bursts())
-def test_scan_rounds_are_ctqs_rounds(bursts):
-    assert_scan_rounds_are_ctqs_rounds(bursts)
+@given(bursts=drain_bursts(), first=st.one_of(st.none(), st.integers(1, 1000)))
+def test_scan_rounds_are_ctqs_rounds(bursts, first):
+    assert_scan_rounds_are_ctqs_rounds(bursts, first)
 
 
 @pytest.mark.parametrize("bursts", [[13], [500] * 12, [20, 20, 5, 3, 1]])
 def test_scan_rounds_are_ctqs_rounds_explicit(bursts):
-    assert_scan_rounds_are_ctqs_rounds(bursts)
+    # A first quantum of 20 finishes all of 20, 20, 5, 3, 1 in round 1, and
+    # the generator must return there: a split of no tasks would raise.
+    for first in (None, 1, 20):
+        assert_scan_rounds_are_ctqs_rounds(bursts, first)
 
 
 def test_a_ctq_run_splits_once_and_builds_no_task_set():

@@ -262,6 +262,22 @@ class TestScheduleMismatch:
         with pytest.raises(InvariantViolation, match="executes"):
             metrics_from_schedule(bad)
 
+    def test_a_total_burst_past_int64_is_refused_first(self):
+        # The second task's end cannot pass 2**63 - 1, so it runs 1 tu short
+        # and the columns show an under-run too. The total burst is checked
+        # first, as a plain ValueError: an InvariantViolation is one as well.
+        bad = Schedule(
+            TaskSet.from_bursts([2**62, 2**62]),
+            slot=np.array([0, 1], dtype=np.int64),
+            end=np.array([2**62, 2**63 - 1], dtype=np.int64),
+        )
+        with pytest.raises(ValueError) as info:
+            metrics_from_schedule(bad)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "total burst 9223372036854775808 tu is too large: schedules hold times below 2**63 tu"
+        )
+
     @pytest.mark.parametrize(
         "slot,end",
         [
