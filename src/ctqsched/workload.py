@@ -21,10 +21,16 @@ to check; only a file that fails is read again, line by line, to find its
 first faulty line.
 """
 
+from typing import NoReturn
+
 import numpy as np
 
 from .model import _INT64_LIMIT, TaskSet
 from .simulate import _SLICE_LIMIT
+
+# ``int`` strips the whitespace that ``str.strip`` does except the separators
+# U+001C to U+001F; read as spaces, those are stripped too.
+_SEPARATORS = dict.fromkeys(range(0x1C, 0x20), " ")
 
 
 def generate(n: int, burst_min: int, burst_max: int, seed: int) -> TaskSet:
@@ -70,12 +76,12 @@ class TaskFileError(ValueError):
 
 def load_tasks(source: str) -> TaskSet:
     """Parse task file text into a TaskSet, preserving line order as queue order.
-    One lean pass fills two columns (``int`` strips the whitespace that
-    ``str.strip`` would, except the separators U+001C to U+001F) and the task
-    set checks them; a file that fails it is parsed again line by line."""
+    One pass fills two columns and the task set checks them; each field is
+    stripped as ``str.strip`` strips it. A file that fails is walked to raise
+    its first fault."""
     ids, bursts = [], []
     try:
-        for raw in source.split("\n"):
+        for raw in source.translate(_SEPARATORS).split("\n"):
             line = raw.split("#", 1)[0]
             if line and not line.isspace():
                 task_id, burst = line.split(",")
@@ -84,18 +90,14 @@ def load_tasks(source: str) -> TaskSet:
         return TaskSet(ids, bursts)
     except ValueError:
         pass
-    return _parse_by_line(source)
+    _raise_first_line_fault(source)
 
 
-def _parse_by_line(source: str) -> TaskSet:
-    """Parse task file text line by line, raising its first fault. Each line,
+def _raise_first_line_fault(source: str) -> NoReturn:
+    """Raise the first fault of task file text that failed to load. Each line,
     in order, is checked for a field count other than two, a field that is no
     integer or too long to read, an id seen before and the task set's row
-    checks; a file with no faulty line and no task holds no tasks. Valid files
-    that the lean pass hands over parse here: their fields carry a separator
-    U+001C to U+001F, which ``str.strip`` drops and ``int`` does not."""
-    ids: list[int] = []
-    bursts: list[int] = []
+    checks; a file with no faulty line holds no tasks."""
     seen: set[int] = set()
     for line_number, raw in enumerate(source.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,23 +114,19 @@ def _parse_by_line(source: str) -> TaskSet:
         except ValueError as exc:
             raise TaskFileError(line_number, str(exc)) from None
         seen.add(task_id)
-        ids.append(task_id)
-        bursts.append(burst)
-    if not ids:
-        raise TaskFileError(None, "no tasks found")
-    return TaskSet(ids, bursts)
+    raise TaskFileError(None, "no tasks found")
 
 
 def _int_field(line_number: int, raw: str, field: str) -> int:
-    """A stripped ``field`` as an int. A signed or unsigned run of digits that
-    ``int`` still refuses is past its digit limit, and is reported by length
-    without echoing the line."""
+    """A stripped ``field`` as an int. A field of an optional sign and decimal
+    runs joined by single underscores that ``int`` still refuses is past its
+    digit limit, and is reported by its digit count without echoing the line."""
     try:
         return int(field)
     except ValueError:
         digits = field[1:] if field.startswith(("+", "-")) else field
-        if digits.isdecimal():
-            message = f"integer field of {len(digits)} digits is too large"
+        if all(part.isdecimal() for part in digits.split("_")):
+            message = f"integer field of {len(digits.replace('_', ''))} digits is too large"
         else:
             message = f"non-integer field in {raw.strip()!r}"
         raise TaskFileError(line_number, message) from None

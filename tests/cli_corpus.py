@@ -72,6 +72,9 @@ BAD_FILES = {
     "non_integer": "1,4\nx,5\n",
     "no_tasks": "# nothing here\n\n",
     "long_field": "1,5\n9," + "9" * 4301 + "\n",
+    "grouped_long_field": "1,5\n9," + "1_" * 4400 + "1\n",
+    # Valid: str.strip drops the separators U+001C to U+001F around a field.
+    "separators": "\x1c1\x1f,\x1f5\x1c\n2,\x1e3\x1d\n",
     "bom": "\ufeff1,5\n2,3\n",
     "huge_total": "1,5\n2,50000000000000000000\n",
     "many_slices": "1,5\n2,1000000000000\n",

@@ -19,9 +19,10 @@ def task_sets(max_n: int = 10, max_burst: int = 60):
 # byte-order mark. Huge bursts are either rejected by a bound or small enough
 # to scan quickly. Some fields are wrapped in whitespace that ``str.strip``
 # and ``int`` both drop (tab, no-break space, form feed), some carry a sign
-# or an underscore that ``int`` accepts, two are past ``int``'s 4300-digit
-# limit, and some carry a separator (``\x1c``, ``\x1f``) that ``str.strip``
-# drops and ``int`` refuses. Only LF ends a line.
+# or an underscore that ``int`` accepts, three are past ``int``'s 4300-digit
+# limit (one in underscore-joined groups), and some carry a separator
+# (``\x1c``, ``\x1f``) that ``str.strip`` drops and ``int`` refuses. Only LF
+# ends a line.
 _BURSTS = st.one_of(
     st.integers(1, 3000),
     st.sampled_from([10**7, 10**15, 2**62, 2**63, 10**20, 10**400]),
@@ -30,6 +31,7 @@ _JUNK_LINES = st.sampled_from([
     "# comment", "", "   ", "1,2,3,4", "x,5", "1,", "1,5,0", "1,5,-2", "-1,5",
     "1,7 # dup", "1,0", "2,-3", "9,0", "9,-3", "\t9\t,\t5\t", "\xa09,\xa05\xa0", "\x0c9,\x0c5\x0c",
     "9,+5", "+9,5", "1_0,5", "9,1_0", "9," + "9" * 4301, "9,-" + "9" * 4301,
+    "9," + "1_" * 4300 + "1",
     "3,\x1c4", "9\x1c,5", "9,\x1f5",
 ])
 

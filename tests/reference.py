@@ -180,16 +180,16 @@ def reference_load_tasks(source: str) -> TaskSet:
 
 def reference_int_field(line_number: int, raw: str, field: str) -> int:
     """``int(field)``; a field it refuses is too large when it is a sign and
-    digits (past ``int``'s digit limit), and otherwise a non-integer."""
+    digit runs joined by single underscores (past ``int``'s digit limit, which
+    counts no underscore), and otherwise a non-integer."""
     try:
         return int(field)
     except ValueError:
-        digits = re.fullmatch(r"[+-]?(\d+)", field)
+        digits = re.fullmatch(r"[+-]?(\d+(?:_\d+)*)", field)
         if digits is None:
             raise TaskFileError(line_number, f"non-integer field in {raw.strip()!r}") from None
-        raise TaskFileError(
-            line_number, f"integer field of {len(digits[1])} digits is too large"
-        ) from None
+        count = len(digits[1].replace("_", ""))
+        raise TaskFileError(line_number, f"integer field of {count} digits is too large") from None
 
 
 def reference_generate(n, burst_min, burst_max, seed):

@@ -151,6 +151,11 @@ class TestSchedule:
         assert all(type(row) is tuple for row in schedule)
         assert schedule == RR4_GANTT
 
+    def test_slices_is_the_schedule_itself(self):
+        # The benchmark's tracer counts rows as len(schedule.slices).
+        assert RR4_GANTT.slices is RR4_GANTT
+        assert len(RR4_GANTT.slices) == 8
+
     def test_rerun_compares_equal(self):
         assert simulate_fixed_rr(MIXED_FIVE, 2) == simulate_fixed_rr(MIXED_FIVE, 2)
         assert edited(CTQ_GANTT, None) == CTQ_GANTT

@@ -3,7 +3,7 @@
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HOSTILE_TEXT
@@ -168,15 +168,22 @@ class TestTaskFiles:
         assert load_tasks("1,5\x0c\x1c\u2028\n2,6\x85") == TaskSet.from_bursts([5, 6])
 
     def test_separator_in_a_field_is_stripped(self):
-        # int refuses U+001C..U+001F and str.strip drops them: the lean pass
-        # fails and the line-by-line parse accepts the file.
-        assert load_tasks("1,5\n3,\x1f4\x1c\n") == TaskSet((1, 3), (5, 4))
+        # int refuses U+001C..U+001F and str.strip drops them: the one pass
+        # strips them, so the fault walker is never reached.
+        with patch.object(workload, "_raise_first_line_fault", side_effect=AssertionError):
+            assert load_tasks("1,5\n3,\x1f4\x1c\n") == TaskSet((1, 3), (5, 4))
+        # Their neighbour U+001B is not whitespace.
+        with pytest.raises(TaskFileError) as info:
+            load_tasks("1,5\n3,\x1b4\n")
+        assert str(info.value) == "line 2: non-integer field in '3,\\x1b4'"
 
-    @pytest.mark.parametrize("field", ["9" * 4301, "-" + "9" * 4301, "+" + "9" * 5000])
+    @pytest.mark.parametrize(
+        "field", ["9" * 4301, "-" + "9" * 4301, "+" + "9" * 5000, "1_" * 4400 + "1"]
+    )
     def test_field_past_the_digit_limit_is_too_large(self, field):
         with pytest.raises(TaskFileError) as info:
             load_tasks(f"1,5\n2,{field}\n")
-        digits = len(field.lstrip("+-"))
+        digits = len(field.lstrip("+-").replace("_", ""))
         assert str(info.value) == f"line 2: integer field of {digits} digits is too large"
         assert len(str(info.value)) < 60
 
@@ -186,18 +193,22 @@ class TestTaskFiles:
         assert info.value.line_number is None
 
     def test_a_valid_file_never_reaches_the_walkers(self):
-        # Comments, blanks, CRLF and padded fields all stay on the lean pass;
-        # only a failing file is walked, once.
+        # Comments, blanks, CRLF, padded, signed and grouped fields all stay
+        # on the one pass; only a failing file is walked, once.
         lines = [f" {i} ,\t{i % 97 + 1} " for i in range(1, 201)]
         lines[::10] = [line + "# note" for line in lines[::10]]
-        text = "# 200 tasks\r\n\r\n \t\r\n" + "\r\n".join(lines)
+        lines[1::10] = [f"\x1c{10 * k + 2}\x1f,\x1f+{k + 1}\x1c" for k in range(20)]
+        lines[2::10] = [f"{k}_3, +1_{k}" for k in range(20)]
+        text = "# 200 tasks\r\n\r\n \t\x1c\r\n" + "\r\n".join(lines)
         with patch.object(
-            workload, "_parse_by_line", wraps=workload._parse_by_line
+            workload, "_raise_first_line_fault", wraps=workload._raise_first_line_fault
         ) as walk, patch.object(
             model, "_raise_first_task_fault", wraps=model._raise_first_task_fault
         ) as check:
             tasks = load_tasks(text)
             assert (walk.call_count, check.call_count, tasks.n) == (0, 0, 200)
+            assert tasks.ids == tuple(range(1, 201))
+            assert tasks.bursts()[1:3] == (1, 10)
             with pytest.raises(TaskFileError, match="line 2: duplicate task id 1"):
                 load_tasks("1,5\n1,6\n")
             assert (walk.call_count, check.call_count) == (1, 1)
@@ -205,9 +216,10 @@ class TestTaskFiles:
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=HOSTILE_TEXT)
+@example(text="\x1c1_0\x1f,\x1f+5\x1c\r\n-0,1_2\n\x1e2,3\x1d # note\n")
 def test_parser_equals_the_reference(text):
-    """The lean pass and its walker return the line-by-line parser's task set,
-    or raise its first error with the identical message."""
+    """The one pass returns the line-by-line parser's task set, or its walker
+    raises that parser's first error with the identical message."""
     try:
         expected = reference_load_tasks(text)
     except TaskFileError as exc:
@@ -216,6 +228,19 @@ def test_parser_equals_the_reference(text):
         assert (str(info.value), info.value.line_number) == (str(exc), exc.line_number)
     else:
         assert load_tasks(text) == expected
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=HOSTILE_TEXT)
+def test_the_walker_raises_the_references_first_fault(text):
+    """Wherever the line-by-line parser refuses a file, the fault walker on
+    its own raises the identical message and line."""
+    try:
+        reference_load_tasks(text)
+    except TaskFileError as exc:
+        with pytest.raises(TaskFileError) as info:
+            workload._raise_first_line_fault(text)
+        assert (str(info.value), info.value.line_number) == (str(exc), exc.line_number)
 
 
 @given(bursts=st.lists(st.integers(1, 1000), min_size=1, max_size=30))
