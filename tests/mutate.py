@@ -2,16 +2,16 @@
 
 Each mutant changes one thing in the module's syntax tree: a comparison
 (``<`` to ``<=``, ``==`` to ``!=``, ``in`` to ``not in``, ...), an
-arithmetic or boolean operator, a dropped ``not`` or unary minus, an int
-constant moved by one, a flipped bool, a string constant with ``~``
+arithmetic or boolean operator, a ``not`` doubled (``not not x``, which
+is ``bool(x)``), a dropped unary minus, an int constant moved by one, a flipped bool, a string constant with ``~``
 appended, or a ``raise``, ``if`` or call statement replaced by ``pass``.
 Docstrings, f-string text and annotations are left alone. The module is
 written back with ``ast.unparse``, so the unmutated module is run the same
 way first, as the baseline that must pass.
 
 Every mutant runs the given tests in its own copy of the repository, under
-``pytest -x`` with a fixed hypothesis seed and a timeout (by default five
-times the baseline's time, at least 60 s), so a mutant that loops forever
+``pytest -x`` with a fixed hypothesis seed and a timeout (five times the
+baseline's time, at least 60 s), so a mutant that loops forever
 is stopped and counted as timed out. A mutant the tests pass *survives*. A
 survivor listed in ``EQUIVALENT`` below changes no result the module can
 give; every other survivor is a gap in the tests, and the script exits 1
@@ -33,7 +33,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,7 +100,9 @@ def _sites(tree: ast.Module):
             yield node, lambda n=node: setattr(n, "op", _BINARY[type(n.op)]())
         elif isinstance(node, ast.BoolOp):
             yield node, lambda n=node: setattr(n, "op", _BOOLEAN[type(n.op)]())
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.Not, ast.USub)):
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node, lambda n=node: setattr(n, "operand", ast.UnaryOp(ast.Not(), n.operand))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             yield node, lambda n=node: setattr(n, "op", ast.UAdd())
         elif isinstance(node, ast.Constant):
             value = node.value
@@ -192,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", type=Path, help="the source file to mutate")
     parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest arguments")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    parser.add_argument("--timeout", type=float, help="seconds per mutant")
     args = parser.parse_args(argv)
     module = args.module.resolve()
     baseline_text = ast.unparse(ast.parse(module.read_text(encoding="utf-8")))
@@ -201,22 +200,17 @@ def main(argv: list[str] | None = None) -> int:
     if outcome != "survived":
         print(f"the unmutated module does not pass the tests: {outcome}")
         return 2
-    timeout = args.timeout or max(60.0, 5 * seconds)
+    timeout = max(60.0, 5 * seconds)
     found = mutants(module)
     print(f"{len(found)} mutants; baseline {seconds:.1f} s, timeout {timeout:.0f} s", flush=True)
     gaps = []
-
-    def one(mutant):
-        key, line, text = mutant
-        return key, line, run(module, text, args.tests, timeout)[0]
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for key, line, outcome in pool.map(one, found):
-            if outcome == "survived":
-                outcome = "equivalent" if key in EQUIVALENT else "SURVIVED"
-            if outcome == "SURVIVED":
-                gaps.append(f"line {line}: {key}")
-            print(f"{outcome:>10}  line {line}: {key}", flush=True)
+    for key, line, text in found:
+        outcome = run(module, text, args.tests, timeout)[0]
+        if outcome == "survived":
+            outcome = "equivalent" if key in EQUIVALENT else "SURVIVED"
+        if outcome == "SURVIVED":
+            gaps.append(f"line {line}: {key}")
+        print(f"{outcome:>10}  line {line}: {key}", flush=True)
     print(f"{len(gaps)} surviving mutants not judged equivalent")
     print("\n".join(gaps))
     return 1 if gaps else 0

@@ -178,7 +178,13 @@ class TestTaskFiles:
         assert str(info.value) == "line 2: non-integer field in '3,\\x1b4'"
 
     @pytest.mark.parametrize(
-        "field", ["9" * 4301, "-" + "9" * 4301, "+" + "9" * 5000, "1_" * 4400 + "1"]
+        "field",
+        [
+            "9" * 4301,
+            "-" + "9" * 4301,
+            "+" + "9" * 5000,
+            pytest.param("1_" * 4400 + "1", id="grouped"),
+        ],
     )
     def test_field_past_the_digit_limit_is_too_large(self, field):
         with pytest.raises(TaskFileError) as info:
@@ -219,7 +225,9 @@ class TestTaskFiles:
 @example(text="\x1c1_0\x1f,\x1f+5\x1c\r\n-0,1_2\n\x1e2,3\x1d # note\n")
 def test_parser_equals_the_reference(text):
     """The one pass returns the line-by-line parser's task set, or its walker
-    raises that parser's first error with the identical message."""
+    raises that parser's first error with the identical message and line.
+    This is the fault walker's check: load_tasks raises TaskFileError only
+    through _raise_first_line_fault."""
     try:
         expected = reference_load_tasks(text)
     except TaskFileError as exc:
@@ -228,19 +236,6 @@ def test_parser_equals_the_reference(text):
         assert (str(info.value), info.value.line_number) == (str(exc), exc.line_number)
     else:
         assert load_tasks(text) == expected
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=HOSTILE_TEXT)
-def test_the_walker_raises_the_references_first_fault(text):
-    """Wherever the line-by-line parser refuses a file, the fault walker on
-    its own raises the identical message and line."""
-    try:
-        reference_load_tasks(text)
-    except TaskFileError as exc:
-        with pytest.raises(TaskFileError) as info:
-            workload._raise_first_line_fault(text)
-        assert (str(info.value), info.value.line_number) == (str(exc), exc.line_number)
 
 
 @given(bursts=st.lists(st.integers(1, 1000), min_size=1, max_size=30))
