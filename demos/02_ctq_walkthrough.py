@@ -13,14 +13,16 @@ trace = run_ctq(tasks, first_quantum=1)
 
 # The schedule's rows of a round are the tasks entering it; a row that runs
 # all the work its task has left finishes that task.
-left = dict(zip(tasks.ids, tasks.bursts()))
-for record in trace.rounds:
+# Round 1 ran the supplied quantum; the scan chose every later one.
+left = dict(zip(tasks.ids, tasks.bursts))
+for round_number, quantum in enumerate(trace.quantum_sequence, start=1):
     rows = [
         (task_id, start, end)
         for task_id, start, end, number in trace.schedule
-        if number == record.number
+        if number == round_number
     ]
-    print(f"round {record.number}: quantum = {record.quantum} tu ({record.chosen_by})")
+    chosen_by = "user_supplied" if round_number == 1 else "optimized"
+    print(f"round {round_number}: quantum = {quantum} tu ({chosen_by})")
     print("  entering: " + ", ".join(f"T{task_id}:{left[task_id]}tu" for task_id, _, _ in rows))
     print("  ran:      " + " | ".join(f"T{task_id} {start}-{end}" for task_id, start, end in rows))
     finished = [f"T{task_id}" for task_id, start, end in rows if end - start == left[task_id]]

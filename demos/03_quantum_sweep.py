@@ -13,9 +13,9 @@ from fractions import Fraction
 from ctqsched import best_quantum, generate, waiting_profile
 
 tasks = generate(n=6, burst_min=1, burst_max=40, seed=404)
-print("queue:", ", ".join(f"T{t.id}={t.burst}tu" for t in tasks), "\n")
+print("queue:", ", ".join(f"T{i}={b}tu" for i, b in zip(tasks.ids, tasks.bursts)), "\n")
 
-largest = max(tasks.bursts())
+largest = max(tasks.bursts)
 sweep = [(tq, waiting_profile(tasks, tq).avg_waiting) for tq in range(1, largest + 1)]
 worst = max(avg for _, avg in sweep)
 choice = best_quantum(tasks)

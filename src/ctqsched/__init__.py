@@ -13,7 +13,7 @@ from .analytic import (
     best_quantum,
     waiting_profile,
 )
-from .ctq import CtqTrace, RoundRecord, run_ctq
+from .ctq import CtqTrace, run_ctq
 from .experiment import (
     ExperimentRow,
     compare_workload,
@@ -25,7 +25,6 @@ from .model import (
     InvariantViolation,
     MetricsReport,
     Schedule,
-    Task,
     TaskMetrics,
     TaskSet,
     format_fraction,
@@ -43,7 +42,6 @@ __all__ = [
     "best_quantum",
     "waiting_profile",
     "CtqTrace",
-    "RoundRecord",
     "run_ctq",
     "ExperimentRow",
     "compare_workload",
@@ -53,7 +51,6 @@ __all__ = [
     "InvariantViolation",
     "MetricsReport",
     "Schedule",
-    "Task",
     "TaskMetrics",
     "TaskSet",
     "format_fraction",

@@ -74,6 +74,7 @@ admits no b - 1 of 2**42 or more: its isqrt s would be at least 2**21, and
 the s_max + 1 + sum(s) candidates more than 2**22.
 """
 
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
@@ -125,7 +126,6 @@ class RoundRobinProfile(NamedTuple):
     per_task: tuple[TaskWait, ...]
     total_waiting: int
     avg_waiting: Fraction
-    quantum: int
 
 
 class QuantumChoice(NamedTuple):
@@ -142,10 +142,11 @@ class QuantumChoice(NamedTuple):
 def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
     """Evaluate the waiting rule of the module docstring for every task under
     fixed RR, in plain integers and independent of the vectorized scan. Each
-    wait equals completion - burst; the slice-by-slice simulator must agree."""
-    if quantum < 1:
+    wait equals completion - burst; the slice-by-slice simulator must agree.
+    The quantum is read through ``operator.index``, like a task set's columns."""
+    if (quantum := operator.index(quantum)) < 1:
         raise ValueError(f"quantum must be at least 1 tu, got {quantum}")
-    bursts = tasks.bursts()
+    bursts = tasks.bursts
     rows = []
     for i, (task_id, burst) in enumerate(zip(tasks.ids, bursts)):
         nq = (burst - 1) // quantum
@@ -155,7 +156,7 @@ def waiting_profile(tasks: TaskSet, quantum: int) -> RoundRobinProfile:
         waiting += sum(min(b, behind) for b in bursts[i + 1 :])
         rows.append(TaskWait(task_id, nq, behind + waiting, waiting))
     total = sum(row.waiting for row in rows)
-    return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n), quantum)
+    return RoundRobinProfile(tuple(rows), total, Fraction(total, tasks.n))
 
 
 def _candidate_quanta(pairs: "_PairSplit") -> np.ndarray:
@@ -367,5 +368,5 @@ def best_quantum(tasks: TaskSet) -> QuantumChoice:
 
     Raises ``ValueError`` where :func:`_split_pairs` does, before it allocates.
     """
-    quantum, total, count = _scan(_split_pairs(tasks.bursts()))
+    quantum, total, count = _scan(_split_pairs(tasks.bursts))
     return QuantumChoice(quantum, Fraction(total, tasks.n), count)

@@ -100,7 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.algo == "rr":
         lines.append(f"quantum: {args.tq}")
     if trace is not None:
-        lines.append(f"rounds: {len(trace.rounds)}")
+        lines.append(f"rounds: {len(trace.quantum_sequence)}")
         lines.append(f"tq_sequence: {'|'.join(map(str, trace.quantum_sequence))}")
     lines.extend(_metrics_lines(tasks, metrics))
     _emit("\n".join(lines) + "\n", args.out)

@@ -6,7 +6,8 @@ round the quantum is re-chosen by the closed-form candidate scan of
 :func:`ctqsched.analytic.best_quantum` over the survivors' residual work, so
 short stragglers get flushed out early while a tail of long tasks
 degenerates into cheap FCFS-sized slices. The quanta fix the schedule, which
-:func:`ctqsched.simulate.run_rounds` then builds in one pass.
+:func:`ctqsched.simulate.run_rounds` then builds in one pass, so a run's
+:class:`CtqTrace` holds its quanta and what they give, and nothing else.
 
 The quantum applies for exactly one round and is then re-optimized, even if
 no task finished; waiting already accrued in earlier rounds is ignored by the
@@ -17,6 +18,7 @@ round 1 first, and carries the scan's pair split from round to round;
 :func:`run_ctq`'s one loop sees only each round's quantum and survivors.
 """
 
+import operator
 from typing import NamedTuple
 
 from .analytic import _scan_rounds
@@ -24,23 +26,15 @@ from .model import MetricsReport, Schedule, TaskSet, check_total_burst, metrics_
 from .simulate import _check_slice_count, run_rounds
 
 
-class RoundRecord(NamedTuple):
-    """How one round's quantum was chosen. The tasks entering round r, and
-    those finishing in it, are the schedule's rows of round r."""
-
-    number: int
-    quantum: int
-    chosen_by: str  # "user_supplied" or "optimized"
-
-
 class CtqTrace(NamedTuple):
-    rounds: tuple[RoundRecord, ...]
+    """A CTQ run: each round's quantum, in round order, and the schedule and
+    metrics they give. Round 1's quantum is the supplied ``first_quantum``
+    when there is one; the scan chose every other. The tasks entering round
+    r, and those finishing in it, are the schedule's rows of round r."""
+
+    quantum_sequence: tuple[int, ...]
     schedule: Schedule
     metrics: MetricsReport
-
-    @property
-    def quantum_sequence(self) -> tuple[int, ...]:
-        return tuple(r.quantum for r in self.rounds)
 
 
 def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
@@ -52,13 +46,14 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
     chosen quanta then build the schedule in one call of
     :func:`~ctqsched.simulate.run_rounds`.
 
-    The total burst is checked first; then, after each round, the slice
-    bound on the survivors dispatched so far. Round 1 is checked before the
-    pair split, which checks the scan's bounds on what round 1 leaves.
+    ``first_quantum`` is read through ``operator.index`` and checked first,
+    then the total burst; then, after each round, the slice bound on the
+    survivors dispatched so far. Round 1 is checked before the pair split,
+    which checks the scan's bounds on what round 1 leaves.
     """
-    if first_quantum is not None and first_quantum < 1:
+    if first_quantum is not None and (first_quantum := operator.index(first_quantum)) < 1:
         raise ValueError(f"first quantum must be at least 1 tu, got {first_quantum}")
-    bursts = tasks.bursts()
+    bursts = tasks.bursts
     check_total_burst(sum(bursts))
 
     quanta: list[int] = []
@@ -68,10 +63,5 @@ def run_ctq(tasks: TaskSet, first_quantum: int | None = None) -> CtqTrace:
         _check_slice_count(dispatched)
         quanta.append(quantum)
 
-    first = "optimized" if first_quantum is None else "user_supplied"
-    rounds = tuple(
-        RoundRecord(number, quantum, first if number == 1 else "optimized")
-        for number, quantum in enumerate(quanta, start=1)
-    )
     schedule = run_rounds(tasks, quanta)
-    return CtqTrace(rounds, schedule, metrics_from_schedule(schedule))
+    return CtqTrace(tuple(quanta), schedule, metrics_from_schedule(schedule))

@@ -70,7 +70,7 @@ def compare_workload(
     built here."""
     trace = run_ctq(tasks)
     quantum = trace.quantum_sequence[0]
-    if len(trace.rounds) == 1:
+    if len(trace.quantum_sequence) == 1:
         rr_metrics = fcfs_metrics = trace.metrics
     else:
         rr_metrics = metrics_from_schedule(simulate_fixed_rr(tasks, quantum))
@@ -83,7 +83,7 @@ def compare_workload(
             "ctq",
             "optimized",
             trace.metrics,
-            rounds=len(trace.rounds),
+            rounds=len(trace.quantum_sequence),
             tq_sequence=trace.quantum_sequence,
         ),
         _row(workload_id, tasks, "fcfs", "none", fcfs_metrics),

@@ -5,15 +5,14 @@ context switches cost nothing, and a schedule is a gapless timeline starting
 at 0. Aggregate averages are exact ``Fraction``s so metric comparisons never
 depend on float rounding.
 
-A :class:`TaskSet` is two columns (ids and bursts) checked in one pass;
-:class:`Task`, :class:`TaskMetrics` and :class:`MetricsReport` are named
-tuples, as is every record type of the package (read-only, and cheap to
-define at import). A
-:class:`Schedule` holds its task set and its slices as two int64 columns
-(queue slot and end), and nothing else: each slice starts where the one
-before it ended, so no schedule can hold a gap; it names its task by queue
-slot, so none can name a task outside its set; and its rounds are read off
-the slots, so none can hold a round its slots contradict.
+A :class:`TaskSet` is two tuples (ids and bursts) checked in one pass.
+:class:`TaskMetrics` and :class:`MetricsReport` are named tuples, as is
+every record type of the package (read-only, and cheap to define at
+import). A :class:`Schedule` holds its task set and its slices as two
+int64 columns (queue slot and end), and nothing else: each slice starts
+where the one before it ended, so no schedule can hold a gap; it names its
+task by queue slot, so none can name a task outside its set; and its rounds
+are read off the slots, so none can hold a round its slots contradict.
 :func:`metrics_from_schedule` runs over whole columns instead of walking one
 slice at a time. int64 times are exact while the total burst stays below
 2**63 tu; both the schedule builder in :mod:`ctqsched.simulate` and the
@@ -45,26 +44,18 @@ def check_total_burst(total: int) -> None:
         )
 
 
-class Task(NamedTuple):
-    """One row of a :class:`TaskSet`: ``burst`` tu of CPU time, known before
-    scheduling starts. A row checks nothing; its task set does."""
-
-    id: int
-    burst: int
-
-
 class TaskSet:
     """Tasks in FIFO queue order, all arriving at time 0, as two tuples of one
-    length, ``ids`` and ``bursts()``; iteration yields :class:`Task` rows.
-    Queue order is significant: a task's waiting time depends on who sits
-    ahead of it, so every operation in this package preserves it. A set holds
-    at least one task, no negative id, no burst below 1 tu and no id twice,
-    checked here and nowhere else. Both columns hold Python ints: a numpy
-    integer is converted, and a float or a str raises ``TypeError``, so a sum
-    over a column never wraps around.
+    length: ``ids``, and ``bursts``, each task's CPU time in tu, known
+    before scheduling starts. Queue order is significant: a task's waiting
+    time depends on who sits ahead of it, so every operation in this package
+    preserves it. A set holds at least one task, no negative id, no burst
+    below 1 tu and no id twice, checked here and nowhere else. Both columns
+    hold Python ints: a numpy integer is converted, and a float or a str
+    raises ``TypeError``, so a sum over a column never wraps around.
     """
 
-    __slots__ = ("ids", "_bursts")
+    __slots__ = ("ids", "bursts")
 
     def __init__(self, ids: Iterable[int], bursts: Iterable[int]) -> None:
         ids, bursts = tuple(map(operator.index, ids)), tuple(map(operator.index, bursts))
@@ -73,7 +64,7 @@ class TaskSet:
         valid = n == len(bursts) and n and min(ids) >= 0 and min(bursts) >= 1
         if not (valid and len(set(ids)) == n):
             _raise_first_task_fault(ids, bursts)
-        self.ids, self._bursts = ids, bursts
+        self.ids, self.bursts = ids, bursts
 
     @classmethod
     def from_bursts(cls, bursts: Iterable[int]) -> "TaskSet":
@@ -85,20 +76,11 @@ class TaskSet:
     def n(self) -> int:
         return len(self.ids)
 
-    def bursts(self) -> tuple[int, ...]:
-        return self._bursts
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[Task]:
-        return map(Task, self.ids, self._bursts)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TaskSet) and (self.ids, self._bursts) == (other.ids, other._bursts)
+        return isinstance(other, TaskSet) and (self.ids, self.bursts) == (other.ids, other.bursts)
 
     def __repr__(self) -> str:
-        return f"TaskSet(ids={self.ids}, bursts={self._bursts})"
+        return f"TaskSet(ids={self.ids}, bursts={self.bursts})"
 
 
 def _raise_first_task_fault(ids: tuple[int, ...], bursts: tuple[int, ...]) -> NoReturn:
@@ -241,7 +223,7 @@ def metrics_from_schedule(schedule: Schedule) -> MetricsReport:
     slice end, and switches from a shifted compare of neighbouring slices.
     Only a schedule that fails the test is walked, to find its first fault.
     """
-    ids, bursts = schedule.tasks.ids, schedule.tasks.bursts()
+    ids, bursts = schedule.tasks.ids, schedule.tasks.bursts
     n = len(ids)
     check_total_burst(sum(bursts))
     end = schedule.end
@@ -305,7 +287,7 @@ def _raise_first_violation(schedule: Schedule) -> NoReturn:
     in queue order."""
     if (slots := len(schedule.slot)) != (ends := len(schedule.end)):
         raise InvariantViolation(f"schedule columns differ in length: slot {slots}, end {ends}")
-    ids, bursts = schedule.tasks.ids, schedule.tasks.bursts()
+    ids, bursts = schedule.tasks.ids, schedule.tasks.bursts
     n = len(ids)
     executed = [0] * n
     start = 0

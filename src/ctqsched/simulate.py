@@ -21,6 +21,7 @@ are int64), and the schedule may hold at most ``_SLICE_LIMIT`` slices. Past
 either, :func:`run_rounds` raises ``ValueError``.
 """
 
+import operator
 from collections.abc import Sequence
 from itertools import accumulate, repeat
 
@@ -75,13 +76,16 @@ def run_rounds(tasks: TaskSet, quanta: Sequence[int]) -> Schedule:
     60,000 rounds; it won only with many tasks of few rounds (0.8 times as
     long with 300 tasks of up to 300 rounds).
 
-    No quantum, a quantum below 1 tu, a total burst of 2**63 tu or more, or
-    more than ``_SLICE_LIMIT`` slices raises ``ValueError``, checked in that
-    order; an empty task set never gets here, since ``TaskSet`` refuses one.
+    Each quantum is read through ``operator.index``, so a float raises
+    ``TypeError``. No quantum, a quantum below 1 tu, a total burst of 2**63
+    tu or more, or more than ``_SLICE_LIMIT`` slices raises ``ValueError``,
+    checked in that order; an empty task set never gets here, since
+    ``TaskSet`` refuses one.
     """
+    quanta = [*map(operator.index, quanta)]
     if (least := min(quanta)) < 1:
         raise ValueError(f"quantum must be at least 1 tu, got {least}")
-    bursts = tasks.bursts()
+    bursts = tasks.bursts
     total = sum(bursts)
     check_total_burst(total)
     offers = [*map(min, quanta, repeat(total))]
@@ -134,4 +138,4 @@ def simulate_fixed_rr(tasks: TaskSet, quantum: int) -> Schedule:
 def simulate_fcfs(tasks: TaskSet) -> Schedule:
     """First-come first-served: one slice per task, in queue order (a single
     round with a quantum no task exceeds)."""
-    return run_rounds(tasks, [max(tasks.bursts())])
+    return run_rounds(tasks, [max(tasks.bursts)])

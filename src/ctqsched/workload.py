@@ -134,4 +134,4 @@ def _int_field(line_number: int, raw: str, field: str) -> int:
 
 def save_tasks(tasks: TaskSet) -> str:
     """Serialize to the task file format; load(save(t)) == t."""
-    return "".join(f"{task.id},{task.burst}\n" for task in tasks)
+    return "".join(f"{task_id},{burst}\n" for task_id, burst in zip(tasks.ids, tasks.bursts))

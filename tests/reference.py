@@ -31,10 +31,10 @@ a one-round CTQ run with its RR and FCFS arms: it builds all three arms
 every time, from the reference dispatch and metrics above.
 
 The package keeps a schedule as int64 columns only; ``Slice`` and the
-helpers after it give the tests its rows as named records. CTQ's round
-records keep only each round's quantum and how it was chosen, so
-``schedule_rounds`` reads the rest of a round off the schedule: the tasks
-entering it, with their residual work, and those finishing in it.
+helpers after it give the tests its rows as named records. A CTQ trace
+keeps only each round's quantum, so ``schedule_rounds`` reads the rest of a
+round off the schedule: the tasks entering it, with their residual work,
+and those finishing in it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ctqsched import (
     ExperimentRow,
     InvariantViolation,
     MetricsReport,
-    RoundRecord,
     Schedule,
     TaskMetrics,
     TaskFileError,
@@ -133,7 +132,7 @@ def schedule_rounds(tasks: TaskSet, schedule: Schedule) -> list[Round]:
     are the tasks entering it, each with its burst less the work of its
     earlier rows, and a row that runs all of that work finishes its task."""
     rows = slices(schedule)
-    left = dict(zip(tasks.ids, tasks.bursts()))
+    left = dict(zip(tasks.ids, tasks.bursts))
     rounds = []
     for number in range(1, rows[-1].round + 1):
         own = tuple(s for s in rows if s.round == number)
@@ -288,7 +287,7 @@ def reference_rounds(tasks, quantum_for_round):
     min(quantum, residual); ``quantum_for_round(number, survivors)`` gives
     the round's quantum. Yields each round's number, the survivors entering
     it as ``(task_id, residual)`` pairs, and its slices."""
-    survivors = tuple((task.id, task.burst) for task in tasks)
+    survivors = tuple(zip(tasks.ids, tasks.bursts))
     clock = 0
     number = 1
     while survivors:
@@ -312,31 +311,31 @@ def reference_fixed_rr(tasks, quantum):
 
 
 def reference_fcfs(tasks):
-    return _slices(tasks, lambda number, survivors: max(tasks.bursts()))
+    return _slices(tasks, lambda number, survivors: max(tasks.bursts))
 
 
 def reference_ctq(tasks, first_quantum=None):
-    """CTQ's round records and rounds, rescanning before every round. Each
-    ``Round`` comes from the reference loop: its survivors as that loop
-    carried them, and its completions where a slice ran a task's residual."""
-    choices = []
+    """CTQ's quanta and rounds, rescanning before every round but a round 1
+    of ``first_quantum``. Each ``Round`` comes from the reference loop: its
+    survivors as that loop carried them, and its completions where a slice
+    ran a task's residual."""
+    quanta = []
 
     def quantum_for_round(number, survivors):
         if number == 1 and first_quantum is not None:
-            choices.append((first_quantum, "user_supplied"))
+            quanta.append(first_quantum)
         else:
             residuals = TaskSet.from_bursts(residual for _, residual in survivors)
-            choices.append((best_quantum(residuals).quantum, "optimized"))
-        return choices[-1][0]
+            quanta.append(best_quantum(residuals).quantum)
+        return quanta[-1]
 
-    records, rounds = [], []
+    rounds = []
     for number, before, round_slices in reference_rounds(tasks, quantum_for_round):
-        records.append(RoundRecord(number, *choices[-1]))
         completed = tuple(
             s.task_id for s, (_, residual) in zip(round_slices, before) if s.length == residual
         )
         rounds.append(Round(number, before, completed, round_slices))
-    return tuple(records), rounds
+    return tuple(quanta), rounds
 
 
 def optimal_total_waiting(bursts):
@@ -405,12 +404,12 @@ def reference_metrics(slices, tasks):
     positive length or over-runs a task's burst, then on per-task totals.
     A slice is anything with ``task_id``, ``start`` and ``end``; the
     makespan is the last slice's end."""
-    bursts = {task.id: task.burst for task in tasks}
+    bursts = dict(zip(tasks.ids, tasks.bursts))
 
-    executed = {task.id: 0 for task in tasks}
+    executed = dict.fromkeys(tasks.ids, 0)
     completion = {}
-    switches = {task.id: 0 for task in tasks}
-    slice_counts = {task.id: 0 for task in tasks}
+    switches = dict.fromkeys(tasks.ids, 0)
+    slice_counts = dict.fromkeys(tasks.ids, 0)
 
     for i, s in enumerate(slices):
         if s.end <= s.start:
@@ -426,22 +425,22 @@ def reference_metrics(slices, tasks):
         elif i + 1 < len(slices) and slices[i + 1].task_id != s.task_id:
             switches[s.task_id] += 1
 
-    for task in tasks:
-        if executed[task.id] != task.burst:
+    for task_id, burst in bursts.items():
+        if executed[task_id] != burst:
             raise InvariantViolation(
-                f"task {task.id} executes {executed[task.id]} tu, burst is {task.burst}"
+                f"task {task_id} executes {executed[task_id]} tu, burst is {burst}"
             )
 
     per_task = tuple(
         TaskMetrics(
-            task_id=task.id,
-            completion=completion[task.id],
-            turnaround=completion[task.id],
-            waiting=completion[task.id] - task.burst,
-            context_switches=switches[task.id],
-            slice_count=slice_counts[task.id],
+            task_id=task_id,
+            completion=completion[task_id],
+            turnaround=completion[task_id],
+            waiting=completion[task_id] - burst,
+            context_switches=switches[task_id],
+            slice_count=slice_counts[task_id],
         )
-        for task in tasks
+        for task_id, burst in bursts.items()
     )
     total_waiting = sum(m.waiting for m in per_task)
     return MetricsReport(
@@ -457,8 +456,7 @@ def reference_metrics(slices, tasks):
 def reference_compare_workload(tasks, workload_id="0"):
     """The rr, ctq and fcfs rows of one task set, each arm dispatched and
     measured on its own: RR at CTQ's first quantum, CTQ, then FCFS."""
-    records, rounds = reference_ctq(tasks)
-    quanta = tuple(r.quantum for r in records)
+    quanta, rounds = reference_ctq(tasks)
 
     def row(algorithm, tq_policy, slices, rounds=None, tq_sequence=None):
         metrics = reference_metrics(slices, tasks)
@@ -471,6 +469,6 @@ def reference_compare_workload(tasks, workload_id="0"):
     ctq_slices = tuple(s for r in rounds for s in r.slices)
     return (
         row("rr", str(quanta[0]), reference_fixed_rr(tasks, quanta[0])),
-        row("ctq", "optimized", ctq_slices, len(records), quanta),
+        row("ctq", "optimized", ctq_slices, len(quanta), quanta),
         row("fcfs", "none", reference_fcfs(tasks)),
     )

@@ -115,12 +115,12 @@ def test_criterion_4_oracle_equivalence():
         tasks = TaskSet.from_bursts(
             [rng.randint(1, 60) for _ in range(rng.randint(1, 10))]
         )
-        for quantum in range(1, max(tasks.bursts()) + 1):
+        for quantum in range(1, max(tasks.bursts) + 1):
             schedule = simulate_fixed_rr(tasks, quantum)
             report = metrics_from_schedule(schedule)
             profile = waiting_profile(tasks, quantum)
-            for task, metrics, row in zip(tasks, report.per_task, profile.per_task):
-                slices = task_slices(schedule, task.id)
+            for task_id, metrics, row in zip(tasks.ids, report.per_task, profile.per_task):
+                slices = task_slices(schedule, task_id)
                 assert row.waiting == metrics.waiting
                 assert row.full_quanta == len(slices) - 1
                 assert row.last_slice_start == slices[-1].start
@@ -134,7 +134,7 @@ def test_criterion_5_degenerate_quantum():
         tasks = TaskSet.from_bursts(
             [rng.randint(1, 60) for _ in range(rng.randint(1, 10))]
         )
-        rr = simulate_fixed_rr(tasks, max(tasks.bursts()))
+        rr = simulate_fixed_rr(tasks, max(tasks.bursts))
         assert slices(rr) == slices(simulate_fcfs(tasks))
 
 
@@ -180,10 +180,10 @@ def test_criterion_8_trace_self_consistency(benchmark_sweep):
     results, _ = benchmark_sweep
     checked = 0
     for tasks, _, trace in results:
-        for record, round_ in zip(trace.rounds, schedule_rounds(tasks, trace.schedule)):
-            if record.number < 2:
+        for quantum, round_ in zip(trace.quantum_sequence, schedule_rounds(tasks, trace.schedule)):
+            if round_.number < 2:
                 continue
             residuals = TaskSet.from_bursts([r for _, r in round_.survivors])
-            assert best_quantum(residuals).quantum == record.quantum
+            assert best_quantum(residuals).quantum == quantum
             checked += 1
     assert checked > 0

@@ -53,6 +53,15 @@ class TestFullQuanta:
         with pytest.raises(ValueError):
             waiting_profile(TaskSet.from_bursts([4]), 0)
 
+    def test_the_quantum_is_read_as_an_int(self):
+        tasks = TaskSet.from_bursts([5, 3])
+        profile = waiting_profile(tasks, np.int64(2))
+        assert profile == waiting_profile(tasks, 2)
+        assert {type(value) for row in profile.per_task for value in row} == {int}
+        assert waiting_profile(tasks, True) == waiting_profile(tasks, 1)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            waiting_profile(tasks, 2.0)
+
 
 class TestLastSliceStart:
     def test_reference_queue(self):
@@ -106,7 +115,7 @@ class TestWaitingProfile:
 
     def test_relabelling_ids_keeps_totals(self):
         base = TaskSet.from_bursts([24, 3, 3])
-        relabelled = TaskSet([i + 10 for i in base.ids], base.bursts())
+        relabelled = TaskSet([i + 10 for i in base.ids], base.bursts)
         assert (
             waiting_profile(relabelled, 4).total_waiting
             == waiting_profile(base, 4).total_waiting
@@ -175,12 +184,12 @@ class TestBestQuantum:
 @given(tasks=task_sets(max_n=10, max_burst=60))
 def test_closed_form_matches_simulation_for_every_quantum(tasks):
     """The analytic route and the dispatch loop must agree exactly."""
-    for quantum in range(1, max(tasks.bursts()) + 1):
+    for quantum in range(1, max(tasks.bursts) + 1):
         schedule = simulate_fixed_rr(tasks, quantum)
         report = metrics_from_schedule(schedule)
         profile = waiting_profile(tasks, quantum)
-        for task, metrics, row in zip(tasks, report.per_task, profile.per_task):
-            slices = task_slices(schedule, task.id)
+        for task_id, metrics, row in zip(tasks.ids, report.per_task, profile.per_task):
+            slices = task_slices(schedule, task_id)
             assert row.waiting == metrics.waiting
             assert row.full_quanta == len(slices) - 1
             assert row.last_slice_start == slices[-1].start
@@ -196,7 +205,7 @@ def test_closed_form_matches_simulation_for_every_quantum(tasks):
 )
 def test_sequence_rule_matches_dispatch(tasks, quanta):
     report = metrics_from_schedule(run_rounds(tasks, quanta))
-    waits = reference_sequence_waits(tasks.bursts(), quanta)
+    waits = reference_sequence_waits(tasks.bursts, quanta)
     assert waits == [metrics.waiting for metrics in report.per_task]
 
 
@@ -204,7 +213,7 @@ def test_sequence_rule_matches_dispatch(tasks, quanta):
 @given(tasks=task_sets(), quantum=st.integers(1, 70))
 def test_sequence_rule_at_one_quantum_is_the_profile(tasks, quantum):
     profile = waiting_profile(tasks, quantum)
-    waits = reference_sequence_waits(tasks.bursts(), [quantum])
+    waits = reference_sequence_waits(tasks.bursts, [quantum])
     assert waits == [row.waiting for row in profile.per_task]
 
 
@@ -220,7 +229,7 @@ def test_ctq_total_is_the_sequence_rule(bursts, first):
 @settings(max_examples=100, deadline=None)
 @given(tasks=task_sets())
 def test_compare_arms_wait_by_the_sequence_rule(tasks):
-    bursts = tasks.bursts()
+    bursts = tasks.bursts
 
     def avg_wait(quanta):
         return Fraction(sum(reference_sequence_waits(bursts, quanta)), tasks.n)
@@ -236,7 +245,7 @@ def test_compare_arms_wait_by_the_sequence_rule(tasks):
 def test_scan_equals_sequential_evaluation(tasks):
     """The vectorized candidate scan must match a plain per-quantum loop,
     including the largest-quantum tie-break."""
-    largest = max(tasks.bursts())
+    largest = max(tasks.bursts)
     totals = [waiting_profile(tasks, tq).total_waiting for tq in range(1, largest + 1)]
     smallest = min(totals)
     expected = max(tq for tq, total in zip(range(1, largest + 1), totals) if total == smallest)
@@ -249,7 +258,7 @@ def test_scan_equals_sequential_evaluation(tasks):
 
 
 def every_quantum(tasks):
-    return np.arange(1, max(tasks.bursts()) + 1, dtype=np.int64)
+    return np.arange(1, max(tasks.bursts) + 1, dtype=np.int64)
 
 
 # Chunk sizes that rarely divide the candidate count, down to one cell, where
@@ -261,10 +270,10 @@ def assert_pair_kernel_equals_the_oracle(tasks):
     """At every quantum in [1, largest burst] the lower bound L stays at or
     below the n x n cell kernel's total, and L plus the correction equals it."""
     quanta = every_quantum(tasks)
-    expected = reference_total_waiting(tasks.bursts(), quanta)
-    bounds = _lower_bounds(_split_pairs(tasks.bursts()), quanta)
+    expected = reference_total_waiting(tasks.bursts, quanta)
+    bounds = _lower_bounds(_split_pairs(tasks.bursts), quanta)
     assert (bounds <= expected).all()
-    totals = pair_split_totals(tasks.bursts(), quanta)
+    totals = pair_split_totals(tasks.bursts, quanta)
     assert totals.tolist() == expected.tolist()
 
 
@@ -533,11 +542,11 @@ def test_scan_calls_no_python_level_numpy_wrapper():
 def assert_candidates_keep_the_argmin(tasks):
     """The breakpoint candidates must pick what the n x n cell kernel picks
     when run over every quantum in [1, largest burst]."""
-    quantum, total = largest_minimizer(tasks.bursts(), every_quantum(tasks))
+    quantum, total = largest_minimizer(tasks.bursts, every_quantum(tasks))
     choice = best_quantum(tasks)
     assert choice.quantum == quantum
     assert choice.avg_waiting == Fraction(total, tasks.n)
-    assert 1 <= choice.candidates_evaluated <= max(tasks.bursts())
+    assert 1 <= choice.candidates_evaluated <= max(tasks.bursts)
 
 
 @settings(max_examples=200, deadline=None)

@@ -279,7 +279,7 @@ class TestGenerate:
         assert code == 0
         tasks = load_tasks(out_path.read_text())
         assert tasks.n == 6
-        assert all(1 <= t.burst <= 500 for t in tasks)
+        assert all(1 <= burst <= 500 for burst in tasks.bursts)
 
     def test_too_many_tasks_exits_3_before_drawing(self, capsys):
         code, out, err = run_cli(

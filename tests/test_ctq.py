@@ -41,9 +41,6 @@ class TestRunCtq:
         assert trace.metrics.avg_turnaround == Fraction(24)
         assert trace.metrics.total_context_switches == 9
 
-        assert [r.chosen_by for r in trace.rounds] == [
-            "user_supplied", "optimized", "optimized", "optimized",
-        ]
         rounds = schedule_rounds(MIXED_FIVE, trace.schedule)
         assert [r.completed for r in rounds] == [(5,), (4,), (3,), (1, 2)]
         assert rounds[1].survivors == ((1, 19), (2, 19), (3, 4), (4, 2))
@@ -65,6 +62,16 @@ class TestRunCtq:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             run_ctq(MIXED_FIVE, first_quantum=0)
+
+    @pytest.mark.parametrize(
+        "first, sequence", [(True, (1, 4)), (np.int64(2), (2, 1, 2))], ids=["bool", "int64"]
+    )
+    def test_the_first_quantum_is_read_as_an_int(self, first, sequence):
+        tasks = TaskSet.from_bursts([5, 3])
+        quanta = run_ctq(tasks, first).quantum_sequence
+        assert quanta == sequence and {type(quantum) for quantum in quanta} == {int}
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            run_ctq(tasks, 2.0)
 
     @pytest.mark.parametrize("first", [None, 1])
     def test_a_huge_total_is_refused_before_any_scan(self, first):
@@ -115,19 +122,20 @@ def test_trace_self_consistency(tasks, first):
     trace = run_ctq(tasks, first)
 
     # The schedule already passed metric validation (conservation, contiguity)
-    # inside run_ctq; it runs one round per record, and each record's quantum.
+    # inside run_ctq; it runs one round per quantum, and that quantum.
     rounds = schedule_rounds(tasks, trace.schedule)
-    assert [r.number for r in rounds] == [r.number for r in trace.rounds]
+    assert len(rounds) == len(trace.quantum_sequence)
+    assert first is None or trace.quantum_sequence[0] == first
 
     # Each re-optimized quantum is reproducible from the round's survivors
     # and lies within [1, max residual].
-    for record, round_ in zip(trace.rounds, rounds):
+    for quantum, round_ in zip(trace.quantum_sequence, rounds):
         residuals = [r for _, r in round_.survivors]
-        assert all(s.length == min(record.quantum, r) for s, r in zip(round_.slices, residuals))
-        if record.chosen_by == "optimized":
+        assert all(s.length == min(quantum, r) for s, r in zip(round_.slices, residuals))
+        if first is None or round_.number > 1:
             rebuilt = TaskSet.from_bursts(residuals)
-            assert best_quantum(rebuilt).quantum == record.quantum
-            assert 1 <= record.quantum <= max(residuals)
+            assert best_quantum(rebuilt).quantum == quantum
+            assert 1 <= quantum <= max(residuals)
 
     # Survivor counts never grow, and the last round drains the queue.
     counts = [len(r.survivors) for r in rounds]
@@ -161,7 +169,7 @@ def test_ctq_never_waits_more_than_twice_sjf(tasks):
     quantum 1 a queue pair k < i adds min(b_k, b_i) + min(b_i, b_k - 1) to
     the total, at most twice the min(b_k, b_i) it adds under SJF."""
     rr1 = waiting_profile(tasks, 1).total_waiting
-    assert run_ctq(tasks).metrics.total_waiting <= rr1 <= 2 * sjf_total_waiting(tasks.bursts())
+    assert run_ctq(tasks).metrics.total_waiting <= rr1 <= 2 * sjf_total_waiting(tasks.bursts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +215,7 @@ def test_optimal_sequence_bounds_ctq_which_bounds_rr(tasks):
     may wait less; none waits less than the optimum."""
     trace = run_ctq(tasks)
     rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
-    optimal = optimal_total_waiting([task.burst for task in tasks])
+    optimal = optimal_total_waiting(tasks.bursts)
     assert optimal <= trace.metrics.total_waiting <= rr.total_waiting
 
 
@@ -217,7 +225,7 @@ def test_best_quantum_sequence_is_the_optimum(tasks):
     """The shortest path over the burst levels waits what the exhaustive
     search waits, and its quanta, each round ending on a burst, give a
     schedule that waits exactly that."""
-    bursts = tasks.bursts()
+    bursts = tasks.bursts
     total, quanta = best_quantum_sequence(bursts)
     assert total == optimal_total_waiting(bursts)
     offered = [sum(quanta[:r]) for r in range(1, len(quanta) + 1)]
@@ -244,7 +252,7 @@ def test_ctq_matters_on_bimodal_bursts(bimodal_workloads):
         trace = run_ctq(tasks)
         rr = metrics_from_schedule(simulate_fixed_rr(tasks, trace.quantum_sequence[0]))
         assert trace.metrics.total_waiting <= rr.total_waiting
-        multi_round += len(trace.rounds) > 1
+        multi_round += len(trace.quantum_sequence) > 1
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
     assert (multi_round, strictly_less) == (289, 284)
 
@@ -260,8 +268,8 @@ def carried_splits(tasks, first=None):
         trace = run_ctq(tasks, first)
     optimized = [
         round_
-        for record, round_ in zip(trace.rounds, schedule_rounds(tasks, trace.schedule))
-        if record.chosen_by == "optimized"
+        for round_ in schedule_rounds(tasks, trace.schedule)
+        if first is None or round_.number > 1
     ]
     assert scan.call_count == len(optimized)
     rounds = [

@@ -22,7 +22,7 @@ from reference import reference_compare_workload
 @given(task_sets(), st.none() | st.integers(1, 80))
 def test_one_round_ctq_is_the_rr_and_fcfs_schedule(tasks, first_quantum):
     trace = run_ctq(tasks, first_quantum)
-    if len(trace.rounds) == 1:
+    if len(trace.quantum_sequence) == 1:
         quantum = trace.quantum_sequence[0]
         assert simulate_fixed_rr(tasks, quantum) == trace.schedule
         assert simulate_fcfs(tasks) == trace.schedule

@@ -11,7 +11,6 @@ from conftest import task_sets
 from ctqsched import (
     InvariantViolation,
     Schedule,
-    Task,
     TaskSet,
     format_fraction,
     metrics_from_schedule,
@@ -45,7 +44,7 @@ CTQ_GANTT = gantt(
 
 
 class TestTaskValidation:
-    """A ``Task`` row checks nothing; its task set checks every row."""
+    """A task set checks every row of its two columns."""
 
     def test_zero_burst_rejected(self):
         with pytest.raises(ValueError, match="burst"):
@@ -86,18 +85,12 @@ class TestTaskSet:
     def test_id_zero_is_accepted(self):
         # Ids are non-negative, so 0 is the smallest valid one.
         ts = TaskSet((0, 1), (3, 2))
-        assert (ts.ids, ts.bursts()) == ((0, 1), (3, 2))
-
-    def test_rows_are_named_tuples_over_the_columns(self):
-        ts = TaskSet((7, 3), (2, 9))
-        assert list(ts) == [Task(7, 2), Task(id=3, burst=9)] == [(7, 2), (3, 9)]
-        assert (ts.ids, ts.bursts(), len(ts)) == ((7, 3), (2, 9), 2)
-        assert ts == TaskSet([7, 3], iter([2, 9])) != TaskSet((3, 7), (9, 2))
+        assert (ts.ids, ts.bursts) == ((0, 1), (3, 2))
 
     def test_numpy_integers_become_ints(self):
         ts = TaskSet(np.array([7, 3]), np.array([2, 9], dtype=np.int32))
-        assert [type(v) for v in ts.ids + ts.bursts()] == [int] * 4
-        assert ts == TaskSet((7, 3), (2, 9))
+        assert [type(v) for v in ts.ids + ts.bursts] == [int] * 4
+        assert ts == TaskSet([7, 3], iter([2, 9])) != TaskSet((3, 7), (9, 2))
 
     def test_int64_bursts_past_the_bound_fail_the_total_burst_check(self):
         # As int64 the two bursts sum to a negative total; as ints they are
@@ -121,10 +114,10 @@ class TestTaskSet:
 
     def test_from_bursts_preserves_queue_order(self):
         ts = TaskSet.from_bursts([24, 3, 3])
-        assert [t.id for t in ts] == [1, 2, 3]
-        assert ts.bursts() == (24, 3, 3)
+        assert ts.ids == (1, 2, 3)
+        assert ts.bursts == (24, 3, 3)
         assert ts.n == 3
-        assert sum(ts.bursts()) == 30
+        assert sum(ts.bursts) == 30
 
 
 def edited(schedule, change):
@@ -135,7 +128,7 @@ def edited(schedule, change):
     if change == "id":
         ids = list(tasks.ids)
         ids[1] = 99
-        tasks = TaskSet(ids, tasks.bursts())
+        tasks = TaskSet(ids, tasks.bursts)
     elif change == "slot":
         slot[1] = slot[0]
     elif change == "end":
@@ -310,18 +303,18 @@ def test_metrics_invariants_on_simulated_schedules(tasks, quantum):
     schedule = simulate_fixed_rr(tasks, quantum)
     report = metrics_from_schedule(schedule)
 
-    assert report.makespan == sum(tasks.bursts())
-    assert report.total_waiting == sum(m.completion for m in report.per_task) - sum(tasks.bursts())
+    assert report.makespan == sum(tasks.bursts)
+    assert report.total_waiting == sum(m.completion for m in report.per_task) - sum(tasks.bursts)
     assert report.total_context_switches <= len(schedule) - 1
 
     # Waiting equals the time other tasks occupy the CPU before completion.
-    for task, m in zip(tasks, report.per_task):
+    for task_id, burst, m in zip(tasks.ids, tasks.bursts, report.per_task):
         others = sum(
             s.length
             for s in slices(schedule)
-            if s.end <= m.completion and s.task_id != task.id
+            if s.end <= m.completion and s.task_id != task_id
         )
-        assert m.waiting == others == m.completion - task.burst
+        assert m.waiting == others == m.completion - burst
 
     # Pure function: same inputs, same report.
     assert metrics_from_schedule(schedule) == report

@@ -39,12 +39,12 @@ def against_rr(tasks):
 
 def over_sjf(trace, tasks):
     """CTQ's total wait on ``tasks`` over non-preemptive SJF's, exactly."""
-    return Fraction(trace.metrics.total_waiting, sjf_total_waiting(tasks.bursts()))
+    return Fraction(trace.metrics.total_waiting, sjf_total_waiting(tasks.bursts))
 
 
 def over_best(trace, tasks):
     """CTQ's total wait on ``tasks`` over the best quantum sequence's, exactly."""
-    return Fraction(trace.metrics.total_waiting, best_quantum_sequence(tasks.bursts())[0])
+    return Fraction(trace.metrics.total_waiting, best_quantum_sequence(tasks.bursts)[0])
 
 
 def against_best(ratios):
@@ -94,12 +94,12 @@ def test_ctq_switches_less_on_drain_bursts():
         trace, rr = against_rr(tasks)
         worst = max(worst, over_sjf(trace, tasks))
         ratios[seed] = over_best(trace, tasks)
-        multi_round += len(trace.rounds) > 1
+        multi_round += len(trace.quantum_sequence) > 1
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
         ctq = trace.metrics.total_context_switches
         fewer += ctq < rr.total_context_switches
         if ctq > rr.total_context_switches:
-            more.append((seed, ctq, rr.total_context_switches, len(trace.rounds)))
+            more.append((seed, ctq, rr.total_context_switches, len(trace.quantum_sequence)))
         rr_switches += rr.total_context_switches
         ctq_switches += ctq
     assert (multi_round, strictly_less) == (300, 300)
@@ -122,10 +122,10 @@ def test_ctq_against_rr_over_the_compare_family():
         trace, rr = against_rr(tasks)
         worst = max(worst, over_sjf(trace, tasks))
         ratios[seed] = over_best(trace, tasks)
-        if len(trace.rounds) == 1:
+        if len(trace.quantum_sequence) == 1:
             assert trace.metrics.total_waiting == rr.total_waiting
             assert trace.metrics.total_context_switches == rr.total_context_switches
-        multi_round += len(trace.rounds) > 1
+        multi_round += len(trace.quantum_sequence) > 1
         strictly_less += trace.metrics.total_waiting < rr.total_waiting
         more_switches += trace.metrics.total_context_switches > rr.total_context_switches
     assert (multi_round, strictly_less, more_switches) == (221, 169, 15)
@@ -146,8 +146,8 @@ def test_ctq_is_fcfs_on_the_uniform_48_family():
         trace, rr = against_rr(tasks)
         worst = max(worst, over_sjf(trace, tasks))
         ratios[seed] = over_best(trace, tasks)
-        one_round += len(trace.rounds) == 1
-        largest_first += trace.quantum_sequence[0] == max(tasks.bursts())
+        one_round += len(trace.quantum_sequence) == 1
+        largest_first += trace.quantum_sequence[0] == max(tasks.bursts)
         same_waits += [m.waiting for m in trace.metrics.per_task] == [
             m.waiting for m in rr.per_task
         ]
@@ -172,7 +172,7 @@ def test_ctq_against_rr_over_criterion_6s_generator():
         trace, rr = against_rr(tasks)
         worst = max(worst, over_sjf(trace, tasks))
         ratios[i] = over_best(trace, tasks)
-        multi_round += len(trace.rounds) > 1
+        multi_round += len(trace.quantum_sequence) > 1
         less += trace.metrics.total_waiting < rr.total_waiting
         longer += trace.metrics.total_waiting > rr.total_waiting
         ctq = trace.metrics.total_context_switches
@@ -218,9 +218,10 @@ def test_the_best_sequence_at_compare_seed_917_takes_four_rounds():
     the best sequence of quanta waits 163,734 in 4 rounds with 13."""
     tasks = generate(n=12, burst_min=1, burst_max=5000, seed=917)
     ctq = run_ctq(tasks)
-    total, quanta = best_quantum_sequence(tasks.bursts())
+    total, quanta = best_quantum_sequence(tasks.bursts)
     best = metrics_from_schedule(run_rounds(tasks, quanta))
-    assert (ctq.metrics.total_waiting, len(ctq.rounds), ctq.metrics.total_context_switches) == (
+    rounds = len(ctq.quantum_sequence)
+    assert (ctq.metrics.total_waiting, rounds, ctq.metrics.total_context_switches) == (
         165740, 1316, 6541,
     )
     assert (total, best.total_waiting, len(quanta), best.total_context_switches) == (

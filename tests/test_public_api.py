@@ -17,10 +17,8 @@ PUBLIC_NAMES = [
     "InvariantViolation",
     "MetricsReport",
     "QuantumChoice",
-    "RoundRecord",
     "RoundRobinProfile",
     "Schedule",
-    "Task",
     "TaskFileError",
     "TaskMetrics",
     "TaskSet",
@@ -58,13 +56,9 @@ _METRICS = (
     "waiting=2, context_switches=0, slice_count=1)), total_waiting=4, avg_waiting=Fraction(2, 1), "
     "avg_turnaround=Fraction(11, 2), total_context_switches=1, makespan=7)"
 )
-_ROUNDS = (
-    "(RoundRecord(number=1, quantum=2, chosen_by='optimized'), "
-    "RoundRecord(number=2, quantum=3, chosen_by='optimized'))"
-)
 
 # Each record type with one instance, its field names and that instance's
-# repr, as they were when the records were frozen dataclasses.
+# repr.
 RECORDS = [
     pytest.param(
         lambda: ctqsched.waiting_profile(TASKS, 2).per_task[0],
@@ -74,9 +68,8 @@ RECORDS = [
     ),
     pytest.param(
         lambda: ctqsched.waiting_profile(TASKS, 2),
-        ("per_task", "total_waiting", "avg_waiting", "quantum"),
-        f"RoundRobinProfile(per_task={_TASK_WAITS}, total_waiting=4, "
-        "avg_waiting=Fraction(2, 1), quantum=2)",
+        ("per_task", "total_waiting", "avg_waiting"),
+        f"RoundRobinProfile(per_task={_TASK_WAITS}, total_waiting=4, avg_waiting=Fraction(2, 1))",
         id="RoundRobinProfile",
     ),
     pytest.param(
@@ -93,15 +86,10 @@ RECORDS = [
         id="MetricsReport",
     ),
     pytest.param(
-        lambda: ctqsched.run_ctq(TASKS).rounds[0],
-        ("number", "quantum", "chosen_by"),
-        "RoundRecord(number=1, quantum=2, chosen_by='optimized')",
-        id="RoundRecord",
-    ),
-    pytest.param(
         lambda: ctqsched.run_ctq(TASKS),
-        ("rounds", "schedule", "metrics"),
-        f"CtqTrace(rounds={_ROUNDS}, schedule=Schedule(3 slices, makespan=7), metrics={_METRICS})",
+        ("quantum_sequence", "schedule", "metrics"),
+        "CtqTrace(quantum_sequence=(2, 3), schedule=Schedule(3 slices, makespan=7), "
+        f"metrics={_METRICS})",
         id="CtqTrace",
     ),
     pytest.param(

@@ -44,14 +44,14 @@ queues = st.one_of(task_sets(), lone_tails)
     quantum=st.integers(1, 800),
 )
 def test_fixed_policies_equal_the_reference_loop(tasks, quantum):
-    quantum = min(quantum, 2 * max(tasks.bursts()))
+    quantum = min(quantum, 2 * max(tasks.bursts))
     for schedule, expected in (
         (simulate_fixed_rr(tasks, quantum), reference_fixed_rr(tasks, quantum)),
         (simulate_fcfs(tasks), reference_fcfs(tasks)),
     ):
         assert slices(schedule) == expected
         assert len(schedule) == len(expected)
-        assert schedule.makespan == sum(tasks.bursts())
+        assert schedule.makespan == sum(tasks.bursts)
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,8 +73,8 @@ def test_ctq_trace_equals_the_reference_loop_at_the_drain_shape(bursts, first):
 
 def assert_ctq_trace_equals_the_reference_loop(tasks, first):
     trace = run_ctq(tasks, first)
-    records, rounds = reference_ctq(tasks, first)
-    assert trace.rounds == records
+    quanta, rounds = reference_ctq(tasks, first)
+    assert trace.quantum_sequence == quanta
     # Survivors, completions and slices, round by round, against the schedule.
     assert schedule_rounds(tasks, trace.schedule) == rounds
     expected = tuple(s for round_ in rounds for s in round_.slices)

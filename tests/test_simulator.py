@@ -146,6 +146,11 @@ class TestRunRounds:
         with pytest.raises(ValueError):
             run_rounds(MIXED_FIVE, [])
 
+    def test_quanta_are_read_as_ints(self):
+        assert run_rounds(MIXED_FIVE, [True, np.int64(2)]) == run_rounds(MIXED_FIVE, [1, 2])
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            run_rounds(MIXED_FIVE, [2, 2.0])
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -219,8 +224,8 @@ def test_rounds_read_off_the_slots_count_dispatches(tasks, quanta, first):
 )
 def test_schedule_invariants(tasks, quantum, policy):
     run, share = {
-        "rr": (lambda: simulate_fixed_rr(tasks, quantum), lambda task: quantum),
-        "fcfs": (lambda: simulate_fcfs(tasks), lambda task: task.burst),
+        "rr": (lambda: simulate_fixed_rr(tasks, quantum), lambda burst: quantum),
+        "fcfs": (lambda: simulate_fcfs(tasks), lambda burst: burst),
     }[policy]
     schedule = run()
 
@@ -228,12 +233,12 @@ def test_schedule_invariants(tasks, quantum, policy):
     assert rows[0].start == 0
     for prev, cur in zip(rows, rows[1:]):
         assert cur.start == prev.end
-    assert schedule.makespan == sum(tasks.bursts())
+    assert schedule.makespan == sum(tasks.bursts)
 
-    for task in tasks:
-        own = task_slices(schedule, task.id)
-        assert sum(s.length for s in own) == task.burst
-        assert len(own) == (task.burst - 1) // share(task) + 1
+    for task_id, burst in zip(tasks.ids, tasks.bursts):
+        own = task_slices(schedule, task_id)
+        assert sum(s.length for s in own) == burst
+        assert len(own) == (burst - 1) // share(burst) + 1
         # Every survivor runs once per round, so the round number is also
         # the task's dispatch count.
         assert [s.round for s in own] == list(range(1, len(own) + 1))
@@ -245,4 +250,4 @@ def test_schedule_invariants(tasks, quantum, policy):
 @settings(max_examples=120, deadline=None)
 @given(tasks=task_sets())
 def test_quantum_at_largest_burst_degenerates_to_fcfs(tasks):
-    assert slices(simulate_fixed_rr(tasks, max(tasks.bursts()))) == slices(simulate_fcfs(tasks))
+    assert slices(simulate_fixed_rr(tasks, max(tasks.bursts))) == slices(simulate_fcfs(tasks))
